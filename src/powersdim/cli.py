@@ -19,12 +19,10 @@ import time
 from . import __version__
 from .graphs import (Disconnected, from_edge_list, graph6_decode, graph6_encode,
                      power_graph, reduced_graph, to_dot, to_edge_list)
-from .groups import (Group, InvalidSpec, NotAGroup, ClosureTooLarge, build_group,
-                     element_orders, parse_spec, spec_string)
-from .sdim import (DEFAULT_ORACLE_CAP, InternalInconsistency, Method,
-                   OracleCapExceeded, SdimResult, _closed_form, classify_n_minus_2,
-                   is_strong_resolving_set, omega_reduced_group, sdim_group,
-                   sdim_oracle, sdim_via_reduction)
+from .groups import (InvalidSpec, NotAGroup, ClosureTooLarge, build_group,
+                     element_orders, spec_string)
+from .sdim import (DEFAULT_ORACLE_CAP, InternalInconsistency, OracleCapExceeded,
+                   SdimResult, classify_n_minus_2, sdim_group, sdim_oracle)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -66,10 +64,6 @@ def _print_result(group_name: str, order: int, res: SdimResult, args) -> None:
     print(f"verified: {'true' if res.verified else 'false'}")
 
 
-def _build(target: str) -> Group:
-    return build_group(parse_spec(target))
-
-
 def _load_graph_target(target: str):
     """Return (name, graph) for a group spec or a prefixed graph file."""
     if target.startswith("edgelist:"):
@@ -80,7 +74,7 @@ def _load_graph_target(target: str):
         path = target[len("graph6:"):]
         with open(path) as fh:
             return target, graph6_decode(fh.read())
-    g = _build(target)
+    g = build_group(target)
     return spec_string(g.spec), power_graph(g)
 
 
@@ -89,24 +83,17 @@ def _load_graph_target(target: str):
 
 
 def cmd_compute(args) -> int:
-    g = _build(args.spec)
+    g = build_group(args.spec)
     name = spec_string(g.spec)
     t0 = time.perf_counter()
-    res = sdim_group(g)
+    res = sdim_group(g, oracle_cap=args.oracle_cap if args.check else 0)
     elapsed = (time.perf_counter() - t0) * 1000.0
     _print_result(name, g.n, res, args)
     if not args.json and not args.no_timing:
         print(f"time_ms: {elapsed:.1f}")
-    if args.check:
-        if res.witness is None or len(res.witness) != res.value or \
-                not is_strong_resolving_set(power_graph(g), res.witness):
-            _err("MISMATCH", f"witness check failed for {name}")
-            return EXIT_MISMATCH
-        if g.n <= args.oracle_cap:
-            oracle = sdim_oracle(power_graph(g), oracle_cap=args.oracle_cap)
-            if oracle.value != res.value:
-                _err("MISMATCH", f"oracle gives {oracle.value}, formulas give {res.value}")
-                return EXIT_MISMATCH
+    if args.check and not (res.verified and len(res.witness) == res.value):
+        _err("MISMATCH", f"witness check failed for {name}")
+        return EXIT_MISMATCH
     return EXIT_OK
 
 
@@ -122,51 +109,25 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    g = _build(args.spec)
+    g = build_group(args.spec)
     name = spec_string(g.spec)
-    graph = power_graph(g)
-    rows: list[tuple[str, int, float]] = []
-
-    t0 = time.perf_counter()
-    cf = _closed_form(g)
-    ms = (time.perf_counter() - t0) * 1000.0
-    if cf is not None:
-        rows.append((cf[0].value, cf[1], ms))
-    t0 = time.perf_counter()
-    theorem = g.n - omega_reduced_group(g) if g.n > 1 else 0
-    rows.append((Method.GROUP_THEOREM.value, theorem,
-                 (time.perf_counter() - t0) * 1000.0))
-    t0 = time.perf_counter()
-    reduction = sdim_via_reduction(graph)
-    rows.append((Method.DIAMETER2_REDUCTION.value, reduction.value,
-                 (time.perf_counter() - t0) * 1000.0))
-    if g.n <= args.oracle_cap:
-        t0 = time.perf_counter()
-        oracle = sdim_oracle(graph, oracle_cap=args.oracle_cap)
-        rows.append((Method.GENERIC_ORACLE.value, oracle.value,
-                     (time.perf_counter() - t0) * 1000.0))
-
-    values = {v for _, v, _ in rows}
-    agree = len(values) == 1
+    res = sdim_group(g, oracle_cap=args.oracle_cap)  # raises on any disagreement
     if args.json:
         payload = {
             "group": name,
             "order": g.n,
-            "rows": [{"method": m, "sdim": v} for m, v, _ in rows],
-            "agree": agree,
+            "rows": [{"method": m.value, "sdim": v} for m, v, _ in res.rows],
+            "agree": True,
         }
         print(json.dumps(payload))
     else:
         print(f"group: {name}  order: {g.n}")
-        for m, v, ms in rows:
+        for m, v, ms in res.rows:
             if args.no_timing:
-                print(f"{m:<28} {v}")
+                print(f"{m.value:<28} {v}")
             else:
-                print(f"{m:<28} {v:>6}  {ms:.1f}ms")
-        print(f"agreement: {'ok' if agree else 'MISMATCH'}")
-    if not agree:
-        _err("MISMATCH", f"methods disagree on {name}: {sorted(values)}")
-        return EXIT_MISMATCH
+                print(f"{m.value:<28} {v:>6}  {ms:.1f}ms")
+        print("agreement: ok")
     return EXIT_OK
 
 
@@ -195,7 +156,7 @@ def cmd_table(args) -> int:
         return EXIT_PARSE
     rows = []
     for k in range(lo, hi + 1):
-        g = _build(make_spec(k))
+        g = build_group(make_spec(k))
         res = sdim_group(g)
         rows.append((k, g.n, res.value, res.omega_reduced, res.method.value))
     if args.csv:
@@ -210,7 +171,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    g = _build(args.spec)
+    g = build_group(args.spec)
     name = spec_string(g.spec)
     res = sdim_group(g)
     if args.json:
@@ -225,7 +186,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    g = _build(args.spec)
+    g = build_group(args.spec)
     name = spec_string(g.spec)
     res = sdim_group(g)
     hit, label = classify_n_minus_2(g)
@@ -245,7 +206,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    g = _build(args.spec)
+    g = build_group(args.spec)
     graph = power_graph(g)
     if args.reduced:
         red = reduced_graph(graph)

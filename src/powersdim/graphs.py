@@ -10,25 +10,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groups import Group, cyclic_masks
+from .groups import Group, bits, cyclic_masks  # bits is re-exported for clique.py
 
 
 class Disconnected(ValueError):
     """Raised by operations that require a connected graph."""
 
 
-def bits(mask: int):
-    """Yield the set bit positions of mask in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class Graph:
-    """Simple undirected graph on vertices 0..n-1; row v is the neighbor bitmask."""
+    """Simple undirected graph on vertices 0..n-1; row v is the neighbor bitmask.
 
-    __slots__ = ("n", "rows")
+    Instances are immutable after construction: rows must not be changed,
+    because derived data (the distance matrix) is cached lazily.
+    """
+
+    __slots__ = ("n", "rows", "_dist")
 
     def __init__(self, n: int, rows: list[int] | None = None):
         if n < 0:
@@ -49,6 +45,7 @@ class Graph:
             raise ValueError("adjacency is not symmetric")
         self.n = n
         self.rows = list(rows)
+        self._dist: list[list[int]] | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -101,15 +98,17 @@ class Graph:
 
 def power_graph(g: Group) -> Graph:
     """Vertices are the group elements; x ~ y iff x != y and one generates
-    a cyclic subgroup containing the other."""
-    n = g.n
-    member = cyclic_masks(g)
-    containers = [0] * n
-    for y in range(n):
-        for x in bits(member[y]):
-            containers[x] |= 1 << y
-    rows = [(member[x] | containers[x]) & ~(1 << x) for x in range(n)]
-    return Graph(n, rows)
+    a cyclic subgroup containing the other.  Cached on the group."""
+    if g._power_graph is None:
+        n = g.n
+        member = cyclic_masks(g)
+        containers = [0] * n
+        for y in range(n):
+            for x in bits(member[y]):
+                containers[x] |= 1 << y
+        rows = [(member[x] | containers[x]) & ~(1 << x) for x in range(n)]
+        g._power_graph = Graph(n, rows)
+    return g._power_graph
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +143,22 @@ def is_connected(graph: Graph) -> bool:
     return math.inf not in bfs_distances(graph, 0)
 
 
+def all_pairs(graph: Graph) -> list[list[int]]:
+    """Distance matrix, one BFS per vertex, cached on the graph; raises
+    Disconnected when unreachable pairs exist."""
+    if graph._dist is None:
+        dist = [bfs_distances(graph, v) for v in range(graph.n)]
+        if any(math.inf in row for row in dist):
+            raise Disconnected("graph is not connected")
+        graph._dist = dist
+    return graph._dist
+
+
 def diameter(graph: Graph) -> int:
     """Greatest pairwise distance; raises Disconnected when unreachable pairs exist."""
     if graph.n == 0:
         raise ValueError("empty graph has no diameter")
-    best = 0
-    for v in range(graph.n):
-        far = max(bfs_distances(graph, v))
-        if far == math.inf:
-            raise Disconnected("graph is not connected")
-        best = max(best, far)
-    return int(best)
+    return max(max(row) for row in all_pairs(graph))
 
 
 # ---------------------------------------------------------------------------

@@ -102,22 +102,35 @@ def sigma_of(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Group specifications
+# Group specifications.  Each spec checks its own fields on construction
+# (InvalidSpec), so parse_spec, build_group and direct callers share one check.
 
 
 @dataclass(frozen=True)
 class Cyclic:
     n: int
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise InvalidSpec("cyclic order must be >= 1")
+
 
 @dataclass(frozen=True)
 class Dihedral:
     order: int  # 2n with n >= 3
 
+    def __post_init__(self):
+        if self.order < 6 or self.order % 2:
+            raise InvalidSpec("dihedral order must be even and >= 6")
+
 
 @dataclass(frozen=True)
 class GeneralizedQuaternion:
     order: int  # 4n with n >= 2
+
+    def __post_init__(self):
+        if self.order < 8 or self.order % 4:
+            raise InvalidSpec("quaternion order must be a multiple of 4 and >= 8")
 
 
 @dataclass(frozen=True)
@@ -125,35 +138,68 @@ class ElementaryAbelian:
     p: int
     k: int
 
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise InvalidSpec(f"{self.p} is not prime")
+        if self.k < 1:
+            raise InvalidSpec("exponent must be >= 1")
+
 
 @dataclass(frozen=True)
 class Abelian:
     invariant_factors: tuple[int, ...]  # d_1 | d_2 | ... | d_k, all >= 2
 
+    def __post_init__(self):
+        ds = self.invariant_factors
+        if not ds or any(d < 2 for d in ds):
+            raise InvalidSpec("invariant factors must be >= 2")
+        if any(ds[i + 1] % ds[i] for i in range(len(ds) - 1)):
+            raise InvalidSpec("invariant factors must form a divisibility chain")
+
 
 @dataclass(frozen=True)
 class Symmetric:
-    n: int  # n <= 6
+    n: int
+
+    def __post_init__(self):
+        if not 1 <= self.n <= 6:
+            raise InvalidSpec("symmetric degree must be 1..6")
 
 
 @dataclass(frozen=True)
 class Alternating:
-    n: int  # n <= 6
+    n: int
+
+    def __post_init__(self):
+        if not 1 <= self.n <= 6:
+            raise InvalidSpec("alternating degree must be 1..6")
 
 
 @dataclass(frozen=True)
 class DirectProduct:
     parts: tuple["GroupSpec", ...]
 
+    def __post_init__(self):
+        if not self.parts:
+            raise InvalidSpec("direct product needs at least one factor")
+
 
 @dataclass(frozen=True)
 class CayleyFile:
     path: str
 
+    def __post_init__(self):
+        if not self.path:
+            raise InvalidSpec("cayley: needs a file path")
+
 
 @dataclass(frozen=True)
 class PermFile:
     path: str
+
+    def __post_init__(self):
+        if not self.path:
+            raise InvalidSpec("perm: needs a file path")
 
 
 GroupSpec = (
@@ -206,15 +252,9 @@ def parse_spec(text: str) -> GroupSpec:
     if not t:
         raise InvalidSpec("empty group spec")
     if t.startswith("cayley:"):
-        path = t[len("cayley:"):]
-        if not path:
-            raise InvalidSpec("cayley: needs a file path")
-        return CayleyFile(path)
+        return CayleyFile(t[len("cayley:"):])
     if t.startswith("perm:"):
-        path = t[len("perm:"):]
-        if not path:
-            raise InvalidSpec("perm: needs a file path")
-        return PermFile(path)
+        return PermFile(t[len("perm:"):])
     parts = t.split("x")
     if len(parts) > 1:
         return DirectProduct(tuple(_parse_atom(p, t) for p in parts))
@@ -222,52 +262,30 @@ def parse_spec(text: str) -> GroupSpec:
 
 
 def _parse_atom(t: str, full: str) -> GroupSpec:
-    m = re.fullmatch(r"Z(\d+)", t)
-    if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise InvalidSpec(f"cyclic order must be >= 1 in {full!r}")
-        return Cyclic(n)
-    m = re.fullmatch(r"Ab\[(\d+(?:,\d+)*)\]", t)
-    if m:
-        ds = tuple(int(d) for d in m.group(1).split(","))
-        if any(d < 2 for d in ds):
-            raise InvalidSpec(f"invariant factors must be >= 2 in {full!r}")
-        if any(ds[i + 1] % ds[i] for i in range(len(ds) - 1)):
-            raise InvalidSpec(f"invariant factors must form a divisibility chain in {full!r}")
-        return Abelian(ds)
-    m = re.fullmatch(r"D(\d+)", t)
-    if m:
-        order = int(m.group(1))
-        if order < 6 or order % 2:
-            raise InvalidSpec(f"dihedral order must be even and >= 6 in {full!r}")
-        return Dihedral(order)
-    m = re.fullmatch(r"Q(\d+)", t)
-    if m:
-        order = int(m.group(1))
-        if order < 8 or order % 4:
-            raise InvalidSpec(f"quaternion order must be a multiple of 4 and >= 8 in {full!r}")
-        return GeneralizedQuaternion(order)
-    m = re.fullmatch(r"E(\d+)\^(\d+)", t)
-    if m:
-        p, k = int(m.group(1)), int(m.group(2))
-        if not is_prime(p):
-            raise InvalidSpec(f"{p} is not prime in {full!r}")
-        if k < 1:
-            raise InvalidSpec(f"exponent must be >= 1 in {full!r}")
-        return ElementaryAbelian(p, k)
-    m = re.fullmatch(r"S(\d+)", t)
-    if m:
-        n = int(m.group(1))
-        if not 1 <= n <= 6:
-            raise InvalidSpec(f"symmetric degree must be 1..6 in {full!r}")
-        return Symmetric(n)
-    m = re.fullmatch(r"A(\d+)", t)
-    if m:
-        n = int(m.group(1))
-        if not 1 <= n <= 6:
-            raise InvalidSpec(f"alternating degree must be 1..6 in {full!r}")
-        return Alternating(n)
+    try:
+        m = re.fullmatch(r"Z(\d+)", t)
+        if m:
+            return Cyclic(int(m.group(1)))
+        m = re.fullmatch(r"Ab\[(\d+(?:,\d+)*)\]", t)
+        if m:
+            return Abelian(tuple(int(d) for d in m.group(1).split(",")))
+        m = re.fullmatch(r"D(\d+)", t)
+        if m:
+            return Dihedral(int(m.group(1)))
+        m = re.fullmatch(r"Q(\d+)", t)
+        if m:
+            return GeneralizedQuaternion(int(m.group(1)))
+        m = re.fullmatch(r"E(\d+)\^(\d+)", t)
+        if m:
+            return ElementaryAbelian(int(m.group(1)), int(m.group(2)))
+        m = re.fullmatch(r"S(\d+)", t)
+        if m:
+            return Symmetric(int(m.group(1)))
+        m = re.fullmatch(r"A(\d+)", t)
+        if m:
+            return Alternating(int(m.group(1)))
+    except InvalidSpec as exc:  # the spec's own check, reported against the input
+        raise InvalidSpec(f"{exc} in {full!r}") from None
     raise InvalidSpec(f"cannot parse group spec {full!r} (at {t!r})")
 
 
@@ -279,11 +297,12 @@ class Group:
     """Finite group on elements 0..n-1 with an explicit multiplication table.
 
     Instances are immutable after construction and safe for concurrent
-    reads; derived data (element orders, cyclic subgroups) is cached lazily.
+    reads; derived data (element orders, cyclic subgroups, the power graph)
+    is cached lazily.
     """
 
     __slots__ = ("n", "table", "identity", "inverse", "spec",
-                 "_orders", "_cyclic_masks", "_maximal_family")
+                 "_orders", "_cyclic_masks", "_maximal_family", "_power_graph")
 
     def __init__(self, table, spec: GroupSpec | None = None, *,
                  trust_associativity: bool = False):
@@ -300,6 +319,7 @@ class Group:
         self._orders: list[int] | None = None
         self._cyclic_masks: list[int] | None = None
         self._maximal_family: MaximalCyclicFamily | None = None
+        self._power_graph = None  # graphs.Graph, set by graphs.power_graph
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -537,46 +557,25 @@ def build_group(spec: GroupSpec | str, *, closure_cap: int = DEFAULT_CLOSURE_CAP
     if isinstance(spec, str):
         spec = parse_spec(spec)
     if isinstance(spec, Cyclic):
-        if spec.n < 1:
-            raise InvalidSpec("cyclic order must be >= 1")
         return Group(_cyclic_table(spec.n), spec, trust_associativity=True)
     if isinstance(spec, Dihedral):
-        if spec.order < 6 or spec.order % 2:
-            raise InvalidSpec("dihedral order must be even and >= 6")
         return Group(_dihedral_table(spec.order), spec, trust_associativity=True)
     if isinstance(spec, GeneralizedQuaternion):
-        if spec.order < 8 or spec.order % 4:
-            raise InvalidSpec("generalized quaternion order must be a multiple of 4, >= 8")
         return Group(_quaternion_table(spec.order), spec, trust_associativity=True)
     if isinstance(spec, ElementaryAbelian):
-        if not is_prime(spec.p):
-            raise InvalidSpec(f"{spec.p} is not prime")
-        if spec.k < 1:
-            raise InvalidSpec("exponent must be >= 1")
         table = _product_table([_cyclic_table(spec.p)] * spec.k)
         return Group(table, spec, trust_associativity=True)
     if isinstance(spec, Abelian):
-        ds = spec.invariant_factors
-        if not ds or any(d < 2 for d in ds):
-            raise InvalidSpec("invariant factors must all be >= 2")
-        if any(ds[i + 1] % ds[i] for i in range(len(ds) - 1)):
-            raise InvalidSpec("invariant factors must form a divisibility chain")
-        table = _product_table([_cyclic_table(d) for d in ds])
+        table = _product_table([_cyclic_table(d) for d in spec.invariant_factors])
         return Group(table, spec, trust_associativity=True)
     if isinstance(spec, Symmetric):
-        if not 1 <= spec.n <= 6:
-            raise InvalidSpec("symmetric degree must be 1..6")
         perms = sorted(itertools.permutations(range(spec.n)))
         return Group(_perm_table(perms), spec, trust_associativity=True)
     if isinstance(spec, Alternating):
-        if not 1 <= spec.n <= 6:
-            raise InvalidSpec("alternating degree must be 1..6")
         perms = [p for p in sorted(itertools.permutations(range(spec.n)))
                  if _perm_parity_even(p)]
         return Group(_perm_table(perms), spec, trust_associativity=True)
     if isinstance(spec, DirectProduct):
-        if not spec.parts:
-            raise InvalidSpec("direct product needs at least one factor")
         factors = [build_group(p, closure_cap=closure_cap) for p in spec.parts]
         table = _product_table([f.table for f in factors])
         return Group(table, spec, trust_associativity=True)
@@ -663,17 +662,16 @@ def _mask_of(elements: tuple[int, ...]) -> int:
     return m
 
 
-def _bits_ascending(mask: int) -> list[int]:
-    out = []
+def bits(mask: int):
+    """Yield the set bit positions of mask in ascending order."""
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
+        yield low.bit_length() - 1
         mask ^= low
-    return out
 
 
 def _subgroup_from_mask(g: Group, mask: int) -> CyclicSubgroup:
-    els = tuple(_bits_ascending(mask))
+    els = tuple(bits(mask))
     order = len(els)
     gen = min(e for e in els if element_order(g, e) == order)
     return CyclicSubgroup(gen, els, order)
@@ -708,7 +706,7 @@ def maximal_cyclic_subgroups(g: Group) -> MaximalCyclicFamily:
     for m, gen in distinct:
         if any(m != m2 and m & ~m2 == 0 for m2, _ in distinct):
             continue
-        els = tuple(_bits_ascending(m))
+        els = tuple(bits(m))
         subs.append(CyclicSubgroup(gen, els, len(els)))
     subs.sort(key=lambda s: (s.order, s.elements))
     by_prime: dict[int, list[CyclicSubgroup]] = {}

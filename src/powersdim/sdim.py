@@ -11,12 +11,12 @@ constructive clique witnesses behind the formulas.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 
 from . import groups as gr
 from .clique import max_clique, min_vertex_cover
-from .graphs import Disconnected, Graph, bfs_distances, bits, diameter, power_graph, reduced_graph
+from .graphs import Graph, all_pairs, bits, diameter, power_graph, reduced_graph
 
 DEFAULT_ORACLE_CAP = 200
 
@@ -59,17 +59,12 @@ class SdimResult:
     closed_form: Method | None = None
     witness: list[int] | None = None
     verified: bool = False
+    # (method, value, milliseconds) for each step sdim_group ran, in order
+    rows: list[tuple[Method, int, float]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
 # Definitional checks
-
-
-def _all_pairs(graph: Graph) -> list[list]:
-    dist = [bfs_distances(graph, v) for v in range(graph.n)]
-    if any(math.inf in row for row in dist):
-        raise Disconnected("graph is not connected")
-    return dist
 
 
 def _normalize_vertex_set(graph: Graph, vertices) -> list[int]:
@@ -84,10 +79,8 @@ def is_strong_resolving_set(graph: Graph, candidate) -> bool:
     """True iff every vertex pair u, v has some w in the set with
     d(w,u) = d(w,v) + d(v,u) or d(w,v) = d(w,u) + d(u,v)."""
     members = _normalize_vertex_set(graph, candidate)
-    dist = _all_pairs(graph)
-    smask = 0
-    for v in members:
-        smask |= 1 << v
+    dist = all_pairs(graph)
+    smask = gr._mask_of(members)
     for u in range(graph.n):
         du = dist[u]
         for v in range(u + 1, graph.n):
@@ -106,7 +99,7 @@ def is_strong_resolving_set(graph: Graph, candidate) -> bool:
 def strong_resolving_graph(graph: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the mutually
     maximally distant pairs."""
-    dist = _all_pairs(graph)
+    dist = all_pairs(graph)
     rows = [0] * graph.n
     for u in range(graph.n):
         du = dist[u]
@@ -208,30 +201,40 @@ def _closed_form(g: gr.Group) -> tuple[Method, int] | None:
     return None
 
 
-def sdim_group(g: gr.Group) -> SdimResult:
-    """Full ladder for a group: group theorem value, closed form when one
-    applies, witness via the reduction on the power graph.  Any disagreement
-    raises InternalInconsistency."""
+def sdim_group(g: gr.Group, *, oracle_cap: int = 0) -> SdimResult:
+    """Full ladder for a group: the closed form when one applies, the group
+    theorem, the reduction on the power graph (which gives the witness), and
+    the generic oracle when g.n <= oracle_cap.  Each step's (method, value,
+    ms) is kept in rows; any disagreement raises InternalInconsistency."""
     graph = power_graph(g)
-    if g.n == 1:
-        return sdim_via_reduction(graph)
-    omega = omega_reduced_group(g)
-    value = g.n - omega
+    rows: list[tuple[Method, int, float]] = []
+    t0 = time.perf_counter()
     cf = _closed_form(g)
-    if cf is not None and cf[1] != value:
-        raise InternalInconsistency(
-            f"{cf[0].value} gives {cf[1]} but the group theorem gives {value}")
+    if cf is not None:
+        rows.append((*cf, (time.perf_counter() - t0) * 1000.0))
+    t0 = time.perf_counter()
+    omega = omega_reduced_group(g)
+    rows.append((Method.GROUP_THEOREM, g.n - omega, (time.perf_counter() - t0) * 1000.0))
+    t0 = time.perf_counter()
     red = sdim_via_reduction(graph)
-    if red.value != value:
-        raise InternalInconsistency(
-            f"reduction gives {red.value} but the group theorem gives {value}")
+    rows.append((Method.DIAMETER2_REDUCTION, red.value, (time.perf_counter() - t0) * 1000.0))
+    if g.n <= oracle_cap:
+        t0 = time.perf_counter()
+        oracle = sdim_oracle(graph, oracle_cap=oracle_cap)
+        rows.append((Method.GENERIC_ORACLE, oracle.value, (time.perf_counter() - t0) * 1000.0))
+    if len({value for _, value, _ in rows}) != 1:
+        raise InternalInconsistency("methods disagree: " + ", ".join(
+            f"{method.value} gives {value}" for method, value, _ in rows))
+    if g.n == 1:  # sigma_1 = 1 is a convention only; credit the one vertex to the reduction
+        return replace(red, rows=rows)
     return SdimResult(
-        value=value,
+        value=red.value,
         method=cf[0] if cf else Method.GROUP_THEOREM,
         omega_reduced=omega,
         closed_form=cf[0] if cf else None,
         witness=red.witness,
         verified=red.verified,
+        rows=rows,
     )
 
 

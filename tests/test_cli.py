@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from powersdim import CORPUS_SPECS, build_group, from_edge_list, graph6_decode, \
-    power_graph, sigma_of, to_edge_list
+import powersdim.sdim as sdim_module
+from powersdim import CORPUS_SPECS, CliqueResult, build_group, from_edge_list, \
+    graph6_decode, power_graph, sigma_of, to_edge_list
 from powersdim.cli import main
 
 
@@ -132,6 +133,32 @@ def test_compare_whole_corpus_exits_zero(capsys):
     for spec in CORPUS_SPECS:
         code, out, err = run(capsys, "compare", spec, "--no-timing")
         assert code == 0, (spec, err)
+
+
+def test_compare_exits_3_when_methods_disagree(capsys, monkeypatch):
+    real = sdim_module.omega_reduced_group
+    monkeypatch.setattr(sdim_module, "omega_reduced_group", lambda g: real(g) + 1)
+    code, out, err = run(capsys, "compare", "Z12", "--no-timing")
+    assert code == 3 and err.startswith("ERROR:MISMATCH")
+    assert "GroupTheorem gives 8" in err and "GenericOracle gives 9" in err
+
+
+def test_compute_check_exits_3_when_the_witness_fails(capsys, monkeypatch):
+    real = sdim_module.max_clique
+
+    def clique_with_a_non_edge(graph):
+        # same size, so every value still agrees, but the witness now leaves out
+        # two non-adjacent classes: a mutually maximally distant pair
+        u, v = next((u, v) for u in range(graph.n) for v in range(u + 1, graph.n)
+                    if not graph.has_edge(u, v))
+        return CliqueResult(real(graph).size, (u, v))
+
+    monkeypatch.setattr(sdim_module, "max_clique", clique_with_a_non_edge)
+    code, out, err = run(capsys, "compute", "Z12", "--check", "--no-timing")
+    assert code == 3 and err.startswith("ERROR:MISMATCH")
+    assert "verified: false" in out
+    code, out, err = run(capsys, "compute", "Z12", "--no-timing")
+    assert code == 0 and "verified: false" in out and not err
 
 
 # ---------------------------------------------------------------------------

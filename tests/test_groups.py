@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersdim import (Abelian, ClosureTooLarge, Cyclic, Dihedral, DirectProduct,
-                       ElementaryAbelian, GeneralizedQuaternion, InvalidSpec, NotAGroup,
-                       NotAPrimeDivisor, alpha_p, build_group, chain_analysis,
+from powersdim import (Abelian, Alternating, CayleyFile, ClosureTooLarge, Cyclic,
+                       Dihedral, DirectProduct, ElementaryAbelian, GeneralizedQuaternion,
+                       InvalidSpec, NotAGroup, NotAPrimeDivisor, PermFile, Symmetric,
+                       alpha_p, build_group, chain_analysis,
                        element_order, element_orders, factorize, is_cp_group,
                        is_cyclic_group, maximal_cyclic_subgroups, parse_spec, sigma,
                        sigma_of, spec_string)
@@ -62,6 +63,24 @@ def test_parse_product():
     spec = parse_spec("Z3xQ8")
     assert isinstance(spec, DirectProduct)
     assert spec.parts == (Cyclic(3), GeneralizedQuaternion(8))
+
+
+@pytest.mark.parametrize("cls, args", [
+    (Cyclic, (0,)), (Dihedral, (7,)), (Dihedral, (4,)), (GeneralizedQuaternion, (14,)),
+    (ElementaryAbelian, (4, 2)), (ElementaryAbelian, (2, 0)), (Abelian, ((),)),
+    (Abelian, ((1, 2),)), (Abelian, ((4, 6),)), (Symmetric, (7,)), (Alternating, (0,)),
+    (DirectProduct, ((),)), (CayleyFile, ("",)), (PermFile, ("",)),
+])
+def test_spec_objects_check_their_own_fields(cls, args):
+    with pytest.raises(InvalidSpec):
+        cls(*args)
+
+
+def test_spec_field_errors_name_the_parsed_input():
+    with pytest.raises(InvalidSpec, match=r"dihedral order must be even and >= 6 in 'Z3xD7'"):
+        parse_spec("Z3xD7")
+    with pytest.raises(InvalidSpec, match=r"cannot parse group spec 'W5' \(at 'W5'\)$"):
+        parse_spec("W5")
 
 
 # ---------------------------------------------------------------------------

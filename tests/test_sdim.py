@@ -3,13 +3,17 @@ group dispatch, constructive witnesses, and the n-2 classification."""
 
 import itertools
 import random
+import sys
 
 import pytest
 
-from powersdim import (DiameterTooLarge, Disconnected, EmptyFamily, Graph, Method,
-                       OracleCapExceeded, alpha_p, build_group, classify_n_minus_2,
-                       clique_witness_alpha_p, clique_witness_cyclic, element_order,
-                       factorize, is_strong_resolving_set, maximal_cyclic_subgroups,
+import powersdim.graphs as graphs_module
+import powersdim.sdim as sdim_module
+from powersdim import (DiameterTooLarge, Disconnected, EmptyFamily, Graph,
+                       InternalInconsistency, Method, OracleCapExceeded, alpha_p,
+                       build_group, classify_n_minus_2, clique_witness_alpha_p,
+                       clique_witness_cyclic, diameter, element_order, factorize,
+                       from_edge_list, is_strong_resolving_set, maximal_cyclic_subgroups,
                        omega_reduced_group, power_graph, reduced_graph, sdim_group,
                        sdim_oracle, sdim_via_reduction, sigma_of,
                        strong_resolving_graph)
@@ -218,6 +222,58 @@ def test_cayley_file_input_dispatches_structurally(tmp_path):
     res = sdim_group(build_group(f"cayley:{path}"))
     assert res.method is Method.CLOSED_FORM_CYCLIC
     assert res.value == 4
+
+
+def test_sdim_group_rows_follow_the_ladder_and_the_oracle_cap():
+    g = build_group("Z30")
+    assert [m for m, _, _ in sdim_group(g).rows] == [
+        Method.CLOSED_FORM_CYCLIC, Method.GROUP_THEOREM, Method.DIAMETER2_REDUCTION]
+    rows = sdim_group(g, oracle_cap=30).rows
+    assert rows[-1][0] is Method.GENERIC_ORACLE and len(rows) == 4
+    assert {v for _, v, _ in rows} == {27} and all(ms >= 0 for _, _, ms in rows)
+    assert [m for m, _, _ in sdim_group(build_group("S4"), oracle_cap=23).rows] == [
+        Method.GROUP_THEOREM, Method.DIAMETER2_REDUCTION]
+
+
+def test_sdim_group_disagreement_names_every_row(monkeypatch):
+    real = sdim_module.omega_reduced_group
+    monkeypatch.setattr(sdim_module, "omega_reduced_group", lambda g: real(g) + 1)
+    with pytest.raises(InternalInconsistency) as exc:
+        sdim_group(build_group("Z12"), oracle_cap=12)
+    for row in ["ClosedFormCyclic gives 9", "GroupTheorem gives 8",
+                "Diameter2Reduction gives 9", "GenericOracle gives 9"]:
+        assert row in str(exc.value)
+
+
+def count_bfs_calls(monkeypatch) -> list[int]:
+    """Count BFS runs through every powersdim module that binds bfs_distances."""
+    calls = [0]
+    real = graphs_module.bfs_distances
+
+    def counted(graph, source):
+        calls[0] += 1
+        return real(graph, source)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "powersdim" and vars(module).get("bfs_distances") is real:
+            monkeypatch.setattr(module, "bfs_distances", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["Z12", "S4", "Q16"])
+def test_ladder_and_oracle_share_one_distance_matrix(monkeypatch, spec):
+    calls = count_bfs_calls(monkeypatch)
+    g = build_group(spec)
+    assert sdim_group(g).value == sdim_oracle(power_graph(g)).value
+    assert calls[0] == g.n
+
+
+def test_oracle_computes_distances_once_off_diameter_two(monkeypatch):
+    calls = count_bfs_calls(monkeypatch)
+    cycle = from_edge_list({"n": 7, "edges": [[i, (i + 1) % 7] for i in range(7)]})
+    res = sdim_oracle(cycle)
+    assert (res.value, res.verified, calls[0]) == (4, True, 7)
+    assert diameter(cycle) == 3 and calls[0] == 7
 
 
 # ---------------------------------------------------------------------------
