@@ -22,7 +22,8 @@ from .graphs import (Disconnected, from_edge_list, graph6_decode, graph6_encode,
 from .groups import (InvalidSpec, NotAGroup, ClosureTooLarge, build_group,
                      element_orders, spec_string)
 from .sdim import (DEFAULT_ORACLE_CAP, InternalInconsistency, OracleCapExceeded,
-                   SdimResult, classify_n_minus_2, sdim_group, sdim_oracle)
+                   SdimResult, check_oracle_cap, classify_n_minus_2, sdim_group,
+                   sdim_oracle)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -64,17 +65,23 @@ def _print_result(group_name: str, order: int, res: SdimResult, args) -> None:
     print(f"verified: {'true' if res.verified else 'false'}")
 
 
-def _load_graph_target(target: str):
-    """Return (name, graph) for a group spec or a prefixed graph file."""
+def _load_graph_target(target: str, oracle_cap: int):
+    """Return (name, graph) for a group spec or a prefixed graph file.
+    Edge lists and groups above oracle_cap are refused before their graph
+    is allocated."""
     if target.startswith("edgelist:"):
         path = target[len("edgelist:"):]
         with open(path) as fh:
-            return target, from_edge_list(json.load(fh))
+            data = json.load(fh)
+        if isinstance(data, dict) and isinstance(data.get("n"), int):
+            check_oracle_cap(data["n"], oracle_cap)
+        return target, from_edge_list(data)
     if target.startswith("graph6:"):
         path = target[len("graph6:"):]
         with open(path) as fh:
             return target, graph6_decode(fh.read())
     g = build_group(target)
+    check_oracle_cap(g.n, oracle_cap)
     return spec_string(g.spec), power_graph(g)
 
 
@@ -98,7 +105,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    name, graph = _load_graph_target(args.target)
+    name, graph = _load_graph_target(args.target, args.oracle_cap)
     t0 = time.perf_counter()
     res = sdim_oracle(graph, oracle_cap=args.oracle_cap)
     elapsed = (time.perf_counter() - t0) * 1000.0

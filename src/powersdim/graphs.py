@@ -116,24 +116,26 @@ def power_graph(g: Group) -> Graph:
 
 
 def bfs_distances(graph: Graph, source: int) -> list:
-    """Exact shortest-path distances from source; math.inf marks unreachable."""
+    """Exact shortest-path distances from source; math.inf marks unreachable.
+
+    Each vertex is visited once: the loop that writes its distance also ORs
+    its row into the set reached by the next layer."""
     n = graph.n
     if not 0 <= source < n:
         raise ValueError(f"vertex {source} out of range")
+    rows = graph.rows
     dist: list = [math.inf] * n
     dist[source] = 0
-    seen = frontier = 1 << source
+    seen = 1 << source
+    reach = rows[source]
     d = 0
-    while frontier:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= graph.rows[u]
-        nxt &= ~seen
+    while frontier := reach & ~seen:
         d += 1
-        for v in bits(nxt):
+        seen |= frontier
+        reach = 0
+        for v in bits(frontier):
             dist[v] = d
-        seen |= nxt
-        frontier = nxt
+            reach |= rows[v]
     return dist
 
 

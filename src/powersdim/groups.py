@@ -436,15 +436,32 @@ def _perm_parity_even(p: tuple[int, ...]) -> bool:
 
 
 def _perm_table(perms: list[tuple[int, ...]]) -> list[list[int]]:
-    index = {p: i for i, p in enumerate(perms)}
+    """Multiplication table of a list of permutations of 0..k-1, where
+    row a, column b holds the index of a.b, (a.b)(x) = a(b(x)).
+
+    Each row is one numpy gather a[p] over all b at once (memory O(n*k)
+    per row); the products are looked up by their raw bytes (a void-dtype
+    view) with searchsorted on the sorted permutation keys.  Raises
+    NotAGroup when a product is not in the list.
+    """
+    n = len(perms)
     k = len(perms[0]) if perms else 0
+    # one extra fixed point k keeps the byte keys nonempty at degree 0
+    p = np.empty((n, k + 1), dtype=np.min_scalar_type(k))
+    p[:, :k] = perms
+    p[:, k] = k
+    key = np.dtype((np.void, p.itemsize * (k + 1)))
+    keys = p.view(key).ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
     table = []
-    for a in perms:
-        row = []
-        for b in perms:
-            c = tuple(a[b[i]] for i in range(k))  # (a.b)(x) = a(b(x))
-            row.append(index[c])
-        table.append(row)
+    for a in p:
+        prod = a[p]
+        pos = np.searchsorted(sorted_keys, prod.view(key).ravel())
+        idx = order[np.minimum(pos, n - 1)]
+        if not np.array_equal(p[idx], prod):
+            raise NotAGroup("the permutations are not closed under composition")
+        table.append(idx.tolist())
     return table
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from . import groups as gr
 from .clique import max_clique, min_vertex_cover
-from .graphs import Graph, all_pairs, bits, diameter, power_graph, reduced_graph
+from .graphs import Graph, all_pairs, diameter, power_graph, reduced_graph
 
 DEFAULT_ORACLE_CAP = 200
 
@@ -98,30 +98,51 @@ def is_strong_resolving_set(graph: Graph, candidate) -> bool:
 
 def strong_resolving_graph(graph: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the mutually
-    maximally distant pairs."""
+    maximally distant pairs.
+
+    With d = d(u, v), u and v are mutually maximally distant iff
+    N(v) is inside the ball B(u, d) = {w : d(u, w) <= d} and N(u) inside
+    B(v, d).  The balls are built per vertex from its distance row, as the
+    complement masks outside[u][d] of the vertices farther than d from u."""
     dist = all_pairs(graph)
-    rows = [0] * graph.n
-    for u in range(graph.n):
-        du = dist[u]
-        for v in range(u + 1, graph.n):
-            duv = du[v]
-            dv = dist[v]
-            if all(du[w] <= duv for w in bits(graph.rows[v])) and \
-               all(dv[w] <= duv for w in bits(graph.rows[u])):
+    n = graph.n
+    adj = graph.rows
+    outside = []
+    for du in dist:
+        masks = [0] * (max(du) + 1)
+        for w, d in enumerate(du):
+            masks[d] |= 1 << w
+        ball = 0
+        for d, layer in enumerate(masks):
+            ball |= layer
+            masks[d] = ~ball
+        outside.append(masks)
+    rows = [0] * n
+    for u in range(n):
+        du, out_u, nu = dist[u], outside[u], adj[u]
+        for v in range(u + 1, n):
+            d = du[v]
+            if not adj[v] & out_u[d] and not nu & outside[v][d]:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-    return Graph(graph.n, rows)
+    return Graph(n, rows)
 
 
 # ---------------------------------------------------------------------------
 # The two graph-level computation paths
 
 
+def check_oracle_cap(n: int, oracle_cap: int) -> None:
+    """Raise OracleCapExceeded when an n-vertex graph is above the cap, so
+    callers can refuse an input before building its graph."""
+    if n > oracle_cap:
+        raise OracleCapExceeded(f"oracle cap is {oracle_cap} vertices, graph has {n}")
+
+
 def sdim_oracle(graph: Graph, *, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SdimResult:
     """Generic path for any connected graph: minimum vertex cover of the
     mutually-maximally-distant graph.  Exponential-time exact, hence capped."""
-    if graph.n > oracle_cap:
-        raise OracleCapExceeded(f"oracle cap is {oracle_cap} vertices, graph has {graph.n}")
+    check_oracle_cap(graph.n, oracle_cap)
     srg = strong_resolving_graph(graph)
     cover = min_vertex_cover(srg)
     return SdimResult(

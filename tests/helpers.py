@@ -57,6 +57,20 @@ def brute_is_strong_resolving(graph: Graph, subset) -> bool:
     return True
 
 
+def brute_strong_resolving_graph(graph: Graph) -> Graph:
+    """Mutually maximally distant pairs from the definition: u and v are
+    joined iff no neighbour of v is farther from u than v is, and no
+    neighbour of u is farther from v than u is."""
+    dist = all_pairs_distances(graph)
+    n = graph.n
+
+    def maximally_distant(u: int, v: int) -> bool:
+        return all(dist[u][w] <= dist[u][v] for w in range(n) if graph.has_edge(v, w))
+
+    return Graph.from_edges(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                if maximally_distant(u, v) and maximally_distant(v, u)])
+
+
 def brute_sdim(graph: Graph) -> tuple[int, tuple[int, ...]]:
     """Smallest strong resolving set by exhaustive subset search (tiny graphs)."""
     vertices = list(range(graph.n))
@@ -65,6 +79,12 @@ def brute_sdim(graph: Graph) -> tuple[int, tuple[int, ...]]:
             if brute_is_strong_resolving(graph, subset):
                 return k, subset
     raise AssertionError("the full vertex set always resolves")
+
+
+def brute_perm_table(perms) -> list[list[int]]:
+    """Row a, column b holds the index of the composition a.b, x -> a[b[x]]."""
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(a[b[i]] for i in range(len(b)))] for b in perms] for a in perms]
 
 
 def is_clique(graph: Graph, vertices) -> bool:
@@ -80,6 +100,17 @@ def pairwise_distinct_closed_neighborhoods(graph: Graph, vertices) -> bool:
 def random_graph(rng: Random, n: int, p: float = 0.5) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def random_cycle_with_chords(rng: Random, n: int, p: float) -> Graph:
+    """Connected graph: a Hamiltonian cycle in random order plus each other
+    pair as a chord with probability p (p = 0 gives diameter n // 2, p = 1
+    the complete graph)."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:] + order[:1]) if a != b}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    return Graph.from_edges(n, sorted(edges))
 
 
 def random_diameter2_graph(rng: Random, n: int, p: float = 0.4) -> Graph:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import powersdim.cli as cli_module
 import powersdim.sdim as sdim_module
 from powersdim import CORPUS_SPECS, CliqueResult, build_group, from_edge_list, \
     graph6_decode, power_graph, sigma_of, to_edge_list
@@ -94,6 +95,21 @@ def test_oracle_cap_error(capsys):
     code, out, err = run(capsys, "oracle", "Z60", "--oracle-cap", "10")
     assert code == 2
     assert err.startswith("ERROR:CAP")
+
+
+def _fail(*args):
+    raise AssertionError("the graph was built although it is over the oracle cap")
+
+
+def test_oracle_cap_is_checked_before_the_graph_is_built(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli_module, "from_edge_list", _fail)
+    monkeypatch.setattr(cli_module, "power_graph", _fail)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 2000000, "edges": []}))
+    code, out, err = run(capsys, "oracle", f"edgelist:{path}")
+    assert (code, out, err) == (2, "", "ERROR:CAP oracle cap is 200 vertices, graph has 2000000\n")
+    code, out, err = run(capsys, "oracle", "Z60", "--oracle-cap", "10")
+    assert (code, out, err) == (2, "", "ERROR:CAP oracle cap is 10 vertices, graph has 60\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Group construction, orders, maximal cyclic subgroups, and chain data."""
 
+import itertools
 import math
 
 import pytest
@@ -13,6 +14,9 @@ from powersdim import (Abelian, Alternating, CayleyFile, ClosureTooLarge, Cyclic
                        element_order, element_orders, factorize, is_cp_group,
                        is_cyclic_group, maximal_cyclic_subgroups, parse_spec, sigma,
                        sigma_of, spec_string)
+from powersdim import groups as groups_module
+
+from helpers import brute_perm_table
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +225,34 @@ def test_perm_file_bad_cycles(tmp_path):
     path.write_text("(1 2)(2 3)\n")
     with pytest.raises(InvalidSpec):
         build_group(f"perm:{path}")
+
+
+def _inversions(p):
+    return sum(1 for i, j in itertools.combinations(range(len(p)), 2) if p[i] > p[j])
+
+
+@pytest.mark.parametrize("spec", ["S1", "S2", "S3", "S4", "S5", "A4", "A5"])
+def test_perm_table_matches_composition(spec):
+    k = int(spec[1:])
+    perms = sorted(itertools.permutations(range(k)))
+    if spec[0] == "A":
+        perms = [p for p in perms if _inversions(p) % 2 == 0]
+    assert build_group(spec).table == brute_perm_table(perms)
+
+
+@pytest.mark.parametrize("text", ["(1 2 3)\n(2 3 4)\n", "(1 200)\n", "(1 300)(2 299 150)\n"])
+def test_perm_file_table_matches_composition(tmp_path, text):
+    path = tmp_path / "gens.txt"
+    path.write_text(text)
+    elems = groups_module._close_permutations(groups_module._parse_perm_file(str(path)), 100)
+    assert build_group(f"perm:{path}").table == brute_perm_table(elems)
+
+
+def test_perm_table_rejects_a_list_not_closed_under_composition():
+    with pytest.raises(NotAGroup):
+        groups_module._perm_table([(0, 1, 2), (1, 2, 0)])  # misses (2, 0, 1)
+    with pytest.raises(NotAGroup):
+        groups_module._perm_table([(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2)])
 
 
 # ---------------------------------------------------------------------------

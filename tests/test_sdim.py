@@ -6,10 +6,12 @@ import random
 import sys
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import powersdim.graphs as graphs_module
 import powersdim.sdim as sdim_module
-from powersdim import (DiameterTooLarge, Disconnected, EmptyFamily, Graph,
+from powersdim import (CORPUS_SPECS, DiameterTooLarge, Disconnected, EmptyFamily, Graph,
                        InternalInconsistency, Method, OracleCapExceeded, alpha_p,
                        build_group, classify_n_minus_2, clique_witness_alpha_p,
                        clique_witness_cyclic, diameter, element_order, factorize,
@@ -18,8 +20,9 @@ from powersdim import (DiameterTooLarge, Disconnected, EmptyFamily, Graph,
                        sdim_oracle, sdim_via_reduction, sigma_of,
                        strong_resolving_graph)
 
-from helpers import (brute_is_strong_resolving, brute_sdim, is_clique,
-                     pairwise_distinct_closed_neighborhoods, random_diameter2_graph)
+from helpers import (brute_is_strong_resolving, brute_sdim, brute_strong_resolving_graph,
+                     is_clique, pairwise_distinct_closed_neighborhoods,
+                     random_cycle_with_chords, random_diameter2_graph)
 
 
 def complete_graph(n):
@@ -90,6 +93,27 @@ def test_srg_z6_contains_distance2_pairs():
     srg = strong_resolving_graph(power_graph(build_group("Z6")))
     assert srg.has_edge(2, 3)
     assert srg.has_edge(3, 4)
+
+
+@given(st.integers(1, 30), st.sampled_from([0.0, 0.03, 0.1, 0.3, 1.0]),
+       st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_srg_matches_definition_on_random_connected_graphs(n, p, rng):
+    g = random_cycle_with_chords(rng, n, p)
+    d = diameter(g)
+    event("diameter >= 4" if d >= 4 else f"diameter {d}")
+    assert strong_resolving_graph(g) == brute_strong_resolving_graph(g)
+
+
+def test_srg_matches_definition_on_corpus_power_graphs():
+    checked = 0
+    for spec in CORPUS_SPECS:
+        g = build_group(spec)
+        if g.n <= 60:
+            pg = power_graph(g)
+            assert strong_resolving_graph(pg) == brute_strong_resolving_graph(pg), spec
+            checked += 1
+    assert checked >= 30
 
 
 # ---------------------------------------------------------------------------
