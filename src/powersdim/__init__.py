@@ -21,7 +21,7 @@ from .groups import (Abelian, Alternating, CayleyFile, ChainAnalysis, ClosureToo
                      PrimeFactorization, Symmetric, alpha_p, build_group, chain_analysis,
                      element_order, element_orders, factorize, is_abelian_group,
                      is_cp_group, is_cyclic_group, maximal_cyclic_subgroups, parse_spec,
-                     sigma, sigma_of, spec_string)
+                     sigma, sigma_of, spec_order, spec_string)
 from .sdim import (DEFAULT_ORACLE_CAP, DiameterTooLarge, EmptyFamily,
                    InternalInconsistency, Method, OracleCapExceeded, SdimResult,
                    classify_n_minus_2, clique_witness_alpha_p, clique_witness_cyclic,
@@ -35,7 +35,7 @@ __all__ = [
     "ElementaryAbelian", "Abelian", "Symmetric", "Alternating", "DirectProduct",
     "CayleyFile", "PermFile", "PrimeFactorization", "CyclicSubgroup",
     "MaximalCyclicFamily", "ChainAnalysis", "build_group", "parse_spec",
-    "spec_string", "element_order", "element_orders", "maximal_cyclic_subgroups",
+    "spec_string", "spec_order", "element_order", "element_orders", "maximal_cyclic_subgroups",
     "chain_analysis", "alpha_p", "sigma", "sigma_of", "factorize", "is_cp_group",
     "is_cyclic_group", "is_abelian_group",
     "InvalidSpec", "NotAGroup", "ClosureTooLarge", "NotAPrimeDivisor",

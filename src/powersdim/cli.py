@@ -20,7 +20,7 @@ from . import __version__
 from .graphs import (Disconnected, from_edge_list, graph6_decode, graph6_encode,
                      power_graph, reduced_graph, to_dot, to_edge_list)
 from .groups import (InvalidSpec, NotAGroup, ClosureTooLarge, build_group,
-                     element_orders, spec_string)
+                     element_orders, parse_spec, spec_order, spec_string)
 from .sdim import (DEFAULT_ORACLE_CAP, InternalInconsistency, OracleCapExceeded,
                    SdimResult, check_oracle_cap, classify_n_minus_2, sdim_group,
                    sdim_oracle)
@@ -68,7 +68,8 @@ def _print_result(group_name: str, order: int, res: SdimResult, args) -> None:
 def _load_graph_target(target: str, oracle_cap: int):
     """Return (name, graph) for a group spec or a prefixed graph file.
     Edge lists and groups above oracle_cap are refused before their graph
-    is allocated."""
+    is allocated; built-in families, whose order follows from the spec,
+    before their multiplication table is built."""
     if target.startswith("edgelist:"):
         path = target[len("edgelist:"):]
         with open(path) as fh:
@@ -80,8 +81,12 @@ def _load_graph_target(target: str, oracle_cap: int):
         path = target[len("graph6:"):]
         with open(path) as fh:
             return target, graph6_decode(fh.read())
-    g = build_group(target)
-    check_oracle_cap(g.n, oracle_cap)
+    spec = parse_spec(target)
+    order = spec_order(spec)
+    if order is not None:
+        check_oracle_cap(order, oracle_cap)
+    g = build_group(spec)
+    check_oracle_cap(g.n, oracle_cap)  # file specs: the order is known only now
     return spec_string(g.spec), power_graph(g)
 
 

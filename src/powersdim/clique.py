@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bits
+from .graphs import Graph, bit_matrix, bit_rows
 
 
 @dataclass(frozen=True)
@@ -20,19 +20,16 @@ class CliqueResult:
 
 
 def max_clique(graph: Graph) -> CliqueResult:
-    """Exact maximum clique; deterministic for identical input bits."""
+    """Exact maximum clique; deterministic for identical input bits.
+
+    The search runs on a relabelled copy of the adjacency, taken as one
+    bool-matrix permutation m[order][:, order] of its rows and columns."""
     n = graph.n
     if n == 0:
         return CliqueResult(0, ())
     # relabel so lower internal index = higher degree (ties by vertex index)
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-    pos = [0] * n
-    for new, old in enumerate(order):
-        pos[old] = new
-    adj = [0] * n
-    for old_u in range(n):
-        for old_v in bits(graph.rows[old_u]):
-            adj[pos[old_u]] |= 1 << pos[old_v]
+    adj = bit_rows(bit_matrix(graph.rows, n).take(order, 0).take(order, 1))
 
     best_size = 0
     best: list[int] = []

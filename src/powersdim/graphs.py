@@ -10,18 +10,39 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groups import Group, bits, cyclic_masks  # bits is re-exported for clique.py
+import numpy as np
+
+from .groups import Group, bits, cyclic_masks
 
 
 class Disconnected(ValueError):
     """Raised by operations that require a connected graph."""
 
 
+def bit_matrix(rows: list[int], n: int) -> np.ndarray:
+    """len(rows) x n bool matrix whose entry [u, v] is bit v of rows[u];
+    every row must lie in 0 <= row < 2**n."""
+    width = (n + 7) // 8
+    data = b"".join([row.to_bytes(width, "little") for row in rows])
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
+def bit_rows(m: np.ndarray) -> list[int]:
+    """Inverse of bit_matrix: one int bitset per row of a bool matrix."""
+    packed = np.packbits(m, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * width:(i + 1) * width], "little")
+            for i in range(len(m))]
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1; row v is the neighbor bitmask.
 
-    Instances are immutable after construction: rows must not be changed,
-    because derived data (the distance matrix) is cached lazily.
+    Construction checks each row's range and loop bit in order, then the
+    symmetry of the whole adjacency as one bool-matrix comparison with its
+    transpose.  Instances are immutable after construction: rows must not
+    be changed, because derived data (the distance matrix) is cached lazily.
     """
 
     __slots__ = ("n", "rows", "_dist")
@@ -33,15 +54,13 @@ class Graph:
             rows = [0] * n
         if len(rows) != n:
             raise ValueError("need one adjacency row per vertex")
-        transpose = [0] * n
         for u, row in enumerate(rows):
             if row >> n:
                 raise ValueError(f"row {u} references vertices >= {n}")
             if (row >> u) & 1:
                 raise ValueError(f"loop at vertex {u}")
-            for v in bits(row):
-                transpose[v] |= 1 << u
-        if transpose != list(rows):
+        m = bit_matrix(rows, n)
+        if m.tobytes() != m.T.tobytes():  # m == m.T, compared as raw bytes
             raise ValueError("adjacency is not symmetric")
         self.n = n
         self.rows = list(rows)
@@ -98,16 +117,13 @@ class Graph:
 
 def power_graph(g: Group) -> Graph:
     """Vertices are the group elements; x ~ y iff x != y and one generates
-    a cyclic subgroup containing the other.  Cached on the group."""
+    a cyclic subgroup containing the other.  With m[x, y] true iff y is in
+    <x>, the adjacency is m | m.T without the diagonal.  Cached on the group."""
     if g._power_graph is None:
-        n = g.n
-        member = cyclic_masks(g)
-        containers = [0] * n
-        for y in range(n):
-            for x in bits(member[y]):
-                containers[x] |= 1 << y
-        rows = [(member[x] | containers[x]) & ~(1 << x) for x in range(n)]
-        g._power_graph = Graph(n, rows)
+        m = bit_matrix(cyclic_masks(g), g.n)
+        m |= m.T
+        np.fill_diagonal(m, False)
+        g._power_graph = Graph(g.n, bit_rows(m))
     return g._power_graph
 
 
@@ -190,7 +206,8 @@ class ReducedGraph:
 
 def reduced_graph(graph: Graph) -> ReducedGraph:
     """Group vertices by their closed-neighborhood bitmask (dict lookup gives
-    hash-then-exact-equality), canonical representative = smallest vertex."""
+    hash-then-exact-equality), canonical representative = smallest vertex.
+    The quotient is the adjacency matrix restricted to the representatives."""
     n = graph.n
     class_ids: dict[int, int] = {}
     representatives: list[int] = []
@@ -203,14 +220,9 @@ def reduced_graph(graph: Graph) -> ReducedGraph:
             class_ids[key] = cid
             representatives.append(v)
         class_of[v] = cid
-    k = len(representatives)
-    rows = [0] * k
-    for a in range(k):
-        for b in range(a + 1, k):
-            if graph.has_edge(representatives[a], representatives[b]):
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-    return ReducedGraph(graph, representatives, class_of, Graph(k, rows))
+    m = bit_matrix(graph.rows, n).take(representatives, 0).take(representatives, 1)
+    quotient = Graph(len(representatives), bit_rows(m))
+    return ReducedGraph(graph, representatives, class_of, quotient)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,30 @@ def spec_string(spec: GroupSpec) -> str:
     raise TypeError(f"not a GroupSpec: {spec!r}")
 
 
+def spec_order(spec: GroupSpec) -> int | None:
+    """Order of the group a spec describes, from its parameters alone, so a
+    caller can bound it before any table is built; None for file specs,
+    whose order is known only once the file is read."""
+    if isinstance(spec, Cyclic):
+        return spec.n
+    if isinstance(spec, (Dihedral, GeneralizedQuaternion)):
+        return spec.order
+    if isinstance(spec, ElementaryAbelian):
+        return spec.p ** spec.k
+    if isinstance(spec, Abelian):
+        return math.prod(spec.invariant_factors)
+    if isinstance(spec, Symmetric):
+        return math.factorial(spec.n)
+    if isinstance(spec, Alternating):
+        return math.factorial(spec.n) // 2 if spec.n >= 2 else 1
+    if isinstance(spec, DirectProduct):
+        orders = [spec_order(p) for p in spec.parts]
+        return None if None in orders else math.prod(orders)
+    if isinstance(spec, (CayleyFile, PermFile)):
+        return None
+    raise TypeError(f"not a GroupSpec: {spec!r}")
+
+
 def parse_spec(text: str) -> GroupSpec:
     """Parse the spec grammar: Z<n>, D<order>, Q<order>, E<p>^<k>,
     Ab[d1,d2,...], S<n>, A<n>, x-joined products, cayley:<path>, perm:<path>.

@@ -14,9 +14,12 @@ import enum
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import groups as gr
 from .clique import max_clique, min_vertex_cover
-from .graphs import Graph, all_pairs, diameter, power_graph, reduced_graph
+from .graphs import (Graph, all_pairs, bit_matrix, bit_rows, diameter, power_graph,
+                     reduced_graph)
 
 DEFAULT_ORACLE_CAP = 200
 
@@ -100,32 +103,22 @@ def strong_resolving_graph(graph: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the mutually
     maximally distant pairs.
 
-    With d = d(u, v), u and v are mutually maximally distant iff
-    N(v) is inside the ball B(u, d) = {w : d(u, w) <= d} and N(u) inside
-    B(v, d).  The balls are built per vertex from its distance row, as the
-    complement masks outside[u][d] of the vertices farther than d from u."""
-    dist = all_pairs(graph)
+    A neighbour of v is at distance k - 1, k or k + 1 from u, where
+    k = d(u, v), so v is maximally distant from u iff no neighbour of v is
+    at distance k + 1 from u.  With D the cached distance matrix and A the
+    adjacency, the pairs at distance k that fail are
+    ((D == k + 1) @ A > 0) & (D == k): one float32 matrix product per
+    distance layer (the counts stay below n, so they are exact).  u and v
+    are joined iff the pair fails from neither side."""
     n = graph.n
-    adj = graph.rows
-    outside = []
-    for du in dist:
-        masks = [0] * (max(du) + 1)
-        for w, d in enumerate(du):
-            masks[d] |= 1 << w
-        ball = 0
-        for d, layer in enumerate(masks):
-            ball |= layer
-            masks[d] = ~ball
-        outside.append(masks)
-    rows = [0] * n
-    for u in range(n):
-        du, out_u, nu = dist[u], outside[u], adj[u]
-        for v in range(u + 1, n):
-            d = du[v]
-            if not adj[v] & out_u[d] and not nu & outside[v][d]:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(n, rows)
+    dist = np.array(all_pairs(graph), dtype=np.int32).reshape(n, n)
+    adj = bit_matrix(graph.rows, n).astype(np.float32)
+    bad = np.zeros((n, n), dtype=bool)
+    for k in range(1, int(dist.max(initial=0))):
+        bad |= (dist == k) & ((dist == k + 1).astype(np.float32) @ adj > 0)
+    srg = ~(bad | bad.T)
+    np.fill_diagonal(srg, False)
+    return Graph(n, bit_rows(srg))
 
 
 # ---------------------------------------------------------------------------

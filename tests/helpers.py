@@ -35,6 +35,22 @@ def brute_force_clique_number(graph: Graph) -> int:
     return best
 
 
+def induced_subgraph(graph: Graph, vertices) -> Graph:
+    """Subgraph on the given vertices, relabelled 0..k-1 in the given order."""
+    vs = list(vertices)
+    return Graph.from_edges(len(vs), [(i, j) for i, j in itertools.combinations(range(len(vs)), 2)
+                                      if graph.has_edge(vs[i], vs[j])])
+
+
+def forward_brute_force_clique_number(graph: Graph) -> int:
+    """Clique number as the largest 1 + omega(later neighbours of v), each
+    omega by exhaustive subset scan: exact on any graph, and fast when no
+    vertex has more than about 16 later neighbours."""
+    later = [[w for w in range(v + 1, graph.n) if graph.has_edge(v, w)] for v in range(graph.n)]
+    return max((1 + brute_force_clique_number(induced_subgraph(graph, ws)) for ws in later),
+               default=0)
+
+
 def all_pairs_distances(graph: Graph) -> list[list]:
     return [bfs_distances(graph, v) for v in range(graph.n)]
 
@@ -111,6 +127,18 @@ def random_cycle_with_chords(rng: Random, n: int, p: float) -> Graph:
     edges = {(min(a, b), max(a, b)) for a, b in zip(order, order[1:] + order[:1]) if a != b}
     edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
     return Graph.from_edges(n, sorted(edges))
+
+
+def with_closed_twins(rng: Random, base: Graph, max_copies: int) -> Graph:
+    """Blow-up of base: vertex i becomes 1..max_copies pairwise adjacent
+    copies, each joined to every copy of i's neighbours (so copies of one
+    vertex are closed twins), with the copies' labels shuffled."""
+    copies = [rng.randint(1, max_copies) for _ in range(base.n)]
+    owner = [i for i, c in enumerate(copies) for _ in range(c)]
+    rng.shuffle(owner)
+    n = len(owner)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if owner[u] == owner[v] or base.has_edge(owner[u], owner[v])])
 
 
 def random_diameter2_graph(rng: Random, n: int, p: float = 0.4) -> Graph:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from powersdim import Graph, build_group, max_clique, min_vertex_cover, power_graph, \
     reduced_graph, sigma_of
 
-from helpers import brute_force_clique_number, is_clique, random_graph
+from helpers import (brute_force_clique_number, forward_brute_force_clique_number, is_clique,
+                     random_cycle_with_chords, random_graph)
 
 
 def complete_graph(n):
@@ -58,6 +59,22 @@ def test_max_clique_determinism():
 def test_max_clique_matches_brute_force(n, rng):
     g = random_graph(rng, n)
     assert max_clique(g).size == brute_force_clique_number(g)
+
+
+@given(st.integers(40, 80), st.sampled_from([0.0, 0.03, 0.06]), st.integers(0, 7),
+       st.integers(0, 2**32))
+@settings(max_examples=15, deadline=None)
+def test_max_clique_on_multi_byte_rows(n, p, planted, seed):
+    rng = random.Random(seed)
+    # a planted clique on random vertices, one of them the last, in the highest byte
+    g = random_cycle_with_chords(rng, n, p)
+    members = rng.sample(range(n - 1), planted - 1) + [n - 1] if planted else []
+    g = Graph(n, [row | sum(1 << w for w in members if w != v) if v in members else row
+                  for v, row in enumerate(g.rows)])
+    res = max_clique(g)
+    assert res.size == forward_brute_force_clique_number(g)
+    assert list(res.members) == sorted(set(res.members)) and len(res.members) == res.size
+    assert is_clique(g, res.members)
 
 
 def test_min_vertex_cover_examples():

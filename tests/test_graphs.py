@@ -12,8 +12,9 @@ from powersdim import (Disconnected, Graph, bfs_distances, build_group, chain_an
                        diameter, element_orders, factorize, from_edge_list,
                        graph6_decode, graph6_encode, is_connected, power_graph,
                        reduced_graph, to_dot, to_edge_list)
+from powersdim.graphs import bit_matrix, bit_rows
 
-from helpers import random_graph
+from helpers import random_cycle_with_chords, random_graph, with_closed_twins
 
 
 def complete_graph(n):
@@ -50,6 +51,34 @@ def test_graph_edges_and_complement():
     comp = g.complement()
     assert set(comp.edges()) == {(0, 2), (0, 3), (1, 2), (1, 3)}
     assert comp.complement() == g
+
+
+# ---------------------------------------------------------------------------
+# Bit-matrix layout (rows of several bytes, and sizes at byte boundaries)
+
+
+@given(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 200]), st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_bit_matrix_round_trips_and_matches_the_bits(n, p, rng):
+    rows = random_graph(rng, n, p).rows
+    m = bit_matrix(rows, n)
+    assert m.shape == (n, n) and m.dtype == bool
+    assert m.tolist() == [[bool((row >> v) & 1) for v in range(n)] for row in rows]
+    assert bit_rows(m) == rows
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([1 << 64] + [0] * 64, "adjacency is not symmetric"),     # one-way edge (0, 64)
+    ([0] * 64 + [1 << 64], "loop at vertex 64"),
+    ([1 << 65] + [0] * 64, "row 0 references vertices >= 65"),
+    ([-1] + [0] * 64, "row 0 references vertices >= 65"),
+    ([1 << 64] + [0] * 63 + [1 << 64], "loop at vertex 64"),  # rows are checked before symmetry
+], ids=["asymmetric-high-byte", "loop", "bit-n", "negative", "loop-before-asymmetry"])
+def test_graph_rejections_keep_their_messages(rows, message):
+    with pytest.raises(ValueError) as exc:
+        Graph(65, rows)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +191,23 @@ def test_twin_classes_are_cliques_with_equal_outside_adjacency(n, rng):
             if a != b:
                 assert red.quotient.has_edge(a, b) == g.has_edge(
                     red.representatives[a], red.representatives[b])
+
+
+@given(st.integers(20, 40), st.sampled_from([0.0, 0.05, 0.2]), st.integers(0, 2**32))
+@settings(max_examples=15, deadline=None)
+def test_quotient_of_twin_blow_ups_joins_classes_iff_representatives_are_adjacent(m, p, seed):
+    rng = random.Random(seed)
+    # 20..120 vertices, mostly 40..80, so rows span several bytes
+    g = with_closed_twins(rng, random_cycle_with_chords(rng, m, p), 3)
+    red = reduced_graph(g)
+    masks = [g.closed_mask(v) for v in range(g.n)]
+    assert red.representatives == sorted({masks.index(mask) for mask in masks})
+    assert all(red.representatives[red.class_of[v]] == masks.index(masks[v])
+               for v in range(g.n))
+    reps = red.representatives
+    assert red.quotient.rows == [sum(1 << b for b in range(len(reps))
+                                     if b != a and g.has_edge(reps[a], reps[b]))
+                                 for a in range(len(reps))]
 
 
 def test_equal_order_elements_are_twins_in_cyclic_power_graphs():

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersdim import (Abelian, Alternating, CayleyFile, ClosureTooLarge, Cyclic,
-                       Dihedral, DirectProduct, ElementaryAbelian, GeneralizedQuaternion,
+from powersdim import (CORPUS_SPECS, Abelian, Alternating, CayleyFile, ClosureTooLarge,
+                       Cyclic, Dihedral, DirectProduct, ElementaryAbelian, GeneralizedQuaternion,
                        InvalidSpec, NotAGroup, NotAPrimeDivisor, PermFile, Symmetric,
                        alpha_p, build_group, chain_analysis,
                        element_order, element_orders, factorize, is_cp_group,
                        is_cyclic_group, maximal_cyclic_subgroups, parse_spec, sigma,
-                       sigma_of, spec_string)
+                       sigma_of, spec_order, spec_string)
 from powersdim import groups as groups_module
 
 from helpers import brute_perm_table
@@ -85,6 +85,17 @@ def test_spec_field_errors_name_the_parsed_input():
         parse_spec("Z3xD7")
     with pytest.raises(InvalidSpec, match=r"cannot parse group spec 'W5' \(at 'W5'\)$"):
         parse_spec("W5")
+
+
+def test_spec_order_is_the_built_order_on_the_corpus():
+    for spec in list(CORPUS_SPECS) + ["Z1", "S1", "A1", "A2", "A3", "E3^2", "Z2xS3xQ8"]:
+        assert spec_order(parse_spec(spec)) == build_group(spec).n, spec
+
+
+def test_spec_order_of_file_specs_is_unknown():
+    assert spec_order(CayleyFile("t.txt")) is None
+    assert spec_order(PermFile("p.txt")) is None
+    assert spec_order(DirectProduct((Cyclic(2), PermFile("p.txt")))) is None
 
 
 # ---------------------------------------------------------------------------

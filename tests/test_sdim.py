@@ -105,6 +105,15 @@ def test_srg_matches_definition_on_random_connected_graphs(n, p, rng):
     assert strong_resolving_graph(g) == brute_strong_resolving_graph(g)
 
 
+@given(st.integers(40, 80), st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3]),
+       st.integers(0, 2**32))
+@settings(max_examples=12, deadline=None)
+def test_srg_matches_definition_on_multi_byte_rows(n, p, seed):
+    rng = random.Random(seed)
+    g = random_cycle_with_chords(rng, n, p)
+    assert strong_resolving_graph(g) == brute_strong_resolving_graph(g)
+
+
 def test_srg_matches_definition_on_corpus_power_graphs():
     checked = 0
     for spec in CORPUS_SPECS:
