@@ -3,7 +3,8 @@
 Groups are built from parametric families (cyclic, dihedral, generalized
 quaternion, abelian products, small symmetric/alternating groups), from
 Cayley-table files, or by closing a set of permutation generators.  Elements
-are the indices 0..n-1.  Everything downstream (element orders, maximal
+are the indices 0..n-1, and every table passes one check, associativity by
+Light's test included.  Everything downstream (element orders, maximal
 cyclic subgroups, the intersection-chain data behind the dimension formulas)
 is computed directly from the table, so file-loaded groups behave exactly
 like built-in ones.
@@ -19,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-MAX_VERIFY_ORDER = 128      # full O(n^3) associativity check up to this order
 DEFAULT_CLOSURE_CAP = 5040  # permutation-closure guard (S_7 sized)
 
 
@@ -320,54 +320,55 @@ def _parse_atom(t: str, full: str) -> GroupSpec:
 class Group:
     """Finite group on elements 0..n-1 with an explicit multiplication table.
 
-    Instances are immutable after construction and safe for concurrent
-    reads; derived data (element orders, cyclic subgroups, the power graph)
-    is cached lazily.
+    The table (rows or an array) is checked, NotAGroup on failure, and kept
+    as lists of ints, table[a][b] = a*b.  Instances are immutable after
+    construction and safe for concurrent reads; derived data (element
+    orders, cyclic subgroups, the power graph) is cached lazily.
     """
 
     __slots__ = ("n", "table", "identity", "inverse", "spec",
                  "_orders", "_cyclic_masks", "_maximal_family", "_power_graph")
 
-    def __init__(self, table, spec: GroupSpec | None = None, *,
-                 trust_associativity: bool = False):
-        rows = [list(map(int, row)) for row in table]
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
+    def __init__(self, table, spec: GroupSpec | None = None):
+        try:
+            t = np.asarray(table)
+        except ValueError:  # ragged rows
+            t = np.empty(0)
+        n = len(t)
+        if n == 0 or t.shape != (n, n):
             raise NotAGroup("multiplication table must be square and nonempty")
         self.n = n
-        self.table = rows
         self.spec = spec
-        self.identity = _validate_table(rows, trust_associativity)
-        e = self.identity
+        self.table = rows = t.tolist()
+        self.identity = e = _validate_table(t, rows)
         self.inverse = [row.index(e) for row in rows]
         self._orders: list[int] | None = None
         self._cyclic_masks: list[int] | None = None
         self._maximal_family: MaximalCyclicFamily | None = None
         self._power_graph = None  # graphs.Graph, set by graphs.power_graph
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def __repr__(self):
         name = spec_string(self.spec) if self.spec is not None else "table"
         return f"<Group {name} order={self.n}>"
 
 
-def _validate_table(rows: list[list[int]], trust_associativity: bool) -> int:
-    """Check Latin square + identity, and associativity for small tables.
+def _validate_table(t: np.ndarray, rows: list[list[int]]) -> int:
+    """Check Latin square + identity, then associativity by Light's test.
 
-    Returns the identity index.  The triple check is skipped above
-    MAX_VERIFY_ORDER; untrusted tables of that size are rejected instead.
+    t and rows hold the same table.  Returns the identity index.  An entry
+    outside int64 makes t an object (or float) array, refused as out of range.
+    Light's test: the a with (x*a)*y == x*(a*y) for all x, y are closed
+    under the product, so checking a generating set proves associativity.
+    Generators are picked greedily, each the smallest element not yet reached
+    by right products from the identity; in a group each one at least
+    doubles the subgroup reached, so more than log2(n) of them is a failure.
     """
     n = len(rows)
-    t = np.asarray(rows, dtype=np.int64)
-    if t.min() < 0 or t.max() >= n:
+    if t.dtype.kind not in "iu" or t.min() < 0 or t.max() >= n:
         raise NotAGroup("table entries must be element indices 0..n-1")
+    t = t.astype(np.min_scalar_type(n), copy=False)  # narrow entries: cheaper sorts and gathers
     ar = np.arange(n)
-    if not (np.all(np.sort(t, axis=1) == ar) and np.all(np.sort(t, axis=0) == ar[:, None])):
+    if not ((np.sort(t, axis=1) == ar).all() and (np.sort(t, axis=0) == ar[:, None]).all()):
         raise NotAGroup("table is not a Latin square")
     identity = None
     for e in np.nonzero((t == ar).all(axis=1))[0]:
@@ -376,14 +377,23 @@ def _validate_table(rows: list[list[int]], trust_associativity: bool) -> int:
             break
     if identity is None:
         raise NotAGroup("table has no two-sided identity")
-    if n <= MAX_VERIFY_ORDER:
-        s = t.astype(np.int32)
-        if not np.array_equal(s[s], s[:, s]):  # (ab)c == a(bc) for all triples
+    seen = [False] * n
+    seen[identity] = True
+    reached, gens = [identity], []
+    for a in range(n):
+        if seen[a]:
+            continue
+        if 2 << len(gens) > n or t[t[:, a]].tobytes() != t[:, t[a]].tobytes():
             raise NotAGroup("table is not associative")
-    elif not trust_associativity:
-        raise InvalidSpec(
-            f"order {n} exceeds the {MAX_VERIFY_ORDER}-element associativity check; "
-            "pass trust_associativity=True to accept the table unverified")
+        gens.append(a)
+        old, i = len(reached), 0  # reached[:old] is closed under the earlier generators
+        while i < len(reached):
+            row = rows[reached[i]]
+            for b in (a,) if i < old else gens:
+                if not seen[row[b]]:
+                    seen[row[b]] = True
+                    reached.append(row[b])
+            i += 1
     return identity
 
 
@@ -391,57 +401,37 @@ def _validate_table(rows: list[list[int]], trust_associativity: bool) -> int:
 # Table builders
 
 
-def _cyclic_table(n: int) -> list[list[int]]:
-    return [[(i + j) % n for j in range(n)] for i in range(n)]
+def _cyclic_table(n: int) -> np.ndarray:
+    ar = np.arange(n)
+    return (ar[:, None] + ar) % n
 
 
-def _dihedral_table(order: int) -> list[list[int]]:
-    # rotations a^i at 0..n-1, reflections a^i b at n..2n-1
+def _dihedral_table(order: int) -> np.ndarray:
+    # rotations a^i at 0..n-1, reflections a^i b at n..2n-1:
+    # (a^i b^s)(a^j b^t) = a^(i + (-1)^s j) b^(s xor t)
     n = order // 2
-    t = [[0] * order for _ in range(order)]
-    for i in range(n):
-        for j in range(n):
-            t[i][j] = (i + j) % n
-            t[i][n + j] = n + (i + j) % n
-            t[n + i][j] = n + (i - j) % n
-            t[n + i][n + j] = (i - j) % n
-    return t
+    s, i = np.divmod(np.arange(order), n)
+    return (s[:, None] ^ s) * n + (i[:, None] + (1 - 2 * s[:, None]) * i) % n
 
 
-def _quaternion_table(order: int) -> list[list[int]]:
-    # x^a at 0..2n-1, y x^a at 2n..4n-1, with y^2 = x^n and x y = y x^{-1}
+def _quaternion_table(order: int) -> np.ndarray:
+    # x^a at 0..2n-1, y x^a at 2n..4n-1, with y^2 = x^n and x y = y x^{-1}:
+    # (y^s x^a)(y^t x^b) = y^(s xor t) x^((-1)^t a + b + s t n)
     n = order // 4
     two = 2 * n
-    t = [[0] * order for _ in range(order)]
-    for a in range(two):
-        for b in range(two):
-            t[a][b] = (a + b) % two
-            t[a][two + b] = two + (b - a) % two
-            t[two + a][b] = two + (a + b) % two
-            t[two + a][two + b] = (n + b - a) % two
-    return t
+    s, a = np.divmod(np.arange(order), two)
+    return (s[:, None] ^ s) * two + ((1 - 2 * s) * a[:, None] + a + s[:, None] * s * n) % two
 
 
-def _product_table(tables: list[list[list[int]]]) -> list[list[int]]:
-    """Row-major direct product of the given multiplication tables."""
-    sizes = [len(t) for t in tables]
-    total = math.prod(sizes)
-    comps = []
-    for idx in range(total):
-        c, rem = [], idx
-        for sz in reversed(sizes):
-            rem, r = divmod(rem, sz)
-            c.append(r)
-        comps.append(tuple(reversed(c)))
-    out = []
-    for ci in comps:
-        row = []
-        for cj in comps:
-            idx = 0
-            for t, sz, a, b in zip(tables, sizes, ci, cj):
-                idx = idx * sz + t[a][b]
-            row.append(idx)
-        out.append(row)
+def _product_table(tables) -> np.ndarray:
+    """Row-major direct product of the given multiplication tables, one
+    factor t of order m at a time by mixed radix: (A, a) has index A*m + a,
+    and (A, a)(B, b) = out[A, B]*m + t[a, b], broadcast over (A, a, B, b)."""
+    out = np.zeros((1, 1), dtype=np.intp)
+    for t in tables:
+        t = np.asarray(t)
+        m = len(t)
+        out = (out[:, None, :, None] * m + t[None, :, None, :]).reshape(len(out) * m, -1)
     return out
 
 
@@ -459,7 +449,7 @@ def _perm_parity_even(p: tuple[int, ...]) -> bool:
     return transpositions % 2 == 0
 
 
-def _perm_table(perms: list[tuple[int, ...]]) -> list[list[int]]:
+def _perm_table(perms: list[tuple[int, ...]]) -> np.ndarray:
     """Multiplication table of a list of permutations of 0..k-1, where
     row a, column b holds the index of a.b, (a.b)(x) = a(b(x)).
 
@@ -478,14 +468,13 @@ def _perm_table(perms: list[tuple[int, ...]]) -> list[list[int]]:
     keys = p.view(key).ravel()
     order = np.argsort(keys)
     sorted_keys = keys[order]
-    table = []
-    for a in p:
+    table = np.empty((n, n), dtype=np.min_scalar_type(n))
+    for a, row in zip(p, table):
         prod = a[p]
         pos = np.searchsorted(sorted_keys, prod.view(key).ravel())
-        idx = order[np.minimum(pos, n - 1)]
-        if not np.array_equal(p[idx], prod):
+        row[:] = order[np.minimum(pos, n - 1)]
+        if not np.array_equal(p[row], prod):
             raise NotAGroup("the permutations are not closed under composition")
-        table.append(idx.tolist())
     return table
 
 
@@ -520,14 +509,17 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 def _parse_perm_file(path: str) -> list[tuple[int, ...]]:
-    """Parse one permutation per line in disjoint-cycle notation on 1..k."""
+    """Parse one permutation per line in disjoint-cycle notation on points >= 1.
+
+    The points that occur are numbered 0..k-1 in ascending order, so the
+    degree k is bounded by the file's size, not by its largest label."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise InvalidSpec(f"cannot read perm file {path!r}: {exc}") from exc
     lines = [ln.strip() for ln in text.splitlines()]
     cycle_lists: list[list[list[int]]] = []
-    degree = 0
+    points: set[int] = set()
     for no, line in enumerate(lines, 1):
         if not line:
             continue
@@ -548,17 +540,18 @@ def _parse_perm_file(path: str) -> list[tuple[int, ...]]:
             if seen.intersection(cycle) or len(set(cycle)) != len(cycle):
                 raise InvalidSpec(f"{path}:{no}: repeated point in {line!r}")
             seen.update(cycle)
-            degree = max(degree, max(cycle))
             cycles.append(cycle)
+        points |= seen
         cycle_lists.append(cycles)
     if not cycle_lists:
         raise InvalidSpec(f"perm file {path!r} has no permutations")
+    label = {pt: i for i, pt in enumerate(sorted(points))}
     gens = []
     for cycles in cycle_lists:
-        img = list(range(degree))
+        img = list(range(len(label)))
         for cycle in cycles:
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                img[a - 1] = b - 1
+                img[label[a]] = label[b]
         gens.append(tuple(img))
     return gens
 
@@ -588,48 +581,40 @@ def _close_permutations(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int
 # build_group
 
 
-def build_group(spec: GroupSpec | str, *, closure_cap: int = DEFAULT_CLOSURE_CAP,
-                trust_associativity: bool = False) -> Group:
-    """Construct the group described by a spec object or spec string.
-
-    trust_associativity only matters for Cayley files larger than
-    MAX_VERIFY_ORDER; built-in families are associative by construction.
-    """
+def build_group(spec: GroupSpec | str, *, closure_cap: int = DEFAULT_CLOSURE_CAP) -> Group:
+    """Construct the group described by a spec object or spec string.  Every
+    table, built-in or from a file of any order, gets Group()'s full check."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
     if isinstance(spec, Cyclic):
-        return Group(_cyclic_table(spec.n), spec, trust_associativity=True)
+        return Group(_cyclic_table(spec.n), spec)
     if isinstance(spec, Dihedral):
-        return Group(_dihedral_table(spec.order), spec, trust_associativity=True)
+        return Group(_dihedral_table(spec.order), spec)
     if isinstance(spec, GeneralizedQuaternion):
-        return Group(_quaternion_table(spec.order), spec, trust_associativity=True)
+        return Group(_quaternion_table(spec.order), spec)
     if isinstance(spec, ElementaryAbelian):
-        table = _product_table([_cyclic_table(spec.p)] * spec.k)
-        return Group(table, spec, trust_associativity=True)
+        return Group(_product_table([_cyclic_table(spec.p)] * spec.k), spec)
     if isinstance(spec, Abelian):
-        table = _product_table([_cyclic_table(d) for d in spec.invariant_factors])
-        return Group(table, spec, trust_associativity=True)
+        return Group(_product_table([_cyclic_table(d) for d in spec.invariant_factors]), spec)
     if isinstance(spec, Symmetric):
         perms = sorted(itertools.permutations(range(spec.n)))
-        return Group(_perm_table(perms), spec, trust_associativity=True)
+        return Group(_perm_table(perms), spec)
     if isinstance(spec, Alternating):
         perms = [p for p in sorted(itertools.permutations(range(spec.n)))
                  if _perm_parity_even(p)]
-        return Group(_perm_table(perms), spec, trust_associativity=True)
+        return Group(_perm_table(perms), spec)
     if isinstance(spec, DirectProduct):
         factors = [build_group(p, closure_cap=closure_cap) for p in spec.parts]
-        table = _product_table([f.table for f in factors])
-        return Group(table, spec, trust_associativity=True)
+        return Group(_product_table([f.table for f in factors]), spec)
     if isinstance(spec, CayleyFile):
-        table = _parse_cayley_file(spec.path)
-        g = Group(table, spec, trust_associativity=trust_associativity)
+        g = Group(_parse_cayley_file(spec.path), spec)
         if g.identity != 0:
             raise NotAGroup(f"Cayley file {spec.path!r}: element 0 must be the identity")
         return g
     if isinstance(spec, PermFile):
         gens = _parse_perm_file(spec.path)
         elems = _close_permutations(gens, closure_cap)
-        return Group(_perm_table(elems), spec, trust_associativity=True)
+        return Group(_perm_table(elems), spec)
     raise InvalidSpec(f"unsupported spec: {spec!r}")
 
 
@@ -638,33 +623,31 @@ def build_group(spec: GroupSpec | str, *, closure_cap: int = DEFAULT_CLOSURE_CAP
 
 
 def element_order(g: Group, x: int) -> int:
-    """Least k >= 1 with x^k = identity."""
+    """Least k >= 1 with x^k = identity, read from element_orders."""
     if not 0 <= x < g.n:
         raise ValueError(f"element index {x} out of range for order-{g.n} group")
-    k, y = 1, x
-    while y != g.identity:
-        y = g.table[y][x]
-        k += 1
-    return k
+    return element_orders(g)[x]
 
 
 def element_orders(g: Group) -> list[int]:
-    """Orders of all elements, cached on the group."""
+    """Orders of all elements, cached on the group: ord(x) = |<x>|, the
+    popcount of x's cyclic mask."""
     if g._orders is None:
-        g._orders = [element_order(g, x) for x in range(g.n)]
+        g._orders = [m.bit_count() for m in cyclic_masks(g)]
     return g._orders
 
 
 def cyclic_masks(g: Group) -> list[int]:
-    """Bitmask of the cyclic subgroup <x> for every element x, cached."""
+    """Bitmask of the cyclic subgroup <x> for every element x, cached: the
+    group layer's one power walk, which element_orders reads."""
     if g._cyclic_masks is None:
+        table, e = g.table, 1 << g.identity
         masks = []
         for x in range(g.n):
-            m = 1 << g.identity
-            y = x
+            m, y = e, x
             while not (m >> y) & 1:
                 m |= 1 << y
-                y = g.table[y][x]
+                y = table[y][x]
             masks.append(m)
         g._cyclic_masks = masks
     return g._cyclic_masks
@@ -714,7 +697,8 @@ def bits(mask: int):
 def _subgroup_from_mask(g: Group, mask: int) -> CyclicSubgroup:
     els = tuple(bits(mask))
     order = len(els)
-    gen = min(e for e in els if element_order(g, e) == order)
+    orders = element_orders(g)
+    gen = min(e for e in els if orders[e] == order)
     return CyclicSubgroup(gen, els, order)
 
 

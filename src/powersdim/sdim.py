@@ -297,10 +297,10 @@ def clique_witness_alpha_p(g: gr.Group, p: int) -> list[int]:
     witness = [best.chain[u - 1].generator for u in range(best.s_prime, best.s_i + 1)]
     if best.lambda_exp >= 0:
         sub = best.chain[best.s_prime - 1]
+        orders = gr.element_orders(g)
         for j in range(best.lambda_exp + 1):
             target = p ** j
-            witness.append(min(e for e in sub.elements
-                               if gr.element_order(g, e) == target))
+            witness.append(min(e for e in sub.elements if orders[e] == target))
     result = sorted(set(witness))
     expected = best.s_i - best.s_prime + best.lambda_exp + 2
     if len(result) != expected:

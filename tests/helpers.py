@@ -103,6 +103,102 @@ def brute_perm_table(perms) -> list[list[int]]:
     return [[index[tuple(a[b[i]] for i in range(len(b)))] for b in perms] for a in perms]
 
 
+def is_associative(table) -> bool:
+    """(ab)c == a(bc) for every triple: the O(n^3) definition."""
+    n = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def random_loop(rng: Random, n: int) -> list[list[int]]:
+    """Random Latin square on 0..n-1 whose row and column 0 are the identity
+    (a loop with identity 0), filled cell by cell, each cell trying the
+    symbols still free in its row and column in random order, backtracking
+    on a dead end.  Every loop of order <= 4 is a group; from order 5 on
+    most are not associative."""
+    t = [[i + j if i == 0 or j == 0 else -1 for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k: int) -> bool:
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(t[i][:j]) | {t[r][j] for r in range(i)}
+        free = [v for v in range(n) if v not in used]
+        rng.shuffle(free)
+        for v in free:
+            t[i][j] = v
+            if fill(k + 1):
+                return True
+        t[i][j] = -1
+        return False
+
+    assert fill(0)
+    return t
+
+
+def write_cayley_file(path, table) -> None:
+    path.write_text(f"{len(table)}\n" + "".join(" ".join(map(str, row)) + "\n" for row in table))
+
+
+# Loop-built reference tables: the element numbering of the built-in
+# families, written out entry by entry.
+
+
+def ref_cyclic_table(n: int) -> list[list[int]]:
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def ref_dihedral_table(order: int) -> list[list[int]]:
+    # rotations a^i at 0..n-1, reflections a^i b at n..2n-1
+    n = order // 2
+    t = [[0] * order for _ in range(order)]
+    for i in range(n):
+        for j in range(n):
+            t[i][j] = (i + j) % n
+            t[i][n + j] = n + (i + j) % n
+            t[n + i][j] = n + (i - j) % n
+            t[n + i][n + j] = (i - j) % n
+    return t
+
+
+def ref_quaternion_table(order: int) -> list[list[int]]:
+    # x^a at 0..2n-1, y x^a at 2n..4n-1, with y^2 = x^n and x y = y x^{-1}
+    n = order // 4
+    two = 2 * n
+    t = [[0] * order for _ in range(order)]
+    for a in range(two):
+        for b in range(two):
+            t[a][b] = (a + b) % two
+            t[a][two + b] = two + (b - a) % two
+            t[two + a][b] = two + (a + b) % two
+            t[two + a][two + b] = (n + b - a) % two
+    return t
+
+
+def ref_product_table(tables: list[list[list[int]]]) -> list[list[int]]:
+    """Row-major direct product of the given multiplication tables."""
+    sizes = [len(t) for t in tables]
+    total = math.prod(sizes)
+    comps = []
+    for idx in range(total):
+        c, rem = [], idx
+        for sz in reversed(sizes):
+            rem, r = divmod(rem, sz)
+            c.append(r)
+        comps.append(tuple(reversed(c)))
+    out = []
+    for ci in comps:
+        row = []
+        for cj in comps:
+            idx = 0
+            for t, sz, a, b in zip(tables, sizes, ci, cj):
+                idx = idx * sz + t[a][b]
+            row.append(idx)
+        out.append(row)
+    return out
+
+
 def is_clique(graph: Graph, vertices) -> bool:
     vs = list(vertices)
     return all(graph.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])

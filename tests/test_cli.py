@@ -10,6 +10,8 @@ from powersdim import CORPUS_SPECS, CliqueResult, build_group, from_edge_list, \
     graph6_decode, power_graph, sigma_of, to_edge_list
 from powersdim.cli import main
 
+from helpers import ref_cyclic_table, write_cayley_file
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -61,6 +63,31 @@ def test_compute_bad_cayley_file(capsys, tmp_path):
     path.write_text("2\n0 0\n1 1\n")
     code, out, err = run(capsys, "compute", f"cayley:{path}")
     assert code == 2 and err.startswith("ERROR:PARSE")
+
+
+@pytest.mark.parametrize("big", [99999999999999999999999, -99999999999999999999999])
+def test_compute_cayley_entry_outside_int64_is_a_parse_error(capsys, tmp_path, big):
+    path = tmp_path / "big.txt"
+    path.write_text(f"2\n0 1\n1 {big}\n")
+    code, out, err = run(capsys, "compute", f"cayley:{path}")
+    assert code == 2 and err.startswith("ERROR:PARSE") and "Traceback" not in err
+
+
+def test_compute_check_on_a_cayley_file_above_128_elements(capsys, tmp_path):
+    path = tmp_path / "z130.txt"
+    write_cayley_file(path, ref_cyclic_table(130))
+    code, out, err = run(capsys, "compute", f"cayley:{path}", "--check", "--json")
+    assert code == 0 and not err
+    payload = json.loads(out)
+    assert payload["order"] == 130 and payload["verified"] is True
+
+
+def test_compute_perm_file_with_a_huge_point_label(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("(1 2 99999999999999999999)\n")
+    code, out, err = run(capsys, "compute", f"perm:{path}", "--json")
+    assert code == 0 and not err
+    assert json.loads(out)["order"] == 3
 
 
 # ---------------------------------------------------------------------------

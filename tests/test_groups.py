@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,10 @@ from powersdim import (CORPUS_SPECS, Abelian, Alternating, CayleyFile, ClosureTo
                        sigma_of, spec_order, spec_string)
 from powersdim import groups as groups_module
 
-from helpers import brute_perm_table
+from helpers import (brute_perm_table, is_associative, random_loop, ref_cyclic_table,
+                     ref_dihedral_table, ref_product_table, ref_quaternion_table,
+                     write_cayley_file)
+from powersdim import Group
 
 
 # ---------------------------------------------------------------------------
@@ -431,3 +435,96 @@ def test_random_specs_build_valid_groups(spec):
     assert all(g.n % element_order(g, x) == 0 for x in range(g.n))
     fam = maximal_cyclic_subgroups(g)
     assert set().union(*(set(s.elements) for s in fam.all)) == set(range(g.n))
+
+
+# ---------------------------------------------------------------------------
+# Table checks: Light's associativity test at every order, entries outside int64
+
+
+@given(st.integers(1, 8), st.integers(0, 2 ** 32))
+@settings(max_examples=300, deadline=None)
+def test_light_test_agrees_with_the_triple_check_on_random_loops(n, seed):
+    table = random_loop(Random(seed), n)
+    if is_associative(table):
+        assert Group(table).identity == 0
+    else:
+        with pytest.raises(NotAGroup, match="not associative"):
+            Group(table)
+
+
+def test_light_test_checks_every_generator():
+    # loop5 x Z2 (row-major, so element 1 is the Z2 generator): the first
+    # greedy generator is associative, the second one (2, in loop5) is not
+    loop5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    table = ref_product_table([loop5, ref_cyclic_table(2)])
+    assert not is_associative(table)
+    with pytest.raises(NotAGroup, match="not associative"):
+        Group(table)
+
+
+def test_cayley_file_above_128_elements_is_verified_and_accepted(tmp_path):
+    path = tmp_path / "z130.txt"
+    write_cayley_file(path, ref_cyclic_table(130))
+    g = build_group(f"cayley:{path}")
+    assert g.n == 130 and is_cyclic_group(g)
+
+
+def test_cayley_file_above_128_elements_that_is_not_associative(tmp_path):
+    rows = ref_cyclic_table(130)
+    # rows 1, 66 and columns 1, 66 hold the intercalate [[2, 67], [67, 2]]:
+    # swapping it keeps a Latin square with identity 0
+    assert (rows[1][1], rows[1][66], rows[66][1], rows[66][66]) == (2, 67, 67, 2)
+    rows[1][1] = rows[66][66] = 67
+    rows[1][66] = rows[66][1] = 2
+    path = tmp_path / "loop130.txt"
+    write_cayley_file(path, rows)
+    with pytest.raises(NotAGroup, match="not associative"):
+        build_group(f"cayley:{path}")
+
+
+@pytest.mark.parametrize("big", [99999999999999999999999, -99999999999999999999999])
+def test_table_entry_outside_int64_is_not_a_group(tmp_path, big):
+    with pytest.raises(NotAGroup):
+        Group([[0, 1], [1, big]])
+    path = tmp_path / "big.txt"
+    path.write_text(f"2\n0 1\n1 {big}\n")
+    with pytest.raises(NotAGroup):
+        build_group(f"cayley:{path}")
+
+
+def test_perm_file_degree_counts_only_the_points_that_occur(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("(1 2 99999999999999999999)\n")
+    assert groups_module._parse_perm_file(str(path)) == [(1, 2, 0)]
+    g = build_group(f"perm:{path}")
+    assert g.n == 3 and is_cyclic_group(g)
+
+
+# ---------------------------------------------------------------------------
+# Element numbering of the built-in families (witnesses in the golden CLI
+# transcript depend on it): the vectorized builders against loop references
+
+
+def test_cyclic_dihedral_and_quaternion_tables_match_the_loop_builders():
+    for n in range(1, 61):
+        assert build_group(f"Z{n}").table == ref_cyclic_table(n), n
+    for order in range(6, 201, 2):
+        assert build_group(f"D{order}").table == ref_dihedral_table(order), order
+    for order in range(8, 201, 4):
+        assert build_group(f"Q{order}").table == ref_quaternion_table(order), order
+
+
+def _perms(k, even=False):
+    return [p for p in sorted(itertools.permutations(range(k)))
+            if not even or _inversions(p) % 2 == 0]
+
+
+@pytest.mark.parametrize("spec, factors", [
+    ("E2^8", lambda: [ref_cyclic_table(2)] * 8),
+    ("Ab[2,4,8]", lambda: [ref_cyclic_table(d) for d in (2, 4, 8)]),
+    ("Z3xQ8", lambda: [ref_cyclic_table(3), ref_quaternion_table(8)]),
+    ("Z2xA4", lambda: [ref_cyclic_table(2), brute_perm_table(_perms(4, even=True))]),
+    ("S3xS3", lambda: [brute_perm_table(_perms(3))] * 2),
+])
+def test_product_tables_match_the_loop_builder(spec, factors):
+    assert build_group(spec).table == ref_product_table(factors())
