@@ -31,12 +31,7 @@ def max_clique(graph: Graph) -> CliqueResult:
     order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
     adj = bit_rows(bit_matrix(graph.rows, n).take(order, 0).take(order, 1))
 
-    best_size = 0
-    best: list[int] = []
-    current: list[int] = []
-
-    def expand(cand: int) -> None:
-        nonlocal best_size, best
+    def greedy_coloring(cand: int) -> tuple[list[int], list[int]]:
         # greedy coloring: same color class => pairwise non-adjacent, so a
         # clique inside the first c classes has at most c vertices
         order_list: list[int] = []
@@ -52,21 +47,42 @@ def max_clique(graph: Graph) -> CliqueResult:
                 rest &= ~(1 << v)
                 order_list.append(v)
                 bound_list.append(color)
-        for i in range(len(order_list) - 1, -1, -1):
-            if len(current) + bound_list[i] <= best_size:
-                return
-            v = order_list[i]
+        return order_list, bound_list
+
+    # Depth-first search with an explicit stack, so clique size is not
+    # bounded by the interpreter's recursion limit.  At each level the
+    # vertices are tried from the last colored down, and the level ends
+    # once the color bound cannot beat the best clique found.
+    best_size = 0
+    best: list[int] = []
+    current: list[int] = []
+    stack: list[tuple[int, list[int], list[int], int]] = []
+    cand = (1 << n) - 1
+    vs, bounds = greedy_coloring(cand)
+    i = len(vs) - 1
+    while True:
+        if i >= 0 and len(current) + bounds[i] > best_size:
+            v = vs[i]
             current.append(v)
             nxt = cand & adj[v]
             if nxt:
-                expand(nxt)
-            elif len(current) > best_size:
+                stack.append((cand, vs, bounds, i))
+                cand = nxt
+                vs, bounds = greedy_coloring(cand)
+                i = len(vs) - 1
+                continue
+            if len(current) > best_size:
                 best_size = len(current)
                 best = current.copy()
-            current.pop()
-            cand &= ~(1 << v)
+        elif stack:
+            cand, vs, bounds, i = stack.pop()
+            v = vs[i]  # the vertex this level had added to current
+        else:
+            break
+        current.pop()
+        cand &= ~(1 << v)
+        i -= 1
 
-    expand((1 << n) - 1)
     return CliqueResult(best_size, tuple(sorted(order[v] for v in best)))
 
 

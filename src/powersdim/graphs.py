@@ -64,7 +64,7 @@ class Graph:
             raise ValueError("adjacency is not symmetric")
         self.n = n
         self.rows = list(rows)
-        self._dist: list[list[int]] | None = None
+        self._dist: np.ndarray | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -161,13 +161,24 @@ def is_connected(graph: Graph) -> bool:
     return math.inf not in bfs_distances(graph, 0)
 
 
-def all_pairs(graph: Graph) -> list[list[int]]:
-    """Distance matrix, one BFS per vertex, cached on the graph; raises
+def all_pairs(graph: Graph) -> np.ndarray:
+    """n x n distance matrix, cached on the graph, in the smallest unsigned
+    dtype that holds n - 1, so any diameter fits.  A universal vertex (a row
+    with n - 1 bits) makes the graph connected with diameter <= 2, so
+    d(u, v) = 2 - A[u, v] for u != v and no BFS runs; every power graph has
+    one, the identity.  Other graphs take one BFS per vertex.  Raises
     Disconnected when unreachable pairs exist."""
     if graph._dist is None:
-        dist = [bfs_distances(graph, v) for v in range(graph.n)]
-        if any(math.inf in row for row in dist):
-            raise Disconnected("graph is not connected")
+        n = graph.n
+        dtype = np.min_scalar_type(max(n - 1, 0))
+        if any(row.bit_count() == n - 1 for row in graph.rows):
+            dist = 2 - bit_matrix(graph.rows, n).astype(dtype)
+            np.fill_diagonal(dist, 0)
+        else:
+            rows = [bfs_distances(graph, v) for v in range(n)]
+            if any(math.inf in row for row in rows):
+                raise Disconnected("graph is not connected")
+            dist = np.array(rows, dtype=dtype).reshape(n, n)
         graph._dist = dist
     return graph._dist
 
@@ -176,7 +187,7 @@ def diameter(graph: Graph) -> int:
     """Greatest pairwise distance; raises Disconnected when unreachable pairs exist."""
     if graph.n == 0:
         raise ValueError("empty graph has no diameter")
-    return max(max(row) for row in all_pairs(graph))
+    return int(all_pairs(graph).max())
 
 
 # ---------------------------------------------------------------------------

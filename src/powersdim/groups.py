@@ -341,7 +341,7 @@ class Group:
         self.spec = spec
         self.table = rows = t.tolist()
         self.identity = e = _validate_table(t, rows)
-        self.inverse = [row.index(e) for row in rows]
+        self.inverse = np.nonzero(t == e)[1].tolist()  # one e per row of a Latin square
         self._orders: list[int] | None = None
         self._cyclic_masks: list[int] | None = None
         self._maximal_family: MaximalCyclicFamily | None = None
@@ -669,7 +669,7 @@ def group_exponent(g: Group) -> int:
 
 def is_cp_group(g: Group) -> bool:
     """True when every element order is 1 or a prime power."""
-    return all(len(factorize(k).factors) <= 1 for k in element_orders(g))
+    return all(len(factorize(k).factors) <= 1 for k in set(element_orders(g)))
 
 
 @dataclass(frozen=True)

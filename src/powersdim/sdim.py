@@ -80,19 +80,23 @@ def _normalize_vertex_set(graph: Graph, vertices) -> list[int]:
 
 def is_strong_resolving_set(graph: Graph, candidate) -> bool:
     """True iff every vertex pair u, v has some w in the set with
-    d(w,u) = d(w,v) + d(v,u) or d(w,v) = d(w,u) + d(u,v)."""
+    d(w,u) = d(w,v) + d(v,u) or d(w,v) = d(w,u) + d(u,v).
+
+    A pair with an endpoint in the set is resolved by that endpoint, so only
+    the pairs inside R = V minus the set are tested.  The distances to R are
+    read once as Python ints, so the sums cannot wrap in the matrix dtype."""
     members = _normalize_vertex_set(graph, candidate)
     dist = all_pairs(graph)
-    smask = gr._mask_of(members)
-    for u in range(graph.n):
-        du = dist[u]
-        for v in range(u + 1, graph.n):
-            if (smask >> u) & 1 or (smask >> v) & 1:
-                continue  # a pair is always resolved by a member it contains
-            duv = du[v]
-            for w in members:
-                dw = dist[w]
-                if dw[u] == dw[v] + duv or dw[v] == dw[u] + duv:
+    inside = set(members)
+    rest = [v for v in range(graph.n) if v not in inside]
+    to_rest = dist[:, rest].tolist()  # to_rest[x][i] = d(x, rest[i])
+    from_members = [to_rest[w] for w in members]
+    for i, u in enumerate(rest):
+        du = to_rest[u]
+        for j in range(i + 1, len(rest)):
+            duv = du[j]
+            for dw in from_members:
+                if dw[i] == dw[j] + duv or dw[j] == dw[i] + duv:
                     break
             else:
                 return False
@@ -111,7 +115,7 @@ def strong_resolving_graph(graph: Graph) -> Graph:
     distance layer (the counts stay below n, so they are exact).  u and v
     are joined iff the pair fails from neither side."""
     n = graph.n
-    dist = np.array(all_pairs(graph), dtype=np.int32).reshape(n, n)
+    dist = all_pairs(graph)
     adj = bit_matrix(graph.rows, n).astype(np.float32)
     bad = np.zeros((n, n), dtype=bool)
     for k in range(1, int(dist.max(initial=0))):

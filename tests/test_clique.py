@@ -85,6 +85,16 @@ def test_min_vertex_cover_examples():
     assert min_vertex_cover(Graph(4)) == []
 
 
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # a 1500-clique is found 1500 levels deep, beyond the default recursion limit
+    n = 1500
+    full = (1 << n) - 1
+    k = Graph(n, [full & ~(1 << v) for v in range(n)])
+    res = max_clique(k)
+    assert res.size == n and res.members == tuple(range(n))
+    assert min_vertex_cover(k.complement()) == []
+
+
 @given(st.integers(0, 12), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
 def test_cover_valid_and_complementary_to_mis(n, rng):

@@ -4,17 +4,18 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powersdim import (Disconnected, Graph, bfs_distances, build_group, chain_analysis,
                        diameter, element_orders, factorize, from_edge_list,
                        graph6_decode, graph6_encode, is_connected, power_graph,
                        reduced_graph, to_dot, to_edge_list)
-from powersdim.graphs import bit_matrix, bit_rows
+from powersdim.graphs import all_pairs, bit_matrix, bit_rows
 
-from helpers import random_cycle_with_chords, random_graph, with_closed_twins
+from helpers import all_pairs_distances, random_cycle_with_chords, random_graph, with_closed_twins
 
 
 def complete_graph(n):
@@ -145,6 +146,40 @@ def test_diameter():
     with pytest.raises(ValueError):
         diameter(Graph(0))
     assert not is_connected(Graph(2))
+
+
+def cone(rng, base: Graph) -> Graph:
+    """base plus an apex joined to every base vertex; the apex takes a random
+    label and the base vertices keep their order around it."""
+    n = base.n + 1
+    apex = rng.randrange(n)
+    label = [v + (v >= apex) for v in range(base.n)]
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in base.edges()]
+                            + [(apex, label[v]) for v in range(base.n)])
+
+
+@given(st.integers(0, 40), st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]), st.integers(0, 2**32))
+@example(n=256, p=0.3, seed=0)  # 257 vertices: a uint16 matrix
+@settings(max_examples=50, deadline=None)
+def test_distances_of_a_cone_are_two_minus_adjacency(n, p, seed):
+    # p = 0 leaves the base without edges, p = 0.05 mostly disconnected;
+    # the cone is connected either way, with diameter <= 2
+    rng = random.Random(seed)
+    g = cone(rng, random_graph(rng, n, p))
+    dist = all_pairs(g)
+    assert dist.dtype == np.min_scalar_type(g.n - 1)
+    assert dist.tolist() == all_pairs_distances(g)
+
+
+@given(st.integers(1, 60), st.sampled_from([0.0, 0.02, 0.1, 0.3]), st.integers(0, 2**32))
+@example(n=520, p=0.0, seed=0)  # a 520-cycle: diameter 260, beyond uint8
+@settings(max_examples=40, deadline=None)
+def test_distances_without_a_universal_vertex_are_bfs(n, p, seed):
+    g = random_cycle_with_chords(random.Random(seed), n, p)
+    dist, ref = all_pairs(g), all_pairs_distances(g)
+    assert dist.dtype == np.min_scalar_type(n - 1)
+    assert dist.tolist() == ref
+    assert diameter(g) == max(map(max, ref))
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,14 @@ def test_group_axioms_hold_for_builtins_up_to_128():
         assert all(g.table[x][g.inverse[x]] == e for x in range(g.n))
 
 
+@pytest.mark.parametrize("spec", list(CORPUS_SPECS) + ["Z720", "S6"])
+def test_inverses_multiply_to_the_identity(spec):
+    g = build_group(spec)
+    e = g.identity
+    assert all(type(y) is int for y in g.inverse)
+    assert all(g.table[x][g.inverse[x]] == e for x in range(g.n))
+
+
 # ---------------------------------------------------------------------------
 # Cayley and permutation files
 

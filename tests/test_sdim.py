@@ -69,11 +69,26 @@ def test_srs_z6_exhaustive():
 
 def test_srs_agrees_with_independent_check():
     rng = random.Random(23)
-    for _ in range(25):
-        g = random_diameter2_graph(rng, rng.randint(1, 8))
+
+    def agree_on_random_subsets(g, density):
+        outcomes = set()
         for _ in range(12):
-            subset = [v for v in range(g.n) if rng.random() < 0.5]
-            assert is_strong_resolving_set(g, subset) == brute_is_strong_resolving(g, subset)
+            subset = [v for v in range(g.n) if rng.random() < density]
+            resolves = is_strong_resolving_set(g, subset)
+            assert resolves == brute_is_strong_resolving(g, subset)
+            outcomes.add(resolves)
+        return outcomes
+
+    for _ in range(25):
+        agree_on_random_subsets(random_diameter2_graph(rng, rng.randint(1, 8)), 0.5)
+    # off diameter 2, where the distances come from BFS, not from 2 - A
+    seen, checked = set(), 0
+    while checked < 25:
+        g = random_cycle_with_chords(rng, rng.randint(6, 11), rng.choice([0.0, 0.1, 0.2]))
+        if diameter(g) >= 3:
+            seen |= agree_on_random_subsets(g, rng.choice([0.5, 0.8, 0.9]))
+            checked += 1
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -278,35 +293,46 @@ def test_sdim_group_disagreement_names_every_row(monkeypatch):
         assert row in str(exc.value)
 
 
-def count_bfs_calls(monkeypatch) -> list[int]:
-    """Count BFS runs through every powersdim module that binds bfs_distances."""
+def count_graphs_calls(monkeypatch, name: str, counts) -> list[int]:
+    """Add counts(*args) for each call of graphs.<name>, through every
+    powersdim module that binds it."""
     calls = [0]
-    real = graphs_module.bfs_distances
+    real = getattr(graphs_module, name)
 
-    def counted(graph, source):
-        calls[0] += 1
-        return real(graph, source)
+    def counted(*args):
+        calls[0] += counts(*args)
+        return real(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "powersdim" and vars(module).get("bfs_distances") is real:
-            monkeypatch.setattr(module, "bfs_distances", counted)
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "powersdim" and vars(module).get(name) is real:
+            monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_bfs_calls(monkeypatch) -> list[int]:
+    return count_graphs_calls(monkeypatch, "bfs_distances", lambda graph, source: 1)
+
+
+def count_distance_builds(monkeypatch) -> list[int]:
+    """Distance matrices built: calls of all_pairs that find the graph's cache empty."""
+    return count_graphs_calls(monkeypatch, "all_pairs", lambda graph: graph._dist is None)
 
 
 @pytest.mark.parametrize("spec", ["Z12", "S4", "Q16"])
 def test_ladder_and_oracle_share_one_distance_matrix(monkeypatch, spec):
-    calls = count_bfs_calls(monkeypatch)
+    builds, bfs = count_distance_builds(monkeypatch), count_bfs_calls(monkeypatch)
     g = build_group(spec)
     assert sdim_group(g).value == sdim_oracle(power_graph(g)).value
-    assert calls[0] == g.n
+    assert builds[0] == 1
+    assert bfs[0] == 0  # the identity is a universal vertex: distances are 2 - A
 
 
 def test_oracle_computes_distances_once_off_diameter_two(monkeypatch):
-    calls = count_bfs_calls(monkeypatch)
+    builds, bfs = count_distance_builds(monkeypatch), count_bfs_calls(monkeypatch)
     cycle = from_edge_list({"n": 7, "edges": [[i, (i + 1) % 7] for i in range(7)]})
     res = sdim_oracle(cycle)
-    assert (res.value, res.verified, calls[0]) == (4, True, 7)
-    assert diameter(cycle) == 3 and calls[0] == 7
+    assert (res.value, res.verified, builds[0], bfs[0]) == (4, True, 1, 7)
+    assert diameter(cycle) == 3 and (builds[0], bfs[0]) == (1, 7)
 
 
 # ---------------------------------------------------------------------------
