@@ -161,25 +161,109 @@ def is_connected(graph: Graph) -> bool:
     return math.inf not in bfs_distances(graph, 0)
 
 
+def has_universal_vertex(graph: Graph) -> bool:
+    """True iff some row has n - 1 bits.  Such a vertex makes the graph
+    connected with diameter <= 2; every power graph has one, the identity."""
+    return any(row.bit_count() == graph.n - 1 for row in graph.rows)
+
+
+_WORD = np.dtype("<u8")
+
+
+def _pack(m: np.ndarray) -> np.ndarray:
+    """Rows of a bool matrix as little-endian uint64 words: bit j of word k
+    of row v is m[v, 64 k + j]."""
+    packed = np.packbits(m, axis=1, bitorder="little")
+    out = np.zeros((len(m), -(-m.shape[1] // 64) * 8), np.uint8)
+    out[:, :packed.shape[1]] = packed
+    return out.view(_WORD)
+
+
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of _pack for an n-column bool matrix."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+
+
+def sweep(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first search from every source at once: (dist, far).
+
+    dist is the n x n distance matrix in the smallest unsigned dtype that
+    holds n - 1; it fills the graph's distance cache when that is empty, so
+    all_pairs after any sweep of the graph reads the cache.  far[v, s] is
+    true iff v has a neighbour one layer farther from s than v is, that is,
+    iff v is not maximally distant from s.
+
+    Row v of each working array is a set of sources, packed as uint64
+    words.  A layer is one gather of the frontier over the neighbour lists
+    and one OR-reduce at the list starts: reach[v] holds the sources that
+    reach a neighbour of v in the current layer, so reach & prev marks the
+    vertices of the previous layer with a neighbour one layer farther.  Each
+    layer d is ORed into the bit planes of d, which are unpacked into dist
+    once at the end.  The gather runs in vertex blocks of about 1 MB, one
+    list at least.  Raises
+    Disconnected when unreachable pairs exist (at once when n > 1 and some
+    vertex has no neighbour, which would leave an empty list to reduce)."""
+    n = graph.n
+    adj = bit_matrix(graph.rows, n)
+    deg = adj.sum(1)
+    if n > 1 and not deg.all():
+        raise Disconnected("graph is not connected")
+    nbr = np.nonzero(adj)[1]  # row-major: the neighbour lists in vertex order
+    ends = np.cumsum(deg)
+    starts = ends - deg
+    # list entries per gather: a block of at most 2**17 words (1 MB) stays in
+    # cache, which made a dense 2000-vertex sweep 3x faster than blocks of
+    # n * n words; a block takes at least one list, n - 1 entries at most
+    cap = (1 << 17) // (n // 64 + 1)
+    blocks, lo = [], 0
+    while lo < n:
+        hi = max(int(np.searchsorted(ends, starts[lo] + cap, "right")), lo + 1)
+        blocks.append((nbr[starts[lo]:ends[hi - 1]], starts[lo:hi] - starts[lo]))
+        lo = hi
+
+    seen = _pack(np.eye(n, dtype=bool))
+    front, prev, far = seen.copy(), np.zeros_like(seen), np.zeros_like(seen)
+    planes: list[np.ndarray] = []  # bit k of the distances, as sets of sources
+    d = 0
+    while n > 1:  # n <= 1 leaves no list to reduce and nothing to reach
+        reach = np.concatenate([np.bitwise_or.reduceat(front[lists], offsets, axis=0)
+                                for lists, offsets in blocks])
+        far |= reach & prev
+        new = reach & ~seen
+        if not new.any():
+            break
+        d += 1
+        if d.bit_length() > len(planes):
+            planes.append(np.zeros_like(seen))
+        for k, plane in enumerate(planes):
+            if d >> k & 1:
+                plane |= new
+        seen |= new
+        prev, front = front, new
+    if (seen != _pack(np.ones((1, n), bool))).any():
+        raise Disconnected("graph is not connected")
+    dist = np.zeros((n, n), np.min_scalar_type(max(n - 1, 0)))
+    for k, plane in enumerate(planes):
+        dist |= _unpack(plane, n).astype(dist.dtype) << k
+    if graph._dist is None:
+        graph._dist = dist
+    return dist, _unpack(far, n)
+
+
 def all_pairs(graph: Graph) -> np.ndarray:
     """n x n distance matrix, cached on the graph, in the smallest unsigned
-    dtype that holds n - 1, so any diameter fits.  A universal vertex (a row
-    with n - 1 bits) makes the graph connected with diameter <= 2, so
-    d(u, v) = 2 - A[u, v] for u != v and no BFS runs; every power graph has
-    one, the identity.  Other graphs take one BFS per vertex.  Raises
-    Disconnected when unreachable pairs exist."""
+    dtype that holds n - 1, so any diameter fits.  With a universal vertex
+    d(u, v) = 2 - A[u, v] for u != v and no search runs; other graphs take
+    the distances of one sweep.  Raises Disconnected when unreachable pairs
+    exist."""
     if graph._dist is None:
         n = graph.n
-        dtype = np.min_scalar_type(max(n - 1, 0))
-        if any(row.bit_count() == n - 1 for row in graph.rows):
-            dist = 2 - bit_matrix(graph.rows, n).astype(dtype)
+        if has_universal_vertex(graph):
+            dist = 2 - bit_matrix(graph.rows, n).astype(np.min_scalar_type(max(n - 1, 0)))
             np.fill_diagonal(dist, 0)
+            graph._dist = dist
         else:
-            rows = [bfs_distances(graph, v) for v in range(n)]
-            if any(math.inf in row for row in rows):
-                raise Disconnected("graph is not connected")
-            dist = np.array(rows, dtype=dtype).reshape(n, n)
-        graph._dist = dist
+            sweep(graph)
     return graph._dist
 
 
@@ -215,23 +299,26 @@ class ReducedGraph:
         return members
 
 
-def reduced_graph(graph: Graph) -> ReducedGraph:
-    """Group vertices by their closed-neighborhood bitmask (dict lookup gives
-    hash-then-exact-equality), canonical representative = smallest vertex.
-    The quotient is the adjacency matrix restricted to the representatives."""
-    n = graph.n
+def _twin_classes(graph: Graph) -> tuple[list[int], list[int]]:
+    """(representatives, class_of) of the closed-twin classes: vertices are
+    grouped by their closed neighbourhood row | 1 << v (a dict lookup gives
+    hash-then-exact-equality), each class represented by its smallest vertex."""
     class_ids: dict[int, int] = {}
     representatives: list[int] = []
-    class_of = [0] * n
-    for v in range(n):
-        key = graph.closed_mask(v)
-        cid = class_ids.get(key)
-        if cid is None:
-            cid = len(representatives)
-            class_ids[key] = cid
+    class_of = []
+    for v, row in enumerate(graph.rows):
+        cid = class_ids.setdefault(row | 1 << v, len(representatives))
+        if cid == len(representatives):
             representatives.append(v)
-        class_of[v] = cid
-    m = bit_matrix(graph.rows, n).take(representatives, 0).take(representatives, 1)
+        class_of.append(cid)
+    return representatives, class_of
+
+
+def reduced_graph(graph: Graph) -> ReducedGraph:
+    """Closed-twin classes with the smallest vertex as representative; the
+    quotient is the adjacency matrix restricted to the representatives."""
+    representatives, class_of = _twin_classes(graph)
+    m = bit_matrix(graph.rows, graph.n).take(representatives, 0).take(representatives, 1)
     quotient = Graph(len(representatives), bit_rows(m))
     return ReducedGraph(graph, representatives, class_of, quotient)
 

@@ -679,13 +679,6 @@ class CyclicSubgroup:
     order: int
 
 
-def _mask_of(elements: tuple[int, ...]) -> int:
-    m = 0
-    for e in elements:
-        m |= 1 << e
-    return m
-
-
 def bits(mask: int):
     """Yield the set bit positions of mask in ascending order."""
     while mask:
@@ -794,8 +787,10 @@ def chain_analysis(g: Group, p: int) -> list[ChainAnalysis]:
     mp = fam.by_prime.get(p, ())
     if not mp:
         return []
-    mp_masks = [_mask_of(s.elements) for s in mp]
-    other_masks = [_mask_of(s.elements) for s in fam.all if s not in mp]
+    masks = cyclic_masks(g)
+    mp_gens = {s.generator for s in mp}
+    mp_masks = [masks[s.generator] for s in mp]
+    other_masks = [masks[s.generator] for s in fam.all if s.generator not in mp_gens]
     out = []
     for i, mi_mask in enumerate(mp_masks):
         inter = sorted({mi_mask & mj for mj in mp_masks}, key=lambda m: m.bit_count())

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import groups as gr
 from .clique import max_clique, min_vertex_cover
-from .graphs import (Graph, all_pairs, bit_matrix, bit_rows, diameter, power_graph,
-                     reduced_graph)
+from .graphs import (Graph, _twin_classes, all_pairs, bit_rows, diameter,
+                     has_universal_vertex, power_graph, reduced_graph, sweep)
 
 DEFAULT_ORACLE_CAP = 200
 
@@ -107,20 +107,20 @@ def strong_resolving_graph(graph: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the mutually
     maximally distant pairs.
 
-    A neighbour of v is at distance k - 1, k or k + 1 from u, where
-    k = d(u, v), so v is maximally distant from u iff no neighbour of v is
-    at distance k + 1 from u.  With D the cached distance matrix and A the
-    adjacency, the pairs at distance k that fail are
-    ((D == k + 1) @ A > 0) & (D == k): one float32 matrix product per
-    distance layer (the counts stay below n, so they are exact).  u and v
-    are joined iff the pair fails from neither side."""
+    With a universal vertex the diameter is at most 2: a pair at distance 2
+    is always joined, and adjacent u, v are joined iff N[u] = N[v], so the
+    edges are read from the cached 2 - A and the closed-twin classes.  Any
+    other graph takes one sweep, whose far[v, u] says that v is not
+    maximally distant from u; u and v are joined iff neither far[u, v] nor
+    far[v, u]."""
     n = graph.n
-    dist = all_pairs(graph)
-    adj = bit_matrix(graph.rows, n).astype(np.float32)
-    bad = np.zeros((n, n), dtype=bool)
-    for k in range(1, int(dist.max(initial=0))):
-        bad |= (dist == k) & ((dist == k + 1).astype(np.float32) @ adj > 0)
-    srg = ~(bad | bad.T)
+    if has_universal_vertex(graph):
+        srg = all_pairs(graph) == 2
+        class_of = np.array(_twin_classes(graph)[1])
+        srg |= class_of[:, None] == class_of
+    else:
+        far = sweep(graph)[1]
+        srg = ~(far | far.T)
     np.fill_diagonal(srg, False)
     return Graph(n, bit_rows(srg))
 
@@ -333,7 +333,8 @@ def classify_n_minus_2(g: gr.Group) -> tuple[bool, str | None]:
             return True, "generalized-quaternion-2-group"
     if gr.is_cp_group(g):
         fam = gr.maximal_cyclic_subgroups(g)
-        masks = [gr._mask_of(s.elements) for s in fam.all]
+        cyclic = gr.cyclic_masks(g)
+        masks = [cyclic[s.generator] for s in fam.all]
         if all((masks[i] & masks[j]).bit_count() == 1
                for i in range(len(masks)) for j in range(i + 1, len(masks))):
             return True, "cp-group-trivial-intersections"

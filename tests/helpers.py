@@ -237,6 +237,16 @@ def with_closed_twins(rng: Random, base: Graph, max_copies: int) -> Graph:
                                 if owner[u] == owner[v] or base.has_edge(owner[u], owner[v])])
 
 
+def cone(rng: Random, base: Graph) -> Graph:
+    """base plus an apex joined to every base vertex; the apex takes a random
+    label and the base vertices keep their order around it."""
+    n = base.n + 1
+    apex = rng.randrange(n)
+    label = [v + (v >= apex) for v in range(base.n)]
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in base.edges()]
+                            + [(apex, label[v]) for v in range(base.n)])
+
+
 def random_diameter2_graph(rng: Random, n: int, p: float = 0.4) -> Graph:
     """Random graph on n-1 vertices plus a universal vertex: connected, diameter <= 2."""
     assert n >= 1

@@ -13,9 +13,10 @@ from powersdim import (Disconnected, Graph, bfs_distances, build_group, chain_an
                        diameter, element_orders, factorize, from_edge_list,
                        graph6_decode, graph6_encode, is_connected, power_graph,
                        reduced_graph, to_dot, to_edge_list)
-from powersdim.graphs import all_pairs, bit_matrix, bit_rows
+from powersdim.graphs import all_pairs, bit_matrix, bit_rows, sweep
 
-from helpers import all_pairs_distances, random_cycle_with_chords, random_graph, with_closed_twins
+from helpers import (all_pairs_distances, brute_strong_resolving_graph, cone,
+                     random_cycle_with_chords, random_graph, with_closed_twins)
 
 
 def complete_graph(n):
@@ -148,16 +149,6 @@ def test_diameter():
     assert not is_connected(Graph(2))
 
 
-def cone(rng, base: Graph) -> Graph:
-    """base plus an apex joined to every base vertex; the apex takes a random
-    label and the base vertices keep their order around it."""
-    n = base.n + 1
-    apex = rng.randrange(n)
-    label = [v + (v >= apex) for v in range(base.n)]
-    return Graph.from_edges(n, [(label[u], label[v]) for u, v in base.edges()]
-                            + [(apex, label[v]) for v in range(base.n)])
-
-
 @given(st.integers(0, 40), st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]), st.integers(0, 2**32))
 @example(n=256, p=0.3, seed=0)  # 257 vertices: a uint16 matrix
 @settings(max_examples=50, deadline=None)
@@ -180,6 +171,51 @@ def test_distances_without_a_universal_vertex_are_bfs(n, p, seed):
     assert dist.dtype == np.min_scalar_type(n - 1)
     assert dist.tolist() == ref
     assert diameter(g) == max(map(max, ref))
+
+
+def srg_of_sweep(g: Graph) -> Graph:
+    far = sweep(g)[1]
+    srg = ~(far | far.T)
+    np.fill_diagonal(srg, False)
+    return Graph(g.n, bit_rows(srg))
+
+
+@given(st.sampled_from([1, 2, 63, 64, 65, 128, 129]), st.sampled_from([0.0, 0.02, 0.1, 0.3]),
+       st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_sweep_matches_bfs_and_the_definition_at_word_boundaries(n, p, seed):
+    g = random_cycle_with_chords(random.Random(seed), n, p)
+    dist = sweep(g)[0]
+    assert dist.dtype == np.min_scalar_type(n - 1)
+    assert dist.tolist() == all_pairs_distances(g)
+    assert srg_of_sweep(g) == brute_strong_resolving_graph(g)
+
+
+def test_sweep_in_several_gather_blocks():
+    # K_300 minus a perfect matching: 89400 list entries of 5 words each, so
+    # the gather takes four blocks; matched pairs are the only ones at
+    # distance 2, and the only mutually maximally distant ones
+    n = 300
+    g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if v != u ^ 1])
+    assert sweep(g)[0].tolist() == all_pairs_distances(g)
+    assert srg_of_sweep(g) == Graph.from_edges(n, [(u, u + 1) for u in range(0, n, 2)])
+
+
+@pytest.mark.parametrize("n, edges", [
+    (3, [(1, 2)]),                  # isolated first vertex
+    (3, [(0, 2)]),                  # isolated middle vertex
+    (3, [(0, 1)]),                  # isolated last vertex
+    (5, [(0, 3), (1, 4), (2, 4)]),  # two components, no isolated vertex
+], ids=["first", "middle", "last", "two-components"])
+def test_sweep_raises_disconnected(n, edges):
+    g = Graph.from_edges(n, edges)
+    with pytest.raises(Disconnected):
+        sweep(g)
+    with pytest.raises(Disconnected):
+        all_pairs(g)
+    with pytest.raises(Disconnected):
+        diameter(g)
+    assert g._dist is None
 
 
 # ---------------------------------------------------------------------------

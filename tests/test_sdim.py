@@ -20,9 +20,10 @@ from powersdim import (CORPUS_SPECS, DiameterTooLarge, Disconnected, EmptyFamily
                        sdim_oracle, sdim_via_reduction, sigma_of,
                        strong_resolving_graph)
 
-from helpers import (brute_is_strong_resolving, brute_sdim, brute_strong_resolving_graph,
+from helpers import (brute_is_strong_resolving, brute_sdim, brute_strong_resolving_graph, cone,
                      is_clique, pairwise_distinct_closed_neighborhoods,
-                     random_cycle_with_chords, random_diameter2_graph)
+                     random_cycle_with_chords, random_diameter2_graph, random_graph,
+                     with_closed_twins)
 
 
 def complete_graph(n):
@@ -126,6 +127,16 @@ def test_srg_matches_definition_on_random_connected_graphs(n, p, rng):
 def test_srg_matches_definition_on_multi_byte_rows(n, p, seed):
     rng = random.Random(seed)
     g = random_cycle_with_chords(rng, n, p)
+    assert strong_resolving_graph(g) == brute_strong_resolving_graph(g)
+
+
+@given(st.integers(0, 12), st.sampled_from([0.0, 0.2, 0.5, 0.9]), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_srg_with_a_universal_vertex_matches_definition_on_twin_blow_ups(k, p, seed):
+    # the cone's apex is universal, so the SRG comes from 2 - A and the
+    # closed-twin classes; the blow-up makes classes of up to 3 twins
+    rng = random.Random(seed)
+    g = cone(rng, with_closed_twins(rng, random_graph(rng, k, p), 3))
     assert strong_resolving_graph(g) == brute_strong_resolving_graph(g)
 
 
@@ -309,8 +320,8 @@ def count_graphs_calls(monkeypatch, name: str, counts) -> list[int]:
     return calls
 
 
-def count_bfs_calls(monkeypatch) -> list[int]:
-    return count_graphs_calls(monkeypatch, "bfs_distances", lambda graph, source: 1)
+def count_sweeps(monkeypatch) -> list[int]:
+    return count_graphs_calls(monkeypatch, "sweep", lambda graph: 1)
 
 
 def count_distance_builds(monkeypatch) -> list[int]:
@@ -320,19 +331,19 @@ def count_distance_builds(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("spec", ["Z12", "S4", "Q16"])
 def test_ladder_and_oracle_share_one_distance_matrix(monkeypatch, spec):
-    builds, bfs = count_distance_builds(monkeypatch), count_bfs_calls(monkeypatch)
+    builds, sweeps = count_distance_builds(monkeypatch), count_sweeps(monkeypatch)
     g = build_group(spec)
     assert sdim_group(g).value == sdim_oracle(power_graph(g)).value
     assert builds[0] == 1
-    assert bfs[0] == 0  # the identity is a universal vertex: distances are 2 - A
+    assert sweeps[0] == 0  # the identity is a universal vertex: distances are 2 - A
 
 
 def test_oracle_computes_distances_once_off_diameter_two(monkeypatch):
-    builds, bfs = count_distance_builds(monkeypatch), count_bfs_calls(monkeypatch)
+    sweeps = count_sweeps(monkeypatch)
     cycle = from_edge_list({"n": 7, "edges": [[i, (i + 1) % 7] for i in range(7)]})
     res = sdim_oracle(cycle)
-    assert (res.value, res.verified, builds[0], bfs[0]) == (4, True, 1, 7)
-    assert diameter(cycle) == 3 and (builds[0], bfs[0]) == (1, 7)
+    assert (res.value, res.verified, sweeps[0]) == (4, True, 1)
+    assert diameter(cycle) == 3 and sweeps[0] == 1
 
 
 # ---------------------------------------------------------------------------
