@@ -1,16 +1,21 @@
 """Exact maximum clique and minimum vertex cover on small graphs.
 
 Branch and bound over bitset candidate sets with a greedy-coloring upper
-bound, searching in descending-degree order.  Sized for the few-hundred-
-vertex graphs that arise here; exactness is mandatory because downstream
-identities are equalities, not bounds.
+bound (MCQ, Tomita & Kameda, J. Global Optim. 37, 2007), searching in
+descending-degree order.  Each vertex's non-neighbour mask is computed once
+per search, so a color class is one AND per vertex; classes too low to
+beat the best clique are colored but not recorded, since the bound would
+reject their vertices at once.  The vertex cover searches the complement's
+masks directly, without building the complement graph.  Sized for the
+few-hundred-vertex graphs that arise here; exactness is mandatory because
+downstream identities are equalities, not bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bit_matrix, bit_rows
+from .graphs import Graph, bit_rows
 
 
 @dataclass(frozen=True)
@@ -19,35 +24,52 @@ class CliqueResult:
     members: tuple[int, ...]  # sorted ascending
 
 
-def max_clique(graph: Graph) -> CliqueResult:
-    """Exact maximum clique; deterministic for identical input bits.
+def max_clique(graph: Graph, *, complement: bool = False) -> CliqueResult:
+    """Exact maximum clique; deterministic for identical input bits.  With
+    complement=True it is the maximum clique of the complement graph (a
+    maximum independent set of graph), equal to max_clique(graph.complement()).
 
     The search runs on a relabelled copy of the adjacency, taken as one
     bool-matrix permutation m[order][:, order] of its rows and columns."""
     n = graph.n
     if n == 0:
         return CliqueResult(0, ())
-    # relabel so lower internal index = higher degree (ties by vertex index)
-    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-    adj = bit_rows(bit_matrix(graph.rows, n).take(order, 0).take(order, 1))
+    # relabel so lower internal index = higher degree in the searched graph
+    # (ties by vertex index); a complement degree is n - 1 - degree
+    sign = 1 if complement else -1
+    order = sorted(range(n), key=lambda v: (sign * graph.degree(v), v))
+    full = (1 << n) - 1
+    adj = bit_rows(graph.matrix.take(order, 0).take(order, 1))
+    nadj = [full ^ row ^ 1 << v for v, row in enumerate(adj)]  # non-neighbours
+    if complement:
+        adj, nadj = nadj, adj
 
-    def greedy_coloring(cand: int) -> tuple[list[int], list[int]]:
+    def greedy_coloring(cand: int, kmin: int) -> tuple[list[int], list[int]]:
         # greedy coloring: same color class => pairwise non-adjacent, so a
-        # clique inside the first c classes has at most c vertices
-        order_list: list[int] = []
-        bound_list: list[int] = []
+        # clique inside the first c classes has at most c vertices.  Classes
+        # below kmin are colored but not recorded: their vertices cannot
+        # extend the current clique beyond the best one.
+        vs: list[int] = []
+        bounds: list[int] = []
         color = 0
         rest = cand
         while rest:
             color += 1
             cls = rest
+            if color < kmin:
+                while cls:
+                    low = cls & -cls
+                    cls &= nadj[low.bit_length() - 1]
+                    rest ^= low
+                continue
             while cls:
-                v = (cls & -cls).bit_length() - 1
-                cls &= ~(adj[v] | (1 << v))
-                rest &= ~(1 << v)
-                order_list.append(v)
-                bound_list.append(color)
-        return order_list, bound_list
+                low = cls & -cls
+                v = low.bit_length() - 1
+                cls &= nadj[v]
+                rest ^= low
+                vs.append(v)
+                bounds.append(color)
+        return vs, bounds
 
     # Depth-first search with an explicit stack, so clique size is not
     # bounded by the interpreter's recursion limit.  At each level the
@@ -57,8 +79,8 @@ def max_clique(graph: Graph) -> CliqueResult:
     best: list[int] = []
     current: list[int] = []
     stack: list[tuple[int, list[int], list[int], int]] = []
-    cand = (1 << n) - 1
-    vs, bounds = greedy_coloring(cand)
+    cand = full
+    vs, bounds = greedy_coloring(cand, 1)
     i = len(vs) - 1
     while True:
         if i >= 0 and len(current) + bounds[i] > best_size:
@@ -68,7 +90,7 @@ def max_clique(graph: Graph) -> CliqueResult:
             if nxt:
                 stack.append((cand, vs, bounds, i))
                 cand = nxt
-                vs, bounds = greedy_coloring(cand)
+                vs, bounds = greedy_coloring(cand, best_size - len(current) + 1)
                 i = len(vs) - 1
                 continue
             if len(current) > best_size:
@@ -80,7 +102,7 @@ def max_clique(graph: Graph) -> CliqueResult:
         else:
             break
         current.pop()
-        cand &= ~(1 << v)
+        cand ^= 1 << v
         i -= 1
 
     return CliqueResult(best_size, tuple(sorted(order[v] for v in best)))
@@ -89,5 +111,5 @@ def max_clique(graph: Graph) -> CliqueResult:
 def min_vertex_cover(graph: Graph) -> list[int]:
     """Exact minimum vertex cover: the complement of a maximum independent
     set, found as a maximum clique of the complement graph."""
-    independent = set(max_clique(graph.complement()).members)
+    independent = set(max_clique(graph, complement=True).members)
     return [v for v in range(graph.n) if v not in independent]

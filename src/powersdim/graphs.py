@@ -39,13 +39,16 @@ def bit_rows(m: np.ndarray) -> list[int]:
 class Graph:
     """Simple undirected graph on vertices 0..n-1; row v is the neighbor bitmask.
 
-    Construction checks each row's range and loop bit in order, then the
-    symmetry of the whole adjacency as one bool-matrix comparison with its
-    transpose.  Instances are immutable after construction: rows must not
-    be changed, because derived data (the distance matrix) is cached lazily.
+    matrix is the same adjacency as a read-only n x n bool array, kept
+    beside the rows.  Graph(n, rows) checks each row's range in order, then
+    builds the matrix; Graph.from_matrix(m) keeps m and derives the rows.
+    Either way one check runs on the matrix: no loop on the diagonal, then
+    symmetry, as one comparison with its transpose.  Instances are immutable
+    after construction: rows must not be changed, because derived data (the
+    distance matrix and the sweep's far matrix) is cached lazily.
     """
 
-    __slots__ = ("n", "rows", "_dist")
+    __slots__ = ("n", "rows", "matrix", "_dist", "_far")
 
     def __init__(self, n: int, rows: list[int] | None = None):
         if n < 0:
@@ -57,14 +60,30 @@ class Graph:
         for u, row in enumerate(rows):
             if row >> n:
                 raise ValueError(f"row {u} references vertices >= {n}")
-            if (row >> u) & 1:
-                raise ValueError(f"loop at vertex {u}")
-        m = bit_matrix(rows, n)
+        self._adopt(bit_matrix(rows, n), list(rows))
+
+    @classmethod
+    def from_matrix(cls, m: np.ndarray) -> "Graph":
+        """Graph whose adjacency is the square bool matrix m, which it keeps
+        (made read-only) rather than copies."""
+        if m.dtype != bool or m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("adjacency must be a square bool matrix")
+        graph = cls.__new__(cls)
+        graph._adopt(m, bit_rows(m))
+        return graph
+
+    def _adopt(self, m: np.ndarray, rows: list[int]) -> None:
+        """The one adjacency check, shared by both constructors."""
+        loops = np.flatnonzero(m.diagonal())
+        if len(loops):
+            raise ValueError(f"loop at vertex {loops[0]}")
         if m.tobytes() != m.T.tobytes():  # m == m.T, compared as raw bytes
             raise ValueError("adjacency is not symmetric")
-        self.n = n
-        self.rows = list(rows)
-        self._dist: np.ndarray | None = None
+        m.flags.writeable = False
+        self.n = len(m)
+        self.rows = rows
+        self.matrix = m
+        self._dist = self._far = None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -98,8 +117,9 @@ class Graph:
                     yield (u, v)
 
     def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph(self.n, [full & ~row & ~(1 << v) for v, row in enumerate(self.rows)])
+        m = ~self.matrix
+        np.fill_diagonal(m, False)
+        return Graph.from_matrix(m)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -123,7 +143,7 @@ def power_graph(g: Group) -> Graph:
         m = bit_matrix(cyclic_masks(g), g.n)
         m |= m.T
         np.fill_diagonal(m, False)
-        g._power_graph = Graph(g.n, bit_rows(m))
+        g._power_graph = Graph.from_matrix(m)
     return g._power_graph
 
 
@@ -191,7 +211,8 @@ def sweep(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     holds n - 1; it fills the graph's distance cache when that is empty, so
     all_pairs after any sweep of the graph reads the cache.  far[v, s] is
     true iff v has a neighbour one layer farther from s than v is, that is,
-    iff v is not maximally distant from s.
+    iff v is not maximally distant from s; it is kept read-only on the
+    graph for far_matrix.
 
     Row v of each working array is a set of sources, packed as uint64
     words.  A layer is one gather of the frontier over the neighbour lists
@@ -204,11 +225,14 @@ def sweep(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     Disconnected when unreachable pairs exist (at once when n > 1 and some
     vertex has no neighbour, which would leave an empty list to reduce)."""
     n = graph.n
-    adj = bit_matrix(graph.rows, n)
+    adj = graph.matrix
     deg = adj.sum(1)
     if n > 1 and not deg.all():
         raise Disconnected("graph is not connected")
-    nbr = np.nonzero(adj)[1]  # row-major: the neighbour lists in vertex order
+    # row-major flat indices mod n: the neighbour lists in vertex order, one
+    # array of 2m entries
+    nbr = np.flatnonzero(adj)
+    nbr %= n
     ends = np.cumsum(deg)
     starts = ends - deg
     # list entries per gather: a block of at most 2**17 words (1 MB) stays in
@@ -245,9 +269,20 @@ def sweep(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     dist = np.zeros((n, n), np.min_scalar_type(max(n - 1, 0)))
     for k, plane in enumerate(planes):
         dist |= _unpack(plane, n).astype(dist.dtype) << k
+    far = _unpack(far, n)
+    far.flags.writeable = False
     if graph._dist is None:
         graph._dist = dist
-    return dist, _unpack(far, n)
+    graph._far = far
+    return dist, far
+
+
+def far_matrix(graph: Graph) -> np.ndarray:
+    """The far matrix of sweep, cached on the graph: the sweep behind
+    all_pairs keeps it too, so a graph is swept at most once."""
+    if graph._far is None:
+        sweep(graph)
+    return graph._far
 
 
 def all_pairs(graph: Graph) -> np.ndarray:
@@ -259,7 +294,7 @@ def all_pairs(graph: Graph) -> np.ndarray:
     if graph._dist is None:
         n = graph.n
         if has_universal_vertex(graph):
-            dist = 2 - bit_matrix(graph.rows, n).astype(np.min_scalar_type(max(n - 1, 0)))
+            dist = 2 - graph.matrix.astype(np.min_scalar_type(max(n - 1, 0)))
             np.fill_diagonal(dist, 0)
             graph._dist = dist
         else:
@@ -318,8 +353,8 @@ def reduced_graph(graph: Graph) -> ReducedGraph:
     """Closed-twin classes with the smallest vertex as representative; the
     quotient is the adjacency matrix restricted to the representatives."""
     representatives, class_of = _twin_classes(graph)
-    m = bit_matrix(graph.rows, graph.n).take(representatives, 0).take(representatives, 1)
-    quotient = Graph(len(representatives), bit_rows(m))
+    quotient = Graph.from_matrix(graph.matrix.take(representatives, 0)
+                                 .take(representatives, 1))
     return ReducedGraph(graph, representatives, class_of, quotient)
 
 
@@ -341,13 +376,19 @@ def from_edge_list(data: dict) -> Graph:
     edges = data["edges"]
     if not isinstance(edges, list):
         raise ValueError('"edges" must be an array of [u, v] pairs')
-    pairs = []
-    for e in edges:
+    rows = [0] * n
+    for e in edges:  # one pass: the entry's shape, then Graph.from_edges's checks
         if not (isinstance(e, (list, tuple)) and len(e) == 2
-                and all(isinstance(x, int) for x in e)):
+                and isinstance(e[0], int) and isinstance(e[1], int)):
             raise ValueError(f"bad edge entry: {e!r}")
-        pairs.append((e[0], e[1]))
-    return Graph.from_edges(n, pairs)  # duplicates collapse in the bitmask
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"loop at vertex {u} not allowed")
+        rows[u] |= 1 << v  # duplicates collapse in the bitmask
+        rows[v] |= 1 << u
+    return Graph(n, rows)
 
 
 GRAPH6_MAX = 62  # short form only; the long form is out of scope

@@ -11,7 +11,8 @@ import itertools
 import math
 from random import Random
 
-from powersdim import Graph, bfs_distances
+from powersdim import CliqueResult, Graph, bfs_distances
+from powersdim.graphs import bit_matrix, bit_rows
 
 
 def brute_force_clique_number(graph: Graph) -> int:
@@ -253,3 +254,71 @@ def random_diameter2_graph(rng: Random, n: int, p: float = 0.4) -> Graph:
     edges = [(u, v) for u in range(n - 1) for v in range(u + 1, n - 1) if rng.random() < p]
     edges += [(u, n - 1) for u in range(n - 1)]
     return Graph.from_edges(n, edges)
+
+
+# Reference clique search: max_clique as it was before the non-neighbour
+# masks and the unrecorded low color classes, kept to pin the search's
+# result (size and members) on every input.
+
+
+def ref_max_clique(graph: Graph) -> CliqueResult:
+    n = graph.n
+    if n == 0:
+        return CliqueResult(0, ())
+    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
+    adj = bit_rows(bit_matrix(graph.rows, n).take(order, 0).take(order, 1))
+
+    def greedy_coloring(cand: int) -> tuple[list[int], list[int]]:
+        order_list: list[int] = []
+        bound_list: list[int] = []
+        color = 0
+        rest = cand
+        while rest:
+            color += 1
+            cls = rest
+            while cls:
+                v = (cls & -cls).bit_length() - 1
+                cls &= ~(adj[v] | (1 << v))
+                rest &= ~(1 << v)
+                order_list.append(v)
+                bound_list.append(color)
+        return order_list, bound_list
+
+    best_size = 0
+    best: list[int] = []
+    current: list[int] = []
+    stack: list[tuple[int, list[int], list[int], int]] = []
+    cand = (1 << n) - 1
+    vs, bounds = greedy_coloring(cand)
+    i = len(vs) - 1
+    while True:
+        if i >= 0 and len(current) + bounds[i] > best_size:
+            v = vs[i]
+            current.append(v)
+            nxt = cand & adj[v]
+            if nxt:
+                stack.append((cand, vs, bounds, i))
+                cand = nxt
+                vs, bounds = greedy_coloring(cand)
+                i = len(vs) - 1
+                continue
+            if len(current) > best_size:
+                best_size = len(current)
+                best = current.copy()
+        elif stack:
+            cand, vs, bounds, i = stack.pop()
+            v = vs[i]
+        else:
+            break
+        current.pop()
+        cand &= ~(1 << v)
+        i -= 1
+
+    return CliqueResult(best_size, tuple(sorted(order[v] for v in best)))
+
+
+def ref_min_vertex_cover(graph: Graph) -> list[int]:
+    full = (1 << graph.n) - 1
+    complement = Graph(graph.n, [full & ~row & ~(1 << v) for v, row in enumerate(graph.rows)])
+    independent = set(ref_max_clique(complement).members)
+    return [v for v in range(graph.n) if v not in independent]

@@ -5,11 +5,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersdim import Graph, build_group, max_clique, min_vertex_cover, power_graph, \
-    reduced_graph, sigma_of
+import pytest
+
+from powersdim import CORPUS_SPECS, Graph, build_group, max_clique, min_vertex_cover, \
+    power_graph, reduced_graph, sigma_of, strong_resolving_graph
 
 from helpers import (brute_force_clique_number, forward_brute_force_clique_number, is_clique,
-                     random_cycle_with_chords, random_graph)
+                     random_cycle_with_chords, random_graph, ref_max_clique,
+                     ref_min_vertex_cover)
 
 
 def complete_graph(n):
@@ -106,3 +109,37 @@ def test_cover_valid_and_complementary_to_mis(n, rng):
     # |cover| + max independent set = n
     mis = max_clique(g.complement()).size
     assert len(cover) + mis == g.n
+
+
+# ---------------------------------------------------------------------------
+# The search is pinned: the same CliqueResult (size and members) and the same
+# cover as the reference search in helpers.py
+
+
+def assert_same_search(g: Graph) -> None:
+    assert max_clique(g) == ref_max_clique(g)
+    assert max_clique(g, complement=True) == ref_max_clique(g.complement())
+    assert min_vertex_cover(g) == ref_min_vertex_cover(g)
+
+
+@given(st.integers(0, 80), st.floats(0.05, 0.95), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_search_equals_the_reference_on_random_graphs(n, p, seed):
+    assert_same_search(random_graph(random.Random(seed), n, p))
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 80])
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
+def test_search_equals_the_reference_on_rows_at_word_boundaries(n, p):
+    for seed in range(3):
+        assert_same_search(random_graph(random.Random(seed), n, p))
+
+
+@pytest.mark.parametrize("spec", CORPUS_SPECS)
+def test_search_equals_the_reference_on_corpus_quotients_and_srgs(spec):
+    graph = power_graph(build_group(spec))
+    quotient = reduced_graph(graph).quotient
+    assert max_clique(quotient) == ref_max_clique(quotient)
+    srg = strong_resolving_graph(graph)
+    assert max_clique(srg, complement=True) == ref_max_clique(srg.complement())
+    assert min_vertex_cover(srg) == ref_min_vertex_cover(srg)

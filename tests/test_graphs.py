@@ -327,6 +327,40 @@ def test_edge_list_rejects_bad_payloads():
         from_edge_list({"n": -1, "edges": []})
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([[0, 1], [1, 1]], "loop at vertex 1 not allowed"),
+    ([[0, 2]], "edge (0,2) out of range for n=2"),
+    ([[-1, 0]], "edge (-1,0) out of range for n=2"),
+    ([[0, 1.0]], "bad edge entry: [0, 1.0]"),
+    ([[0, 1, 1]], "bad edge entry: [0, 1, 1]"),
+    ([7], "bad edge entry: 7"),
+])
+def test_edge_list_messages_match_from_edges(edges, message):
+    with pytest.raises(ValueError) as exc:
+        from_edge_list({"n": 2, "edges": edges})
+    assert str(exc.value) == message
+    if "entry" not in message:
+        with pytest.raises(ValueError) as exc:
+            Graph.from_edges(2, edges)
+        assert str(exc.value) == message
+
+
+def test_from_matrix_keeps_the_matrix_and_checks_it_like_rows():
+    m = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], bool)
+    g = Graph.from_matrix(m)
+    assert g == Graph.from_edges(3, [(0, 1), (0, 2)]) and g.matrix is m
+    assert not m.flags.writeable and not Graph(3, g.rows).matrix.flags.writeable
+    for bad, message in [
+        (np.eye(3, dtype=bool), "loop at vertex 0"),
+        (np.triu(np.ones((3, 3), bool), 1), "adjacency is not symmetric"),
+        (np.zeros((2, 3), bool), "adjacency must be a square bool matrix"),
+        (np.zeros((2, 2), np.uint8), "adjacency must be a square bool matrix"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            Graph.from_matrix(bad)
+        assert str(exc.value) == message
+
+
 def test_graph6_known_strings():
     assert graph6_encode(Graph(0)) == "?"
     assert graph6_encode(Graph(1)) == "@"

@@ -346,6 +346,15 @@ def test_oracle_computes_distances_once_off_diameter_two(monkeypatch):
     assert diameter(cycle) == 3 and sweeps[0] == 1
 
 
+def test_diameter_before_the_oracle_sweeps_once(monkeypatch):
+    # the sweep behind diameter keeps its far matrix for the strong resolving graph
+    sweeps = count_sweeps(monkeypatch)
+    cycle = from_edge_list({"n": 7, "edges": [[i, (i + 1) % 7] for i in range(7)]})
+    assert diameter(cycle) == 3 and sweeps[0] == 1
+    res = sdim_oracle(cycle)
+    assert (res.value, res.verified, sweeps[0]) == (4, True, 1)
+
+
 # ---------------------------------------------------------------------------
 # Constructive witnesses
 
