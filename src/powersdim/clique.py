@@ -5,10 +5,10 @@ bound (MCQ, Tomita & Kameda, J. Global Optim. 37, 2007), searching in
 descending-degree order.  Each vertex's non-neighbour mask is computed once
 per search, so a color class is one AND per vertex; classes too low to
 beat the best clique are colored but not recorded, since the bound would
-reject their vertices at once.  The vertex cover searches the complement's
-masks directly, without building the complement graph.  Sized for the
-few-hundred-vertex graphs that arise here; exactness is mandatory because
-downstream identities are equalities, not bounds.
+reject their vertices at once.  The vertex cover is the complement of a
+maximum clique of the complement graph.  Sized for the few-hundred-vertex
+graphs that arise here; exactness is mandatory because downstream
+identities are equalities, not bounds.
 """
 
 from __future__ import annotations
@@ -24,25 +24,19 @@ class CliqueResult:
     members: tuple[int, ...]  # sorted ascending
 
 
-def max_clique(graph: Graph, *, complement: bool = False) -> CliqueResult:
-    """Exact maximum clique; deterministic for identical input bits.  With
-    complement=True it is the maximum clique of the complement graph (a
-    maximum independent set of graph), equal to max_clique(graph.complement()).
+def max_clique(graph: Graph) -> CliqueResult:
+    """Exact maximum clique; deterministic for identical input bits.
 
     The search runs on a relabelled copy of the adjacency, taken as one
     bool-matrix permutation m[order][:, order] of its rows and columns."""
     n = graph.n
     if n == 0:
         return CliqueResult(0, ())
-    # relabel so lower internal index = higher degree in the searched graph
-    # (ties by vertex index); a complement degree is n - 1 - degree
-    sign = 1 if complement else -1
-    order = sorted(range(n), key=lambda v: (sign * graph.degree(v), v))
+    # relabel so lower internal index = higher degree (ties by vertex index)
+    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
     full = (1 << n) - 1
     adj = bit_rows(graph.matrix.take(order, 0).take(order, 1))
     nadj = [full ^ row ^ 1 << v for v, row in enumerate(adj)]  # non-neighbours
-    if complement:
-        adj, nadj = nadj, adj
 
     def greedy_coloring(cand: int, kmin: int) -> tuple[list[int], list[int]]:
         # greedy coloring: same color class => pairwise non-adjacent, so a
@@ -111,5 +105,5 @@ def max_clique(graph: Graph, *, complement: bool = False) -> CliqueResult:
 def min_vertex_cover(graph: Graph) -> list[int]:
     """Exact minimum vertex cover: the complement of a maximum independent
     set, found as a maximum clique of the complement graph."""
-    independent = set(max_clique(graph, complement=True).members)
+    independent = set(max_clique(graph.complement()).members)
     return [v for v in range(graph.n) if v not in independent]

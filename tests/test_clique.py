@@ -118,7 +118,7 @@ def test_cover_valid_and_complementary_to_mis(n, rng):
 
 def assert_same_search(g: Graph) -> None:
     assert max_clique(g) == ref_max_clique(g)
-    assert max_clique(g, complement=True) == ref_max_clique(g.complement())
+    assert max_clique(g.complement()) == ref_max_clique(g.complement())
     assert min_vertex_cover(g) == ref_min_vertex_cover(g)
 
 
@@ -141,5 +141,5 @@ def test_search_equals_the_reference_on_corpus_quotients_and_srgs(spec):
     quotient = reduced_graph(graph).quotient
     assert max_clique(quotient) == ref_max_clique(quotient)
     srg = strong_resolving_graph(graph)
-    assert max_clique(srg, complement=True) == ref_max_clique(srg.complement())
+    assert max_clique(srg.complement()) == ref_max_clique(srg.complement())
     assert min_vertex_cover(srg) == ref_min_vertex_cover(srg)
