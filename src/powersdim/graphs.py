@@ -12,20 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Group, bits, cyclic_masks
+from .groups import Group, bit_matrix, bits, cyclic_masks
 
 
 class Disconnected(ValueError):
     """Raised by operations that require a connected graph."""
-
-
-def bit_matrix(rows: list[int], n: int) -> np.ndarray:
-    """len(rows) x n bool matrix whose entry [u, v] is bit v of rows[u];
-    every row must lie in 0 <= row < 2**n."""
-    width = (n + 7) // 8
-    data = b"".join([row.to_bytes(width, "little") for row in rows])
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 def bit_rows(m: np.ndarray) -> list[int]:

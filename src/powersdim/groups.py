@@ -17,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,12 @@ class ClosureTooLarge(ValueError):
 
 class NotAPrimeDivisor(ValueError):
     """The given number is not a prime divisor of the group order."""
+
+
+class InternalInconsistency(RuntimeError):
+    """Two methods that must agree returned different values, or derived
+    data broke an invariant that the group axioms guarantee; this is a bug,
+    never a condition to resolve by preferring one method."""
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +330,12 @@ class Group:
     The table (rows or an array) is checked, NotAGroup on failure, and kept
     as lists of ints, table[a][b] = a*b.  Instances are immutable after
     construction and safe for concurrent reads; derived data (element
-    orders, cyclic subgroups, the power graph) is cached lazily.
+    orders, cyclic subgroups, the chain data, the power graph) is cached
+    lazily.
     """
 
-    __slots__ = ("n", "table", "identity", "inverse", "spec",
-                 "_orders", "_cyclic_masks", "_maximal_family", "_power_graph")
+    __slots__ = ("n", "table", "identity", "inverse", "spec", "_orders",
+                 "_cyclic_masks", "_maximal_family", "_chains", "_power_graph")
 
     def __init__(self, table, spec: GroupSpec | None = None):
         try:
@@ -345,6 +353,7 @@ class Group:
         self._orders: list[int] | None = None
         self._cyclic_masks: list[int] | None = None
         self._maximal_family: MaximalCyclicFamily | None = None
+        self._chains: dict[int, tuple[_Chain, ...]] = {}  # by prime, set by _chain_stats
         self._power_graph = None  # graphs.Graph, set by graphs.power_graph
 
     def __repr__(self):
@@ -449,31 +458,43 @@ def _perm_parity_even(p: tuple[int, ...]) -> bool:
     return transpositions % 2 == 0
 
 
+_PERM_BLOCK_BYTES = 1 << 20  # products gathered at once by _perm_table
+
+
 def _perm_table(perms: list[tuple[int, ...]]) -> np.ndarray:
     """Multiplication table of a list of permutations of 0..k-1, where
     row a, column b holds the index of a.b, (a.b)(x) = a(b(x)).
 
-    Each row is one numpy gather a[p] over all b at once (memory O(n*k)
-    per row); the products are looked up by their raw bytes (a void-dtype
-    view) with searchsorted on the sorted permutation keys.  Raises
-    NotAGroup when a product is not in the list.
+    Each permutation is a row padded with fixed points k, k+1, ... to a
+    whole number of 8-byte words, and its key is the row's raw bytes: one
+    uint64 when the row is one word (degree at most 7), else a void-dtype
+    view.  Rows of the table go in blocks of about _PERM_BLOCK_BYTES of
+    products, so memory stays bounded at any order: per block one gather
+    p[lo:hi][:, p] gives every product a[b] at once, one searchsorted finds
+    their keys among the sorted permutation keys, and one comparison of
+    the keys found with the products checks that the list is closed.
+    Raises NotAGroup when a product is not in the list.
     """
     n = len(perms)
     k = len(perms[0]) if perms else 0
-    # one extra fixed point k keeps the byte keys nonempty at degree 0
-    p = np.empty((n, k + 1), dtype=np.min_scalar_type(k))
+    dtype = np.min_scalar_type(k)
+    words = 8 // dtype.itemsize  # points per 8-byte word
+    m = (k // words + 1) * words  # at least one fixed point, so keys are never empty
+    p = np.empty((n, m), dtype=dtype)
     p[:, :k] = perms
-    p[:, k] = k
-    key = np.dtype((np.void, p.itemsize * (k + 1)))
+    p[:, k:] = np.arange(k, m)
+    key = np.dtype(np.uint64) if m == words else np.dtype((np.void, m * dtype.itemsize))
     keys = p.view(key).ravel()
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
     table = np.empty((n, n), dtype=np.min_scalar_type(n))
-    for a, row in zip(p, table):
-        prod = a[p]
-        pos = np.searchsorted(sorted_keys, prod.view(key).ravel())
-        row[:] = order[np.minimum(pos, n - 1)]
-        if not np.array_equal(p[row], prod):
+    order = np.argsort(keys).astype(table.dtype)
+    sorted_keys = keys[order]
+    step = max(1, _PERM_BLOCK_BYTES // max(1, n * m * dtype.itemsize))
+    for lo in range(0, n, step):
+        prod = p[lo:lo + step][:, p]  # prod[a, b] = a[b], the product a.b
+        pos = np.searchsorted(sorted_keys, prod.reshape(-1, m).view(key).ravel())
+        block = table[lo:lo + step]
+        order.take(pos, out=block.reshape(-1), mode="clip")  # a key past the last fails below
+        if not np.array_equal(keys[block].view(dtype).reshape(prod.shape), prod):
             raise NotAGroup("the permutations are not closed under composition")
     return table
 
@@ -687,6 +708,15 @@ def bits(mask: int):
         mask ^= low
 
 
+def bit_matrix(rows: list[int], n: int) -> np.ndarray:
+    """len(rows) x n bool matrix whose entry [u, v] is bit v of rows[u];
+    every row must lie in 0 <= row < 2**n."""
+    width = (n + 7) // 8
+    data = b"".join([row.to_bytes(width, "little") for row in rows])
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
 def _subgroup_from_mask(g: Group, mask: int) -> CyclicSubgroup:
     els = tuple(bits(mask))
     order = len(els)
@@ -710,29 +740,30 @@ class MaximalCyclicFamily:
 
 
 def maximal_cyclic_subgroups(g: Group) -> MaximalCyclicFamily:
-    """Compute <x> for every x, deduplicate by element set, keep the
-    inclusion-maximal ones."""
+    """The inclusion-maximal cyclic subgroups, each once, under its smallest
+    generator; cached on the group.
+
+    With C[x, y] true iff y is in <x> (the cyclic masks as a bool matrix),
+    <x> is maximal iff no y has x in <y> but y not in <x>, that is, iff row
+    x of C.T & ~C is all false."""
     if g._maximal_family is not None:
         return g._maximal_family
     masks = cyclic_masks(g)
+    c = bit_matrix(masks, g.n)
     first_gen: dict[int, int] = {}
-    for x, m in enumerate(masks):
-        if m not in first_gen:
-            first_gen[m] = x
-    distinct = list(first_gen.items())
+    for x in np.flatnonzero(~(c.T & ~c).any(1)).tolist():
+        first_gen.setdefault(masks[x], x)
     subs = []
-    for m, gen in distinct:
-        if any(m != m2 and m & ~m2 == 0 for m2, _ in distinct):
-            continue
+    for m, gen in first_gen.items():
         els = tuple(bits(m))
         subs.append(CyclicSubgroup(gen, els, len(els)))
     subs.sort(key=lambda s: (s.order, s.elements))
+    factors = {k: factorize(k).factors for k in {s.order for s in subs}}
     by_prime: dict[int, list[CyclicSubgroup]] = {}
     mixed = []
     for s in subs:
-        fac = factorize(s.order)
-        if len(fac.factors) == 1:
-            by_prime.setdefault(fac.factors[0][0], []).append(s)
+        if len(factors[s.order]) == 1:
+            by_prime.setdefault(factors[s.order][0][0], []).append(s)
         else:
             mixed.append(s)
     fam = MaximalCyclicFamily(
@@ -769,55 +800,75 @@ class ChainAnalysis:
     f_i: int
 
 
+class _Chain(NamedTuple):
+    """ChainAnalysis without the subgroup objects: the chain as masks."""
+
+    masks: tuple[int, ...]
+    s_i: int
+    lambda_exp: int
+    s_prime: int
+    f_i: int
+
+
 def _exact_log(base: int, value: int) -> int:
     e, v = 0, 1
     while v < value:
         v *= base
         e += 1
     if v != value:
-        raise AssertionError(f"{value} is not a power of {base}")
+        raise InternalInconsistency(f"{value} is not a power of {base}")
     return e
+
+
+def _chain_stats(g: Group, p: int) -> tuple[_Chain, ...]:
+    """The chain data of every maximal cyclic p-subgroup, in family order,
+    from masks and popcounts alone; cached on the group per prime p, which
+    the caller has checked is a prime divisor of the order.
+
+    An intersection of M_i with a maximal cyclic subgroup O is a subgroup
+    of the cyclic p-group M_i, and those form a chain, so the largest
+    |M_i & O| over the O of non-p-power order is |M_i & U|, U the union of
+    those O."""
+    if p in g._chains:
+        return g._chains[p]
+    fam = maximal_cyclic_subgroups(g)
+    masks = cyclic_masks(g)
+    mp_masks = [masks[s.generator] for s in fam.by_prime.get(p, ())]
+    others = [masks[s.generator] for q, subs in fam.by_prime.items() if q != p for s in subs]
+    others += [masks[s.generator] for s in fam.mixed]
+    union = 0
+    for m in others:
+        union |= m
+    out = []
+    for mi in mp_masks:
+        inter = sorted({mi & mj for mj in mp_masks}, key=int.bit_count)
+        for a, b in zip(inter, inter[1:]):
+            if a & ~b:  # subgroups of a cyclic p-group are totally ordered
+                raise InternalInconsistency("intersections do not form a chain")
+        lambda_exp = _exact_log(p, (mi & union).bit_count()) if others else -1
+        threshold = p ** lambda_exp if lambda_exp >= 0 else 0
+        s_prime = next(u for u, c in enumerate(inter, 1) if c.bit_count() > threshold)
+        out.append(_Chain(tuple(inter), len(inter), lambda_exp, s_prime,
+                          _exact_log(p, mi.bit_count())))
+    g._chains[p] = chains = tuple(out)
+    return chains
 
 
 def chain_analysis(g: Group, p: int) -> list[ChainAnalysis]:
     """One analysis per maximal cyclic p-subgroup; empty list if there are none."""
     if not is_prime(p) or g.n % p != 0:
         raise NotAPrimeDivisor(f"{p} is not a prime divisor of the group order {g.n}")
-    fam = maximal_cyclic_subgroups(g)
-    mp = fam.by_prime.get(p, ())
-    if not mp:
-        return []
-    masks = cyclic_masks(g)
-    mp_gens = {s.generator for s in mp}
-    mp_masks = [masks[s.generator] for s in mp]
-    other_masks = [masks[s.generator] for s in fam.all if s.generator not in mp_gens]
     out = []
-    for i, mi_mask in enumerate(mp_masks):
-        inter = sorted({mi_mask & mj for mj in mp_masks}, key=lambda m: m.bit_count())
-        for a, b in zip(inter, inter[1:]):
-            if a & ~b:  # subgroups of a cyclic p-group are totally ordered
-                raise AssertionError("intersections do not form a chain")
-        chain = tuple(_subgroup_from_mask(g, m) for m in inter)
-        if other_masks:
-            lam_order = max((mi_mask & om).bit_count() for om in other_masks)
-            lambda_exp = _exact_log(p, lam_order)
-        else:
-            lambda_exp = -1
-        s_i = len(chain)
-        if lambda_exp < 0:
-            s_prime = 1
-        else:
-            threshold = p ** lambda_exp
-            s_prime = next(u for u, c in enumerate(chain, 1) if c.order > threshold)
-        f_i = _exact_log(p, chain[-1].order)
+    for i, c in enumerate(_chain_stats(g, p)):
+        chain = tuple(_subgroup_from_mask(g, m) for m in c.masks)
         out.append(ChainAnalysis(
             subgroup_index=i,
             chain=chain,
-            chain_generators=tuple(c.generator for c in chain),
-            s_i=s_i,
-            lambda_exp=lambda_exp,
-            s_prime=s_prime,
-            f_i=f_i,
+            chain_generators=tuple(s.generator for s in chain),
+            s_i=c.s_i,
+            lambda_exp=c.lambda_exp,
+            s_prime=c.s_prime,
+            f_i=c.f_i,
         ))
     return out
 
@@ -828,7 +879,4 @@ def alpha_p(g: Group, p: int) -> int:
         raise ValueError(f"{p} is not prime")
     if g.n % p != 0:
         return 0
-    analyses = chain_analysis(g, p)
-    if not analyses:
-        return 0
-    return max(a.s_i - a.s_prime + a.lambda_exp + 2 for a in analyses)
+    return max((c.s_i - c.s_prime + c.lambda_exp + 2 for c in _chain_stats(g, p)), default=0)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import groups as gr
+from .groups import InternalInconsistency
 from .clique import max_clique, min_vertex_cover
 from .graphs import (Graph, _twin_classes, all_pairs, diameter, far_matrix,
                      has_universal_vertex, power_graph, reduced_graph)
@@ -34,11 +35,6 @@ class OracleCapExceeded(ValueError):
 
 class EmptyFamily(ValueError):
     """No maximal cyclic subgroup of p-power order exists."""
-
-
-class InternalInconsistency(RuntimeError):
-    """Two methods that must agree returned different values; this is a bug,
-    never a condition to resolve by preferring one method."""
 
 
 class Method(str, enum.Enum):
@@ -211,7 +207,7 @@ def _closed_form(g: gr.Group) -> tuple[Method, int] | None:
         p = fac.factors[0][0]
         if all(k in (1, p) for k in gr.element_orders(g)):
             return Method.CLOSED_FORM_ELEMENTARY_ABELIAN, n - 2
-        s_max = max(a.s_i for a in gr.chain_analysis(g, p))
+        s_max = max(c.s_i for c in gr._chain_stats(g, p))
         return Method.CLOSED_FORM_P_GROUP, n - s_max
     if gr.is_abelian_group(g):
         d_k = gr.group_exponent(g)  # largest invariant factor

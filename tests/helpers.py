@@ -11,8 +11,10 @@ import itertools
 import math
 from random import Random
 
-from powersdim import CliqueResult, Graph, bfs_distances
+from powersdim import (ChainAnalysis, CliqueResult, CyclicSubgroup, Graph,
+                       MaximalCyclicFamily, NotAPrimeDivisor, bfs_distances, factorize)
 from powersdim.graphs import bit_matrix, bit_rows
+from powersdim.groups import bits, cyclic_masks, element_orders, is_prime
 
 
 def brute_force_clique_number(graph: Graph) -> int:
@@ -322,3 +324,109 @@ def ref_min_vertex_cover(graph: Graph) -> list[int]:
     complement = Graph(graph.n, [full & ~row & ~(1 << v) for v, row in enumerate(graph.rows)])
     independent = set(ref_max_clique(complement).members)
     return [v for v in range(graph.n) if v not in independent]
+
+
+# Reference group theory: maximal_cyclic_subgroups, chain_analysis and
+# alpha_p as they were before the membership-matrix test and the chain data
+# from popcounts (an O(d^2) subset test over the distinct cyclic subgroups,
+# one CyclicSubgroup per chain element), uncached, kept to pin the values.
+
+
+def ref_maximal_cyclic_subgroups(g) -> MaximalCyclicFamily:
+    masks = cyclic_masks(g)
+    first_gen: dict[int, int] = {}
+    for x, m in enumerate(masks):
+        if m not in first_gen:
+            first_gen[m] = x
+    distinct = list(first_gen.items())
+    subs = []
+    for m, gen in distinct:
+        if any(m != m2 and m & ~m2 == 0 for m2, _ in distinct):
+            continue
+        els = tuple(bits(m))
+        subs.append(CyclicSubgroup(gen, els, len(els)))
+    subs.sort(key=lambda s: (s.order, s.elements))
+    by_prime: dict[int, list[CyclicSubgroup]] = {}
+    mixed = []
+    for s in subs:
+        fac = factorize(s.order)
+        if len(fac.factors) == 1:
+            by_prime.setdefault(fac.factors[0][0], []).append(s)
+        else:
+            mixed.append(s)
+    return MaximalCyclicFamily(
+        all=tuple(subs),
+        by_prime={p: tuple(v) for p, v in sorted(by_prime.items())},
+        mixed=tuple(mixed),
+    )
+
+
+def _ref_subgroup_from_mask(g, mask: int) -> CyclicSubgroup:
+    els = tuple(bits(mask))
+    order = len(els)
+    orders = element_orders(g)
+    gen = min(e for e in els if orders[e] == order)
+    return CyclicSubgroup(gen, els, order)
+
+
+def _ref_exact_log(base: int, value: int) -> int:
+    e, v = 0, 1
+    while v < value:
+        v *= base
+        e += 1
+    if v != value:
+        raise AssertionError(f"{value} is not a power of {base}")
+    return e
+
+
+def ref_chain_analysis(g, p: int) -> list[ChainAnalysis]:
+    if not is_prime(p) or g.n % p != 0:
+        raise NotAPrimeDivisor(f"{p} is not a prime divisor of the group order {g.n}")
+    fam = ref_maximal_cyclic_subgroups(g)
+    mp = fam.by_prime.get(p, ())
+    if not mp:
+        return []
+    masks = cyclic_masks(g)
+    mp_gens = {s.generator for s in mp}
+    mp_masks = [masks[s.generator] for s in mp]
+    other_masks = [masks[s.generator] for s in fam.all if s.generator not in mp_gens]
+    out = []
+    for i, mi_mask in enumerate(mp_masks):
+        inter = sorted({mi_mask & mj for mj in mp_masks}, key=lambda m: m.bit_count())
+        for a, b in zip(inter, inter[1:]):
+            if a & ~b:
+                raise AssertionError("intersections do not form a chain")
+        chain = tuple(_ref_subgroup_from_mask(g, m) for m in inter)
+        if other_masks:
+            lam_order = max((mi_mask & om).bit_count() for om in other_masks)
+            lambda_exp = _ref_exact_log(p, lam_order)
+        else:
+            lambda_exp = -1
+        s_i = len(chain)
+        if lambda_exp < 0:
+            s_prime = 1
+        else:
+            threshold = p ** lambda_exp
+            s_prime = next(u for u, c in enumerate(chain, 1) if c.order > threshold)
+        f_i = _ref_exact_log(p, chain[-1].order)
+        out.append(ChainAnalysis(
+            subgroup_index=i,
+            chain=chain,
+            chain_generators=tuple(c.generator for c in chain),
+            s_i=s_i,
+            lambda_exp=lambda_exp,
+            s_prime=s_prime,
+            f_i=f_i,
+        ))
+    return out
+
+
+def ref_alpha_p(g, p: int) -> int:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if g.n % p != 0:
+        return 0
+    analyses = ref_chain_analysis(g, p)
+    if not analyses:
+        return 0
+    return max(a.s_i - a.s_prime + a.lambda_exp + 2 for a in analyses)

@@ -1,13 +1,16 @@
 """CLI behavior: outputs, exit codes, error prefixes, and determinism."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 import powersdim.cli as cli_module
+import powersdim.groups as groups_module
 import powersdim.sdim as sdim_module
-from powersdim import CORPUS_SPECS, CliqueResult, build_group, from_edge_list, \
-    graph6_decode, power_graph, sigma_of, to_edge_list
+from powersdim import CORPUS_SPECS, CliqueResult, build_group, element_orders, \
+    from_edge_list, graph6_decode, maximal_cyclic_subgroups, power_graph, sigma_of, \
+    to_edge_list
 from powersdim.cli import main
 
 from helpers import ref_cyclic_table, write_cayley_file
@@ -193,6 +196,25 @@ def test_compare_exits_3_when_methods_disagree(capsys, monkeypatch):
     code, out, err = run(capsys, "compare", "Z12", "--no-timing")
     assert code == 3 and err.startswith("ERROR:MISMATCH")
     assert "GroupTheorem gives 8" in err and "GenericOracle gives 9" in err
+
+
+def test_a_family_that_is_not_a_chain_exits_3_without_a_traceback(capsys, monkeypatch):
+    def with_a_non_chain(spec):
+        # lists <x> of order 6 among the 2-subgroups next to <x^3> and <x^2>,
+        # whose intersections with <x>, of orders 2 and 3, are not nested
+        g = build_group(spec)
+        x = element_orders(g).index(6)
+        x2 = g.table[x][x]
+        sub = [groups_module._subgroup_from_mask(g, groups_module.cyclic_masks(g)[y])
+               for y in (x, g.table[x2][x], x2)]
+        fam = maximal_cyclic_subgroups(g)
+        g._maximal_family = replace(fam, by_prime={**fam.by_prime, 2: tuple(sub)})
+        return g
+
+    monkeypatch.setattr(cli_module, "build_group", with_a_non_chain)
+    code, out, err = run(capsys, "compare", "Z2xS3", "--no-timing")
+    assert code == 3 and err == "ERROR:MISMATCH intersections do not form a chain\n"
+    assert "Traceback" not in out + err
 
 
 def test_compute_check_exits_3_when_the_witness_fails(capsys, monkeypatch):

@@ -5,7 +5,7 @@ import math
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from powersdim import (CORPUS_SPECS, Abelian, Alternating, CayleyFile, ClosureTooLarge,
@@ -15,10 +15,13 @@ from powersdim import (CORPUS_SPECS, Abelian, Alternating, CayleyFile, ClosureTo
                        element_order, element_orders, factorize, is_cp_group,
                        is_cyclic_group, maximal_cyclic_subgroups, parse_spec, sigma,
                        sigma_of, spec_order, spec_string)
+import powersdim
 from powersdim import groups as groups_module
+from powersdim import sdim as sdim_module
 
-from helpers import (brute_perm_table, is_associative, random_loop, ref_cyclic_table,
-                     ref_dihedral_table, ref_product_table, ref_quaternion_table,
+from helpers import (brute_perm_table, is_associative, random_loop, ref_alpha_p,
+                     ref_chain_analysis, ref_cyclic_table, ref_dihedral_table,
+                     ref_maximal_cyclic_subgroups, ref_product_table, ref_quaternion_table,
                      write_cayley_file)
 from powersdim import Group
 
@@ -536,3 +539,68 @@ def _perms(k, even=False):
 ])
 def test_product_tables_match_the_loop_builder(spec, factors):
     assert build_group(spec).table == ref_product_table(factors())
+
+
+# ---------------------------------------------------------------------------
+# The permutation table in blocks of rows
+
+
+def test_perm_table_of_a_300_cycle_spans_several_blocks(tmp_path):
+    path = tmp_path / "cycle.txt"
+    path.write_text("(" + " ".join(str(i) for i in range(1, 301)) + ")\n")
+    row_bytes = 300 * 304 * 2  # 300 products of 304 uint16 points, padded to whole words
+    assert groups_module._PERM_BLOCK_BYTES // row_bytes < 300 // 10  # more than ten blocks
+    assert build_group(f"perm:{path}").table == ref_cyclic_table(300)
+
+
+def test_perm_table_with_two_word_keys_matches_composition(tmp_path):
+    path = tmp_path / "d16.txt"  # degree 8: a row and its fixed point fill two words
+    path.write_text("(1 2 3 4 5 6 7 8)\n(1 8)(2 7)(3 6)(4 5)\n")
+    elems = groups_module._close_permutations(groups_module._parse_perm_file(str(path)), 100)
+    assert (len(elems), len(elems[0])) == (16, 8)
+    assert build_group(f"perm:{path}").table == brute_perm_table(elems)
+
+
+def test_perm_table_with_one_row_per_block(monkeypatch):
+    monkeypatch.setattr(groups_module, "_PERM_BLOCK_BYTES", 1)
+    perms = sorted(itertools.permutations(range(4)))
+    assert groups_module._perm_table(perms).tolist() == brute_perm_table(perms)
+    for perms in ([(0, 1, 2), (0, 2, 1), (1, 0, 2)],  # one-word uint64 keys
+                  [tuple(range(9)), (0, 2, 1) + tuple(range(3, 9)),
+                   (1, 0) + tuple(range(2, 9))]):  # two-word void keys
+        with pytest.raises(NotAGroup):  # row 0 (the identity) is closed, row 1 is not
+            groups_module._perm_table(perms)
+
+
+# ---------------------------------------------------------------------------
+# The maximal family and the chain data against the subset-test reference
+
+
+def assert_matches_the_reference(g):
+    primes = [p for p, _ in factorize(g.n).factors]
+    assert [alpha_p(g, p) for p in primes] == [ref_alpha_p(g, p) for p in primes]
+    assert maximal_cyclic_subgroups(g) == ref_maximal_cyclic_subgroups(g)
+    for p in primes:
+        assert chain_analysis(g, p) == ref_chain_analysis(g, p), p
+
+
+@pytest.mark.parametrize("spec", CORPUS_SPECS + ["S6", "A6", "D360", "Q64", "Z2xS4", "E3^3",
+                                                 "Z2xS3xQ8"])
+def test_maximal_family_and_chains_match_the_reference(spec):
+    assert_matches_the_reference(build_group(spec))
+
+
+@given(group_specs(), group_specs())
+@settings(max_examples=30, deadline=None)
+def test_maximal_family_and_chains_match_the_reference_on_products(a, b):
+    spec = DirectProduct((a, b))
+    assume(spec_order(spec) <= 300)
+    assert_matches_the_reference(build_group(spec))
+
+
+def test_a_power_that_is_not_exact_is_an_internal_inconsistency():
+    assert groups_module._exact_log(3, 27) == 3
+    with pytest.raises(powersdim.InternalInconsistency, match="6 is not a power of 2"):
+        groups_module._exact_log(2, 6)
+    assert (groups_module.InternalInconsistency is sdim_module.InternalInconsistency
+            is powersdim.InternalInconsistency)

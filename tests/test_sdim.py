@@ -15,7 +15,8 @@ from powersdim import (CORPUS_SPECS, DiameterTooLarge, Disconnected, EmptyFamily
                        InternalInconsistency, Method, OracleCapExceeded, alpha_p,
                        build_group, classify_n_minus_2, clique_witness_alpha_p,
                        clique_witness_cyclic, diameter, element_order, factorize,
-                       from_edge_list, is_strong_resolving_set, maximal_cyclic_subgroups,
+                       from_edge_list, is_cp_group, is_strong_resolving_set,
+                       maximal_cyclic_subgroups, parse_spec, spec_order,
                        omega_reduced_group, power_graph, reduced_graph, sdim_group,
                        sdim_oracle, sdim_via_reduction, sigma_of,
                        strong_resolving_graph)
@@ -238,6 +239,26 @@ def test_omega_reduced_group_values():
     assert omega_reduced_group(build_group("Q8")) == 2
     assert omega_reduced_group(build_group("D12")) == 3  # sigma_6 + 1
     assert omega_reduced_group(build_group("A4")) == 2
+
+
+# small factors, abelian and not, whose products of order <= 200 take every
+# branch of omega_reduced_group: cyclic, CP and (most of them) non-CP
+PRODUCT_FACTORS = ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10", "E2^2", "S3", "D8",
+                   "Q8", "D10", "Q12", "A4", "D12", "D14", "Q16", "S4"]
+
+
+def test_theorem_equals_reduction_on_products_of_two_small_groups():
+    products = non_cp = 0
+    for a, b in itertools.combinations_with_replacement(PRODUCT_FACTORS, 2):
+        spec = parse_spec(f"{a}x{b}")
+        if spec_order(spec) > 200:
+            continue
+        g = build_group(spec)
+        red = sdim_via_reduction(power_graph(g))
+        assert omega_reduced_group(g) == red.omega_reduced, (a, b)
+        products += 1
+        non_cp += not is_cp_group(g)
+    assert (products, non_cp) == (199, 167)
 
 
 def test_sdim_group_methods_and_values():
