@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Group, bit_matrix, bits, cyclic_masks
+from .groups import Group, bit_matrix, bits, membership_matrix
 
 
 class Disconnected(ValueError):
@@ -128,11 +128,12 @@ class Graph:
 
 def power_graph(g: Group) -> Graph:
     """Vertices are the group elements; x ~ y iff x != y and one generates
-    a cyclic subgroup containing the other.  With m[x, y] true iff y is in
-    <x>, the adjacency is m | m.T without the diagonal.  Cached on the group."""
+    a cyclic subgroup containing the other.  With C = membership_matrix(g),
+    C[x, y] true iff y is in <x>, the adjacency is C | C.T without the
+    diagonal.  Cached on the group."""
     if g._power_graph is None:
-        m = bit_matrix(cyclic_masks(g), g.n)
-        m |= m.T
+        c = membership_matrix(g)
+        m = c | c.T
         np.fill_diagonal(m, False)
         g._power_graph = Graph.from_matrix(m)
     return g._power_graph

@@ -169,8 +169,8 @@ class Symmetric:
     n: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= 6:
-            raise InvalidSpec("symmetric degree must be 1..6")
+        if not 1 <= self.n <= 7:
+            raise InvalidSpec("symmetric degree must be 1..7")
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,8 @@ class Alternating:
     n: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= 6:
-            raise InvalidSpec("alternating degree must be 1..6")
+        if not 1 <= self.n <= 7:
+            raise InvalidSpec("alternating degree must be 1..7")
 
 
 @dataclass(frozen=True)
@@ -328,16 +328,21 @@ class Group:
     """Finite group on elements 0..n-1 with an explicit multiplication table.
 
     The table (rows or an array) is checked, NotAGroup on failure, and kept
-    as lists of ints, table[a][b] = a*b.  Instances are immutable after
-    construction and safe for concurrent reads; derived data (element
-    orders, cyclic subgroups, the chain data, the power graph) is cached
-    lazily.
+    as one read-only numpy array, array[a, b] = a*b, of the narrowest
+    unsigned dtype that holds 0..n-1; an array already of that dtype is
+    kept rather than copied.  Everything derived reads that array; table
+    (lists of ints) and inverse are built on first read.  generators,
+    optional element indices in 0..n-1, are where the associativity check
+    starts: any indices give the same verdict, and a small generating set
+    the fastest check.  Instances are immutable after construction and safe
+    for concurrent reads; derived data (element orders, cyclic subgroups,
+    the chain data, the power graph) is cached lazily.
     """
 
-    __slots__ = ("n", "table", "identity", "inverse", "spec", "_orders",
-                 "_cyclic_masks", "_maximal_family", "_chains", "_power_graph")
+    __slots__ = ("n", "array", "identity", "spec", "_table", "_inverse", "_orders",
+                 "_cyclic_masks", "_membership", "_maximal_family", "_chains", "_power_graph")
 
-    def __init__(self, table, spec: GroupSpec | None = None):
+    def __init__(self, table, spec: GroupSpec | None = None, *, generators=()):
         try:
             t = np.asarray(table)
         except ValueError:  # ragged rows
@@ -345,65 +350,134 @@ class Group:
         n = len(t)
         if n == 0 or t.shape != (n, n):
             raise NotAGroup("multiplication table must be square and nonempty")
+        if not all(0 <= a < n for a in generators):
+            raise ValueError(f"generators must be element indices 0..{n - 1}")
         self.n = n
         self.spec = spec
-        self.table = rows = t.tolist()
-        self.identity = e = _validate_table(t, rows)
-        self.inverse = np.nonzero(t == e)[1].tolist()  # one e per row of a Latin square
+        self.array, self.identity = _validate_table(t, generators)
+        self._table: list[list[int]] | None = None
+        self._inverse: list[int] | None = None
         self._orders: list[int] | None = None
         self._cyclic_masks: list[int] | None = None
+        self._membership: np.ndarray | None = None
         self._maximal_family: MaximalCyclicFamily | None = None
         self._chains: dict[int, tuple[_Chain, ...]] = {}  # by prime, set by _chain_stats
         self._power_graph = None  # graphs.Graph, set by graphs.power_graph
+
+    @property
+    def table(self) -> list[list[int]]:
+        """The table as lists of ints, table[a][b] = a*b."""
+        if self._table is None:
+            self._table = self.array.tolist()
+        return self._table
+
+    @property
+    def inverse(self) -> list[int]:
+        """inverse[x] is the y with x*y = identity."""
+        if self._inverse is None:  # one identity per row of a Latin square
+            self._inverse = np.nonzero(self.array == self.identity)[1].tolist()
+        return self._inverse
 
     def __repr__(self):
         name = spec_string(self.spec) if self.spec is not None else "table"
         return f"<Group {name} order={self.n}>"
 
 
-def _validate_table(t: np.ndarray, rows: list[list[int]]) -> int:
+_BLOCK_ENTRIES = 1 << 18  # entries of an n x n pass taken at once, so temporaries stay in cache
+
+
+def _block_rows(n: int) -> int:
+    return max(1, _BLOCK_ENTRIES // n)
+
+
+def _validate_table(t: np.ndarray, generators=()) -> tuple[np.ndarray, int]:
     """Check Latin square + identity, then associativity by Light's test.
 
-    t and rows hold the same table.  Returns the identity index.  An entry
-    outside int64 makes t an object (or float) array, refused as out of range.
-    Light's test: the a with (x*a)*y == x*(a*y) for all x, y are closed
-    under the product, so checking a generating set proves associativity.
-    Generators are picked greedily, each the smallest element not yet reached
-    by right products from the identity; in a group each one at least
-    doubles the subgroup reached, so more than log2(n) of them is a failure.
+    Returns the table narrowed to the smallest unsigned dtype that holds
+    0..n-1, made read-only, and the identity index.  An entry outside int64
+    makes t an object (or float) array, refused as out of range.
+
+    The Latin square goes _block_rows(n) rows and as many columns at a
+    time, by two scatters into one flat bool buffer: every (row, entry)
+    pair set, which fills the buffer exactly when no row repeats an entry,
+    then every (entry, column) pair cleared, which empties it exactly when
+    no column does.  Light's test: the a with (x*a)*y == x*(a*y) for all
+    x, y are closed under the product, so checking the generators of
+    _spanning_tree (started from generators) proves associativity.
     """
-    n = len(rows)
+    n = len(t)
     if t.dtype.kind not in "iu" or t.min() < 0 or t.max() >= n:
         raise NotAGroup("table entries must be element indices 0..n-1")
-    t = t.astype(np.min_scalar_type(n), copy=False)  # narrow entries: cheaper sorts and gathers
+    t = t.astype(np.min_scalar_type(n), copy=False)  # narrow entries: cheaper scatters and gathers
+    step = _block_rows(n)
+    hit = np.zeros(min(n, step) * n, dtype=bool)
+    for lo in range(0, n, step):
+        r = min(step, n - lo)
+        rows = t[lo:lo + step] + np.arange(0, r * n, n)[:, None]  # (row i, entry c) at i*n + c
+        cols = t[:, lo:lo + step].astype(np.intp)
+        cols *= r
+        cols += np.arange(r)  # (entry c, column j) at c*r + j
+        hit[rows] = True
+        if not hit[:r * n].all():
+            raise NotAGroup("table is not a Latin square")
+        hit[cols] = False
+        if hit.any():
+            raise NotAGroup("table is not a Latin square")
     ar = np.arange(n)
-    if not ((np.sort(t, axis=1) == ar).all() and (np.sort(t, axis=0) == ar[:, None]).all()):
-        raise NotAGroup("table is not a Latin square")
-    identity = None
-    for e in np.nonzero((t == ar).all(axis=1))[0]:
-        if (t[:, e] == ar).all():
-            identity = int(e)
-            break
-    if identity is None:
+    identity = int(np.flatnonzero(t[:, 0] == 0)[0])  # a left identity e has e*0 = 0
+    if not ((t[identity] == ar).all() and (t[:, identity] == ar).all()):
         raise NotAGroup("table has no two-sided identity")
+
+    def column(a: int) -> list[int]:
+        col, row = t[:, a], t[a]
+        for lo in range(0, n, step):
+            if t[col[lo:lo + step]].tobytes() != t[lo:lo + step].take(row, axis=1).tobytes():
+                raise NotAGroup("table is not associative")
+        return col.tolist()
+
+    _spanning_tree(n, identity, column, generators)
+    t.flags.writeable = False
+    return t, identity
+
+
+def _spanning_tree(n: int, identity: int, column, gens=()) -> list[tuple[int, int, int]]:
+    """Breadth-first spanning tree of right multiplication from the identity.
+
+    column(a) returns [x*a for every x], or raises NotAGroup.  The
+    generators are gens, then greedily the smallest element not yet
+    reached; one already reached is skipped.  In a group each generator at
+    least doubles the subgroup reached, so more than log2(n) of them means
+    the table is not associative.  Returns the tree edges (h, g, s) with
+    h = g*s, one per element reached other than the identity, in the order
+    reached, so that g is the identity or an earlier edge's h.
+    """
     seen = [False] * n
     seen[identity] = True
-    reached, gens = [identity], []
-    for a in range(n):
+    reached, edges, cols = [identity], [], []
+    for a in itertools.chain(gens, range(n)):
+        if len(reached) == n:
+            break
         if seen[a]:
             continue
-        if 2 << len(gens) > n or t[t[:, a]].tobytes() != t[:, t[a]].tobytes():
+        if 2 << len(cols) > n:
             raise NotAGroup("table is not associative")
-        gens.append(a)
-        old, i = len(reached), 0  # reached[:old] is closed under the earlier generators
-        while i < len(reached):
-            row = rows[reached[i]]
-            for b in (a,) if i < old else gens:
-                if not seen[row[b]]:
-                    seen[row[b]] = True
-                    reached.append(row[b])
-            i += 1
-    return identity
+        col = column(a)
+        cols.append((a, col))
+        pending = iter(reached)  # also yields what the loops below append
+        for g in itertools.islice(pending, len(reached)):  # closed under the earlier generators
+            h = col[g]
+            if not seen[h]:
+                seen[h] = True
+                reached.append(h)
+                edges.append((h, g, a))
+        for g in pending:
+            for s, c in cols:
+                h = c[g]
+                if not seen[h]:
+                    seen[h] = True
+                    reached.append(h)
+                    edges.append((h, g, s))
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -461,22 +535,29 @@ def _perm_parity_even(p: tuple[int, ...]) -> bool:
 _PERM_BLOCK_BYTES = 1 << 20  # products gathered at once by _perm_table
 
 
-def _perm_table(perms: list[tuple[int, ...]]) -> np.ndarray:
-    """Multiplication table of a list of permutations of 0..k-1, where
-    row a, column b holds the index of a.b, (a.b)(x) = a(b(x)).
+def _perm_table(perms: list[tuple[int, ...]], gens=()) -> np.ndarray:
+    """Multiplication table of a list of distinct permutations of 0..k-1,
+    where row a, column b holds the index of a.b, (a.b)(x) = a(b(x)).
 
     Each permutation is a row padded with fixed points k, k+1, ... to a
     whole number of 8-byte words, and its key is the row's raw bytes: one
     uint64 when the row is one word (degree at most 7), else a void-dtype
-    view.  Rows of the table go in blocks of about _PERM_BLOCK_BYTES of
-    products, so memory stays bounded at any order: per block one gather
-    p[lo:hi][:, p] gives every product a[b] at once, one searchsorted finds
-    their keys among the sorted permutation keys, and one comparison of
-    the keys found with the products checks that the list is closed.
-    Raises NotAGroup when a product is not in the list.
+    view.  A product's index is found by one searchsorted among the sorted
+    keys, in blocks of about _PERM_BLOCK_BYTES of products, and checked
+    against the product.  Only the generators' products are searched: the
+    permutations gens (which must be in the list), then more as
+    _spanning_tree picks them.  Column s lists b.s for every b, which gives
+    the spanning tree; row s lists s.b, and for each tree edge h = g.s,
+    since (g.s).b = g.(s.b), row h is row g gathered by row s (a Schreier
+    vector; Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, ch. 4).  Every element is a product of generators, so the
+    generators' products lying in the list prove it closed.  Raises
+    NotAGroup when a product is not in the list, or a permutation repeats.
     """
     n = len(perms)
-    k = len(perms[0]) if perms else 0
+    if n == 0:
+        return np.empty((0, 0), dtype=np.uint8)
+    k = len(perms[0])
     dtype = np.min_scalar_type(k)
     words = 8 // dtype.itemsize  # points per 8-byte word
     m = (k // words + 1) * words  # at least one fixed point, so keys are never empty
@@ -485,17 +566,36 @@ def _perm_table(perms: list[tuple[int, ...]]) -> np.ndarray:
     p[:, k:] = np.arange(k, m)
     key = np.dtype(np.uint64) if m == words else np.dtype((np.void, m * dtype.itemsize))
     keys = p.view(key).ravel()
-    table = np.empty((n, n), dtype=np.min_scalar_type(n))
-    order = np.argsort(keys).astype(table.dtype)
+    index_type = np.min_scalar_type(n)
+    order = np.argsort(keys).astype(index_type)
     sorted_keys = keys[order]
-    step = max(1, _PERM_BLOCK_BYTES // max(1, n * m * dtype.itemsize))
-    for lo in range(0, n, step):
-        prod = p[lo:lo + step][:, p]  # prod[a, b] = a[b], the product a.b
-        pos = np.searchsorted(sorted_keys, prod.reshape(-1, m).view(key).ravel())
-        block = table[lo:lo + step]
-        order.take(pos, out=block.reshape(-1), mode="clip")  # a key past the last fails below
-        if not np.array_equal(keys[block].view(dtype).reshape(prod.shape), prod):
-            raise NotAGroup("the permutations are not closed under composition")
+    step = max(1, _PERM_BLOCK_BYTES // (m * dtype.itemsize))
+
+    def find(products) -> np.ndarray:
+        """Index of every permutation in products, an (r, m) array."""
+        out = np.empty(len(products), dtype=index_type)
+        for lo in range(0, len(products), step):
+            block = products[lo:lo + step]
+            pos = np.searchsorted(sorted_keys, block.view(key).ravel())
+            found = order.take(pos, out=out[lo:lo + step], mode="clip")  # past the last fails below
+            if p[found].tobytes() != block.tobytes():
+                raise NotAGroup("the permutations are not closed under composition")
+        return out
+
+    ends = np.empty((len(gens) + 1, m), dtype=dtype)  # the identity, then gens, padded
+    ends[:, :k] = [tuple(range(k)), *gens]
+    ends[:, k:] = np.arange(k, m)
+    identity, *start = find(ends).tolist()
+    edges = _spanning_tree(n, identity, lambda s: find(p.take(p[s], axis=1)).tolist(), start)
+    if len(edges) != n - 1:  # only a repeat can stay unreached: its key finds the other copy
+        raise NotAGroup("a permutation is listed twice")
+    table = np.empty((n, n), dtype=index_type)
+    table[identity] = np.arange(n)
+    rows = {}
+    for h, g, s in edges:
+        if s not in rows:
+            rows[s] = find(p[s][p]).astype(np.intp)
+        table[g].take(rows[s], out=table[h])
     return table
 
 
@@ -598,6 +698,26 @@ def _close_permutations(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int
     return elems
 
 
+def _standard_generators(spec: Symmetric | Alternating) -> list[tuple[int, ...]]:
+    """Two generators of S_k, the k-cycle and (0 1), or of A_k, (0 1 2) and
+    the cycle on 0..k-1 (odd k) or on 1..k-1 (even k); none below k = 3,
+    where _perm_table picks its own."""
+    k = spec.n
+    if k < 3:
+        return []
+    if isinstance(spec, Symmetric):
+        return [tuple(range(1, k)) + (0,), (1, 0) + tuple(range(2, k))]
+    lo = k % 2 ^ 1  # the long cycle is even: length k for odd k, k - 1 for even k
+    cycle = tuple(range(lo)) + tuple(range(lo + 1, k)) + (lo,)
+    return [(1, 2, 0) + tuple(range(3, k)), cycle]
+
+
+def _perm_group(perms: list[tuple[int, ...]], gens: list[tuple[int, ...]], spec: GroupSpec) -> Group:
+    """The group of a list of permutations closed under composition, gens
+    among them generating it."""
+    return Group(_perm_table(perms, gens), spec, generators=[perms.index(s) for s in gens])
+
+
 # ---------------------------------------------------------------------------
 # build_group
 
@@ -617,16 +737,14 @@ def build_group(spec: GroupSpec | str, *, closure_cap: int = DEFAULT_CLOSURE_CAP
         return Group(_product_table([_cyclic_table(spec.p)] * spec.k), spec)
     if isinstance(spec, Abelian):
         return Group(_product_table([_cyclic_table(d) for d in spec.invariant_factors]), spec)
-    if isinstance(spec, Symmetric):
-        perms = sorted(itertools.permutations(range(spec.n)))
-        return Group(_perm_table(perms), spec)
-    if isinstance(spec, Alternating):
-        perms = [p for p in sorted(itertools.permutations(range(spec.n)))
-                 if _perm_parity_even(p)]
-        return Group(_perm_table(perms), spec)
+    if isinstance(spec, (Symmetric, Alternating)):
+        perms = sorted(itertools.permutations(range(spec.n)))  # lexicographic numbering
+        if isinstance(spec, Alternating):
+            perms = [p for p in perms if _perm_parity_even(p)]
+        return _perm_group(perms, _standard_generators(spec), spec)
     if isinstance(spec, DirectProduct):
         factors = [build_group(p, closure_cap=closure_cap) for p in spec.parts]
-        return Group(_product_table([f.table for f in factors]), spec)
+        return Group(_product_table([f.array for f in factors]), spec)
     if isinstance(spec, CayleyFile):
         g = Group(_parse_cayley_file(spec.path), spec)
         if g.identity != 0:
@@ -635,7 +753,7 @@ def build_group(spec: GroupSpec | str, *, closure_cap: int = DEFAULT_CLOSURE_CAP
     if isinstance(spec, PermFile):
         gens = _parse_perm_file(spec.path)
         elems = _close_permutations(gens, closure_cap)
-        return Group(_perm_table(elems), spec)
+        return _perm_group(elems, gens, spec)
     raise InvalidSpec(f"unsupported spec: {spec!r}")
 
 
@@ -660,16 +778,26 @@ def element_orders(g: Group) -> list[int]:
 
 def cyclic_masks(g: Group) -> list[int]:
     """Bitmask of the cyclic subgroup <x> for every element x, cached: the
-    group layer's one power walk, which element_orders reads."""
+    group layer's one power walk, which element_orders reads.
+
+    One walk x, x^2, ... per cyclic subgroup, reading the array entry by
+    entry; each power x^j with gcd(j, ord x) = 1 generates the same
+    subgroup and takes its mask without a walk."""
     if g._cyclic_masks is None:
-        table, e = g.table, 1 << g.identity
-        masks = []
+        item, e, gcd = g.array.item, g.identity, math.gcd
+        masks = [0] * g.n
         for x in range(g.n):
-            m, y = e, x
-            while not (m >> y) & 1:
+            if masks[x]:
+                continue
+            powers, m, y = [e], 1 << e, x  # powers[j] = x^j
+            while y != e:
+                powers.append(y)
                 m |= 1 << y
-                y = table[y][x]
-            masks.append(m)
+                y = item(y, x)
+            k = len(powers)
+            for j, y in enumerate(powers):
+                if gcd(j, k) == 1:
+                    masks[y] = m
         g._cyclic_masks = masks
     return g._cyclic_masks
 
@@ -679,8 +807,11 @@ def is_cyclic_group(g: Group) -> bool:
 
 
 def is_abelian_group(g: Group) -> bool:
-    t = g.table
-    return all(t[i][j] == t[j][i] for i in range(g.n) for j in range(i + 1, g.n))
+    """array == array.T, compared a block of rows at a time, so that the
+    first block with a pair that does not commute ends the scan."""
+    t = g.array
+    step = _block_rows(g.n)
+    return all(np.array_equal(t[lo:lo + step], t[:, lo:lo + step].T) for lo in range(0, g.n, step))
 
 
 def group_exponent(g: Group) -> int:
@@ -739,19 +870,32 @@ class MaximalCyclicFamily:
     mixed: tuple[CyclicSubgroup, ...]
 
 
+def membership_matrix(g: Group) -> np.ndarray:
+    """Read-only n x n bool matrix C with C[x, y] true iff y is in <x>: the
+    cyclic masks unpacked, cached on the group for power_graph and
+    maximal_cyclic_subgroups."""
+    if g._membership is None:
+        c = bit_matrix(cyclic_masks(g), g.n)
+        c.flags.writeable = False
+        g._membership = c
+    return g._membership
+
+
 def maximal_cyclic_subgroups(g: Group) -> MaximalCyclicFamily:
     """The inclusion-maximal cyclic subgroups, each once, under its smallest
     generator; cached on the group.
 
-    With C[x, y] true iff y is in <x> (the cyclic masks as a bool matrix),
-    <x> is maximal iff no y has x in <y> but y not in <x>, that is, iff row
-    x of C.T & ~C is all false."""
+    <x> is maximal iff no y of larger order has x in <y>, that is, iff
+    column x of C & (ord(y) > ord(x)) is all false, C = membership_matrix(g)
+    with C[y, x] true iff x is in <y>.  The test reads C down its columns,
+    in memory order, where the same test as row x of C.T & ~C reads it
+    across."""
     if g._maximal_family is not None:
         return g._maximal_family
     masks = cyclic_masks(g)
-    c = bit_matrix(masks, g.n)
+    orders = np.array(element_orders(g))
     first_gen: dict[int, int] = {}
-    for x in np.flatnonzero(~(c.T & ~c).any(1)).tolist():
+    for x in np.flatnonzero(~(membership_matrix(g) & (orders[:, None] > orders)).any(0)).tolist():
         first_gen.setdefault(masks[x], x)
     subs = []
     for m, gen in first_gen.items():

@@ -106,6 +106,26 @@ def brute_perm_table(perms) -> list[list[int]]:
     return [[index[tuple(a[b[i]] for i in range(len(b)))] for b in perms] for a in perms]
 
 
+def ref_cyclic_masks(g) -> list[int]:
+    """Bitmask of <x> for every x by its own power walk x, x^2, ... over the
+    list table, one walk per element: the walk cyclic_masks replaced."""
+    table, e = g.table, 1 << g.identity
+    masks = []
+    for x in range(g.n):
+        m, y = e, x
+        while not (m >> y) & 1:
+            m |= 1 << y
+            y = table[y][x]
+        masks.append(m)
+    return masks
+
+
+def ref_is_abelian(g) -> bool:
+    """table[i][j] == table[j][i] for every pair i < j."""
+    t = g.table
+    return all(t[i][j] == t[j][i] for i in range(g.n) for j in range(i + 1, g.n))
+
+
 def is_associative(table) -> bool:
     """(ab)c == a(bc) for every triple: the O(n^3) definition."""
     n = len(table)

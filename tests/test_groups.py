@@ -65,7 +65,7 @@ def test_parse_spec_round_trips():
 
 def test_parse_spec_rejects_garbage():
     for text in ["", "Z", "zx12", "D7", "D4", "Q6", "Q4", "E4^2", "E2^0",
-                 "Ab[]", "Ab[3,2]", "Ab[1,2]", "S7", "A9", "Z0", "W5"]:
+                 "Ab[]", "Ab[3,2]", "Ab[1,2]", "S8", "A9", "Z0", "W5"]:
         with pytest.raises(InvalidSpec):
             parse_spec(text)
 
@@ -79,7 +79,7 @@ def test_parse_product():
 @pytest.mark.parametrize("cls, args", [
     (Cyclic, (0,)), (Dihedral, (7,)), (Dihedral, (4,)), (GeneralizedQuaternion, (14,)),
     (ElementaryAbelian, (4, 2)), (ElementaryAbelian, (2, 0)), (Abelian, ((),)),
-    (Abelian, ((1, 2),)), (Abelian, ((4, 6),)), (Symmetric, (7,)), (Alternating, (0,)),
+    (Abelian, ((1, 2),)), (Abelian, ((4, 6),)), (Symmetric, (8,)), (Alternating, (0,)),
     (DirectProduct, ((),)), (CayleyFile, ("",)), (PermFile, ("",)),
 ])
 def test_spec_objects_check_their_own_fields(cls, args):
