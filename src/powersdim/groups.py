@@ -424,7 +424,7 @@ def _validate_table(t: np.ndarray, generators=()) -> tuple[np.ndarray, int]:
         if hit.any():
             raise NotAGroup("table is not a Latin square")
     ar = np.arange(n)
-    identity = int(np.flatnonzero(t[:, 0] == 0)[0])  # a left identity e has e*0 = 0
+    identity = int(np.flatnonzero(t[:, 0] == 0)[0])  # the one row with e*0 = 0, as a left identity has
     if not ((t[identity] == ar).all() and (t[:, identity] == ar).all()):
         raise NotAGroup("table has no two-sided identity")
 
@@ -441,7 +441,7 @@ def _validate_table(t: np.ndarray, generators=()) -> tuple[np.ndarray, int]:
 
 
 def _spanning_tree(n: int, identity: int, column, gens=()) -> list[tuple[int, int, int]]:
-    """Breadth-first spanning tree of right multiplication from the identity.
+    """Spanning tree of right multiplication from the identity, grown breadth first.
 
     column(a) returns [x*a for every x], or raises NotAGroup.  The
     generators are gens, then greedily the smallest element not yet
@@ -589,12 +589,10 @@ def _perm_table(perms: list[tuple[int, ...]], gens=()) -> np.ndarray:
     edges = _spanning_tree(n, identity, lambda s: find(p.take(p[s], axis=1)).tolist(), start)
     if len(edges) != n - 1:  # only a repeat can stay unreached: its key finds the other copy
         raise NotAGroup("a permutation is listed twice")
+    rows = {s: find(p[s][p]).astype(np.intp) for s in {s for _, _, s in edges}}
     table = np.empty((n, n), dtype=index_type)
     table[identity] = np.arange(n)
-    rows = {}
     for h, g, s in edges:
-        if s not in rows:
-            rows[s] = find(p[s][p]).astype(np.intp)
         table[g].take(rows[s], out=table[h])
     return table
 
