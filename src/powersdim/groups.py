@@ -532,7 +532,7 @@ def _perm_parity_even(p: tuple[int, ...]) -> bool:
     return transpositions % 2 == 0
 
 
-_PERM_BLOCK_BYTES = 1 << 20  # products gathered at once by _perm_table
+_PERM_BLOCK_BYTES = 1 << 20  # bytes of products _perm_table searches at once
 
 
 def _perm_table(perms: list[tuple[int, ...]], gens=()) -> np.ndarray:
