@@ -5,8 +5,12 @@ bound (MCQ, Tomita & Kameda, J. Global Optim. 37, 2007), searching in
 descending-degree order.  Each vertex's non-neighbour mask is computed once
 per search, so a color class is one AND per vertex; classes too low to
 beat the best clique are colored but not recorded, since the bound would
-reject their vertices at once.  The vertex cover is the complement of a
-maximum clique of the complement graph.  Sized for the few-hundred-vertex
+reject their vertices at once.  The best size starts one below a greedy
+clique's, so below the clique number: the floor prunes only branches that
+cannot reach a maximum clique, and the first maximum clique recorded is the
+one a search from 0 records.  The vertex cover is the complement of a
+maximum clique of the complement graph, searched on the graph's own rows,
+the complement's non-neighbour masks.  Sized for the few-hundred-vertex
 graphs that arise here; exactness is mandatory because downstream
 identities are equalities, not bounds.
 """
@@ -24,19 +28,9 @@ class CliqueResult:
     members: tuple[int, ...]  # sorted ascending
 
 
-def max_clique(graph: Graph) -> CliqueResult:
-    """Exact maximum clique; deterministic for identical input bits.
-
-    The search runs on a relabelled copy of the adjacency, taken as one
-    bool-matrix permutation m[order][:, order] of its rows and columns."""
-    n = graph.n
-    if n == 0:
-        return CliqueResult(0, ())
-    # relabel so lower internal index = higher degree (ties by vertex index)
-    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
-    full = (1 << n) - 1
-    adj = bit_rows(graph.matrix.take(order, 0).take(order, 1))
-    nadj = [full ^ row ^ 1 << v for v, row in enumerate(adj)]  # non-neighbours
+def _search(adj: list[int], nadj: list[int]) -> list[int]:
+    """The first maximum clique found in the graph with rows adj and
+    non-neighbour masks nadj (the vertex itself excluded)."""
 
     def greedy_coloring(cand: int, kmin: int) -> tuple[list[int], list[int]]:
         # greedy coloring: same color class => pairwise non-adjacent, so a
@@ -65,16 +59,22 @@ def max_clique(graph: Graph) -> CliqueResult:
                 bounds.append(color)
         return vs, bounds
 
+    # the floor: a greedy clique of first candidates, less one vertex
+    full = cand = (1 << len(adj)) - 1
+    best_size = -1
+    while cand:
+        best_size += 1
+        cand &= adj[(cand & -cand).bit_length() - 1]
+
     # Depth-first search with an explicit stack, so clique size is not
     # bounded by the interpreter's recursion limit.  At each level the
     # vertices are tried from the last colored down, and the level ends
     # once the color bound cannot beat the best clique found.
-    best_size = 0
     best: list[int] = []
     current: list[int] = []
     stack: list[tuple[int, list[int], list[int], int]] = []
     cand = full
-    vs, bounds = greedy_coloring(cand, 1)
+    vs, bounds = greedy_coloring(cand, best_size + 1)
     i = len(vs) - 1
     while True:
         if i >= 0 and len(current) + bounds[i] > best_size:
@@ -98,12 +98,27 @@ def max_clique(graph: Graph) -> CliqueResult:
         current.pop()
         cand ^= 1 << v
         i -= 1
+    return best
 
-    return CliqueResult(best_size, tuple(sorted(order[v] for v in best)))
+
+def max_clique(graph: Graph) -> CliqueResult:
+    """Exact maximum clique; deterministic for identical input bits.  The
+    search runs on the rows relabelled by descending degree, ties by index,
+    as one bool-matrix permutation m[order][:, order]."""
+    order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
+    adj = bit_rows(graph.matrix.take(order, 0).take(order, 1))
+    full = (1 << graph.n) - 1
+    best = _search(adj, [full ^ row ^ 1 << v for v, row in enumerate(adj)])
+    return CliqueResult(len(best), tuple(sorted(order[v] for v in best)))
 
 
 def min_vertex_cover(graph: Graph) -> list[int]:
-    """Exact minimum vertex cover: the complement of a maximum independent
-    set, found as a maximum clique of the complement graph."""
-    independent = set(max_clique(graph.complement()).members)
+    """Exact minimum vertex cover: the vertices outside a maximum clique of
+    the complement.  Ascending degree, ties by index, is the complement's
+    descending-degree order, and no complement graph is built."""
+    order = sorted(range(graph.n), key=lambda v: (graph.degree(v), v))
+    rows = bit_rows(graph.matrix.take(order, 0).take(order, 1))
+    full = (1 << graph.n) - 1
+    best = _search([full ^ row ^ 1 << v for v, row in enumerate(rows)], rows)
+    independent = {order[v] for v in best}
     return [v for v in range(graph.n) if v not in independent]

@@ -278,15 +278,14 @@ def far_matrix(graph: Graph) -> np.ndarray:
 
 
 def all_pairs(graph: Graph) -> np.ndarray:
-    """n x n distance matrix, cached on the graph, in the smallest unsigned
-    dtype that holds n - 1, so any diameter fits.  With a universal vertex
-    d(u, v) = 2 - A[u, v] for u != v and no search runs; other graphs take
-    the distances of one sweep.  Raises Disconnected when unreachable pairs
-    exist."""
+    """n x n distance matrix, cached on the graph.  With a universal vertex
+    d(u, v) = 2 - A[u, v] for u != v and no search runs; the diameter is at
+    most 2, so the matrix is uint8.  Other graphs take the distances of one
+    sweep, in the smallest unsigned dtype that holds n - 1, so any diameter
+    fits.  Raises Disconnected when unreachable pairs exist."""
     if graph._dist is None:
-        n = graph.n
         if has_universal_vertex(graph):
-            dist = 2 - graph.matrix.astype(np.min_scalar_type(max(n - 1, 0)))
+            dist = 2 - graph.matrix.astype(np.uint8)
             np.fill_diagonal(dist, 0)
             graph._dist = dist
         else:
@@ -359,18 +358,22 @@ def to_edge_list(graph: Graph) -> dict:
     return {"n": graph.n, "edges": [[u, v] for u, v in graph.edges()]}
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: JSON true and false are not vertices."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def from_edge_list(data: dict) -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError('edge-list JSON must be an object with "n" and "edges"')
     n = data["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError('"n" must be a non-negative integer')
     edges = data["edges"]
     if not isinstance(edges, list):
         raise ValueError('"edges" must be an array of [u, v] pairs')
     for e in edges:  # every entry's shape first, then Graph.from_edges's checks
-        if not (isinstance(e, (list, tuple)) and len(e) == 2
-                and isinstance(e[0], int) and isinstance(e[1], int)):
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
             raise ValueError(f"bad edge entry: {e!r}")
     return Graph.from_edges(n, edges)  # duplicates collapse in the bitmask
 

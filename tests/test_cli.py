@@ -127,6 +127,14 @@ def test_oracle_cap_error(capsys):
     assert err.startswith("ERROR:CAP")
 
 
+@pytest.mark.parametrize("payload", ['{"n": true, "edges": []}', '{"n": 2, "edges": [[true, 0]]}'])
+def test_oracle_edge_list_with_a_json_boolean_is_a_parse_error(capsys, tmp_path, payload):
+    path = tmp_path / "bool.json"
+    path.write_text(payload)
+    code, out, err = run(capsys, "oracle", f"edgelist:{path}")
+    assert code == 2 and out == "" and err.startswith("ERROR:PARSE ") and "Traceback" not in err
+
+
 def _fail(*args):
     raise AssertionError("the graph was built although it is over the oracle cap")
 

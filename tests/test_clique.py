@@ -143,3 +143,30 @@ def test_search_equals_the_reference_on_corpus_quotients_and_srgs(spec):
     srg = strong_resolving_graph(graph)
     assert max_clique(srg.complement()) == ref_max_clique(srg.complement())
     assert min_vertex_cover(srg) == ref_min_vertex_cover(srg)
+
+
+# ---------------------------------------------------------------------------
+# An independent oracle: networkx's own exact clique search
+
+
+def _networkx_clique_number(nx, g: Graph) -> int:
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    return nx.max_weight_clique(G, weight=None)[1]
+
+
+def test_clique_number_equals_networkx_on_corpus_quotients():
+    nx = pytest.importorskip("networkx")
+    for spec in CORPUS_SPECS:
+        quotient = reduced_graph(power_graph(build_group(spec))).quotient
+        assert max_clique(quotient).size == _networkx_clique_number(nx, quotient), spec
+
+
+@pytest.mark.parametrize("n", range(20, 61, 4))
+def test_cover_equals_networkx_on_srgs_of_cycles_with_chords(n):
+    nx = pytest.importorskip("networkx")
+    srg = strong_resolving_graph(random_cycle_with_chords(random.Random(n), n, 3 / n))
+    omega = _networkx_clique_number(nx, srg.complement())
+    assert max_clique(srg.complement()).size == omega
+    assert len(min_vertex_cover(srg)) == n - omega

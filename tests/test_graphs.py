@@ -150,7 +150,7 @@ def test_diameter():
 
 
 @given(st.integers(0, 40), st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]), st.integers(0, 2**32))
-@example(n=256, p=0.3, seed=0)  # 257 vertices: a uint16 matrix
+@example(n=256, p=0.3, seed=0)  # 257 vertices: still a uint8 matrix
 @settings(max_examples=50, deadline=None)
 def test_distances_of_a_cone_are_two_minus_adjacency(n, p, seed):
     # p = 0 leaves the base without edges, p = 0.05 mostly disconnected;
@@ -158,7 +158,7 @@ def test_distances_of_a_cone_are_two_minus_adjacency(n, p, seed):
     rng = random.Random(seed)
     g = cone(rng, random_graph(rng, n, p))
     dist = all_pairs(g)
-    assert dist.dtype == np.min_scalar_type(g.n - 1)
+    assert dist.dtype == np.uint8
     assert dist.tolist() == all_pairs_distances(g)
 
 
@@ -341,6 +341,20 @@ def test_edge_list_rejects_bad_payloads():
 def test_edge_list_error_messages(edges, message):
     with pytest.raises(ValueError) as exc:
         from_edge_list({"n": 2, "edges": edges})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"n": True, "edges": []}, '"n" must be a non-negative integer'),
+    ({"n": False, "edges": []}, '"n" must be a non-negative integer'),
+    ({"n": 2, "edges": [[True, 0]]}, "bad edge entry: [True, 0]"),
+    ({"n": 2, "edges": [[0, False]]}, "bad edge entry: [0, False]"),
+    # a bool endpoint is a shape error, found before a loop in an earlier entry
+    ({"n": 2, "edges": [[1, 1], [True, 0]]}, "bad edge entry: [True, 0]"),
+])
+def test_edge_list_rejects_json_booleans(payload, message):
+    with pytest.raises(ValueError) as exc:
+        from_edge_list(json.loads(json.dumps(payload)))
     assert str(exc.value) == message
 
 
