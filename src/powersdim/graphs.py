@@ -358,22 +358,18 @@ def to_edge_list(graph: Graph) -> dict:
     return {"n": graph.n, "edges": [[u, v] for u, v in graph.edges()]}
 
 
-def _is_int(x) -> bool:
-    """An int that is not a bool: JSON true and false are not vertices."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def from_edge_list(data: dict) -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise ValueError('edge-list JSON must be an object with "n" and "edges"')
     n = data["n"]
-    if not _is_int(n) or n < 0:
+    if type(n) is not int or n < 0:  # bool is an int subclass: JSON true is not a count
         raise ValueError('"n" must be a non-negative integer')
     edges = data["edges"]
     if not isinstance(edges, list):
         raise ValueError('"edges" must be an array of [u, v] pairs')
     for e in edges:  # every entry's shape first, then Graph.from_edges's checks
-        if not (isinstance(e, (list, tuple)) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
+        if not (isinstance(e, (list, tuple)) and len(e) == 2
+                and type(e[0]) is int and type(e[1]) is int):  # not bool either
             raise ValueError(f"bad edge entry: {e!r}")
     return Graph.from_edges(n, edges)  # duplicates collapse in the bitmask
 
