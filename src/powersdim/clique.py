@@ -105,7 +105,7 @@ def max_clique(graph: Graph) -> CliqueResult:
     """Exact maximum clique; deterministic for identical input bits.  The
     search runs on the rows relabelled by descending degree, ties by index,
     as one bool-matrix permutation m[order][:, order]."""
-    order = sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
+    order = sorted(range(graph.n), key=lambda v: -graph.degree(v))  # stable: ties by index
     adj = bit_rows(graph.matrix.take(order, 0).take(order, 1))
     full = (1 << graph.n) - 1
     best = _search(adj, [full ^ row ^ 1 << v for v, row in enumerate(adj)])
@@ -116,7 +116,7 @@ def min_vertex_cover(graph: Graph) -> list[int]:
     """Exact minimum vertex cover: the vertices outside a maximum clique of
     the complement.  Ascending degree, ties by index, is the complement's
     descending-degree order, and no complement graph is built."""
-    order = sorted(range(graph.n), key=lambda v: (graph.degree(v), v))
+    order = sorted(range(graph.n), key=graph.degree)  # stable: ties by index
     rows = bit_rows(graph.matrix.take(order, 0).take(order, 1))
     full = (1 << graph.n) - 1
     best = _search([full ^ row ^ 1 << v for v, row in enumerate(rows)], rows)
