@@ -144,11 +144,11 @@ def cmd_compare(args) -> int:
 
 
 _FAMILY_BUILDERS = {
-    # family -> (parameter meaning, spec for parameter value, minimum parameter)
-    "cyclic": ("n (group Z_n)", lambda k: f"Z{k}", 1),
-    "dihedral": ("n (group of order 2n)", lambda k: f"D{2 * k}", 3),
-    "quaternion": ("n (group of order 4n)", lambda k: f"Q{4 * k}", 2),
-    "elementary": ("k (group Z_2^k)", lambda k: f"E2^{k}", 1),
+    # family -> (spec for parameter value, minimum parameter)
+    "cyclic": (lambda k: f"Z{k}", 1),
+    "dihedral": (lambda k: f"D{2 * k}", 3),
+    "quaternion": (lambda k: f"Q{4 * k}", 2),
+    "elementary": (lambda k: f"E2^{k}", 1),
 }
 
 
@@ -162,7 +162,7 @@ def cmd_table(args) -> int:
     if lo > hi:
         _err("PARSE", f"empty range {args.range!r}")
         return EXIT_PARSE
-    _, make_spec, minimum = _FAMILY_BUILDERS[args.family]
+    make_spec, minimum = _FAMILY_BUILDERS[args.family]
     if lo < minimum:
         _err("PARSE", f"family {args.family} needs parameter >= {minimum}")
         return EXIT_PARSE

@@ -532,20 +532,14 @@ def _perm_parity_even(p: tuple[int, ...]) -> bool:
     return transpositions % 2 == 0
 
 
-_PERM_BLOCK_BYTES = 1 << 20  # bytes of products _perm_table searches at once
-
-
 def _perm_table(perms: list[tuple[int, ...]], gens=()) -> np.ndarray:
     """Multiplication table of a list of distinct permutations of 0..k-1,
     where row a, column b holds the index of a.b, (a.b)(x) = a(b(x)).
 
-    Each permutation is a row padded with fixed points k, k+1, ... to a
-    whole number of 8-byte words, and its key is the row's raw bytes: one
-    uint64 when the row is one word (degree at most 7), else a void-dtype
-    view.  A product's index is found by one searchsorted among the sorted
-    keys, in blocks of about _PERM_BLOCK_BYTES of products, and checked
-    against the product.  Only the generators' products are searched: the
-    permutations gens (which must be in the list), then more as
+    Each permutation is a row with one fixed point k appended, so that even
+    the degree-0 identity has a non-empty key, and one dict maps each row's
+    raw bytes to its index.  Only the generators' products are looked up:
+    the permutations gens (which must be in the list), then more as
     _spanning_tree picks them.  Column s lists b.s for every b, which gives
     the spanning tree; row s lists s.b, and for each tree edge h = g.s,
     since (g.s).b = g.(s.b), row h is row g gathered by row s (a Schreier
@@ -558,39 +552,26 @@ def _perm_table(perms: list[tuple[int, ...]], gens=()) -> np.ndarray:
     if n == 0:
         return np.empty((0, 0), dtype=np.uint8)
     k = len(perms[0])
-    dtype = np.min_scalar_type(k)
-    words = 8 // dtype.itemsize  # points per 8-byte word
-    m = (k // words + 1) * words  # at least one fixed point, so keys are never empty
-    p = np.empty((n, m), dtype=dtype)
+    p = np.empty((n, k + 1), dtype=np.min_scalar_type(k))
     p[:, :k] = perms
-    p[:, k:] = np.arange(k, m)
-    key = np.dtype(np.uint64) if m == words else np.dtype((np.void, m * dtype.itemsize))
-    keys = p.view(key).ravel()
-    index_type = np.min_scalar_type(n)
-    order = np.argsort(keys).astype(index_type)
-    sorted_keys = keys[order]
-    step = max(1, _PERM_BLOCK_BYTES // (m * dtype.itemsize))
-
-    def find(products) -> np.ndarray:
-        """Index of every permutation in products, an (r, m) array."""
-        out = np.empty(len(products), dtype=index_type)
-        for lo in range(0, len(products), step):
-            block = products[lo:lo + step]
-            pos = np.searchsorted(sorted_keys, block.view(key).ravel())
-            found = order.take(pos, out=out[lo:lo + step], mode="clip")  # past the last fails below
-            if p[found].tobytes() != block.tobytes():
-                raise NotAGroup("the permutations are not closed under composition")
-        return out
-
-    ends = np.empty((len(gens) + 1, m), dtype=dtype)  # the identity, then gens, padded
-    ends[:, :k] = [tuple(range(k)), *gens]
-    ends[:, k:] = np.arange(k, m)
-    identity, *start = find(ends).tolist()
-    edges = _spanning_tree(n, identity, lambda s: find(p.take(p[s], axis=1)).tolist(), start)
-    if len(edges) != n - 1:  # only a repeat can stay unreached: its key finds the other copy
+    p[:, k] = k
+    key = np.dtype((np.void, p.itemsize * (k + 1)))  # a row's raw bytes, as bytes by tolist()
+    index = {row: i for i, row in enumerate(p.view(key).ravel().tolist())}
+    if len(index) != n:
         raise NotAGroup("a permutation is listed twice")
-    rows = {s: find(p[s][p]).astype(np.intp) for s in {s for _, _, s in edges}}
-    table = np.empty((n, n), dtype=index_type)
+
+    def find(products) -> list[int]:
+        """Index of every permutation in products, an (r, k + 1) array."""
+        try:
+            return list(map(index.__getitem__, products.view(key).ravel().tolist()))
+        except KeyError:
+            raise NotAGroup("the permutations are not closed under composition") from None
+
+    ends = [tuple(range(k + 1)), *((*s, k) for s in gens)]  # the identity, then gens
+    identity, *start = find(np.array(ends, dtype=p.dtype))
+    edges = _spanning_tree(n, identity, lambda s: find(p.take(p[s], axis=1)), start)
+    rows = {s: np.array(find(p[s][p])) for s in {s for _, _, s in edges}}
+    table = np.empty((n, n), dtype=np.min_scalar_type(n))
     table[identity] = np.arange(n)
     for h, g, s in edges:
         table[g].take(rows[s], out=table[h])
@@ -736,7 +717,7 @@ def build_group(spec: GroupSpec | str, *, closure_cap: int = DEFAULT_CLOSURE_CAP
     if isinstance(spec, Abelian):
         return Group(_product_table([_cyclic_table(d) for d in spec.invariant_factors]), spec)
     if isinstance(spec, (Symmetric, Alternating)):
-        perms = sorted(itertools.permutations(range(spec.n)))  # lexicographic numbering
+        perms = list(itertools.permutations(range(spec.n)))  # lexicographic numbering
         if isinstance(spec, Alternating):
             perms = [p for p in perms if _perm_parity_even(p)]
         return _perm_group(perms, _standard_generators(spec), spec)

@@ -201,6 +201,23 @@ def test_sweep_in_several_gather_blocks():
     assert srg_of_sweep(g) == Graph.from_edges(n, [(u, u + 1) for u in range(0, n, 2)])
 
 
+@pytest.mark.parametrize("kind, n", [("chords", n) for n in range(20, 61, 4)]
+                         + [("path", 50), ("cycle", 45)])
+def test_all_pairs_equals_networkx_shortest_paths(kind, n):
+    """The seeded cycle-plus-chords graphs of the networkx cover test, a path
+    and a cycle, against networkx's own breadth-first search."""
+    nx = pytest.importorskip("networkx")
+    g = {"chords": lambda: random_cycle_with_chords(random.Random(n), n, 3 / n),
+         "path": lambda: path_graph(n),
+         "cycle": lambda: Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])}[kind]()
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(g.edges())
+    expected = [[lengths[v] for v in range(n)]
+                for _, lengths in sorted(nx.all_pairs_shortest_path_length(G))]
+    assert all_pairs(g).tolist() == expected
+
+
 @pytest.mark.parametrize("n, edges", [
     (3, [(1, 2)]),                  # isolated first vertex
     (3, [(0, 2)]),                  # isolated middle vertex

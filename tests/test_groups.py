@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from random import Random
 
 import pytest
@@ -542,32 +543,44 @@ def test_product_tables_match_the_loop_builder(spec, factors):
 
 
 # ---------------------------------------------------------------------------
-# The permutation table in blocks of rows
+# The permutation table on long and short byte keys
 
 
-def test_perm_table_of_a_300_cycle_spans_several_blocks(tmp_path):
-    path = tmp_path / "cycle.txt"
+def test_perm_table_of_a_300_cycle_matches_the_cyclic_table(tmp_path):
+    path = tmp_path / "cycle.txt"  # 300 uint16 points and the fixed point: 602-byte keys
     path.write_text("(" + " ".join(str(i) for i in range(1, 301)) + ")\n")
-    row_bytes = 300 * 304 * 2  # 300 products of 304 uint16 points, padded to whole words
-    assert groups_module._PERM_BLOCK_BYTES // row_bytes < 300 // 10  # more than ten blocks
     assert build_group(f"perm:{path}").table == ref_cyclic_table(300)
 
 
+def test_perm_table_of_a_1000_cycle_in_bounded_memory():
+    # raw-byte dict keys peak at about 7.9 MB on this input; tuple keys, one
+    # Python int per point, peak at 34-68 MB
+    gen = tuple(range(1, 1000)) + (0,)
+    elems = groups_module._close_permutations([gen], 1000)
+    tracemalloc.start()
+    try:
+        table = groups_module._perm_table(elems, [gen])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.tolist() == ref_cyclic_table(1000)
+    assert peak < 16 << 20, peak
+
+
 def test_perm_table_with_two_word_keys_matches_composition(tmp_path):
-    path = tmp_path / "d16.txt"  # degree 8: a row and its fixed point fill two words
+    path = tmp_path / "d16.txt"  # degree 8: a row and its fixed point take 9 bytes
     path.write_text("(1 2 3 4 5 6 7 8)\n(1 8)(2 7)(3 6)(4 5)\n")
     elems = groups_module._close_permutations(groups_module._parse_perm_file(str(path)), 100)
     assert (len(elems), len(elems[0])) == (16, 8)
     assert build_group(f"perm:{path}").table == brute_perm_table(elems)
 
 
-def test_perm_table_with_one_row_per_block(monkeypatch):
-    monkeypatch.setattr(groups_module, "_PERM_BLOCK_BYTES", 1)
+def test_perm_table_matches_s4_and_refuses_unclosed_lists_of_degree_3_and_9():
     perms = sorted(itertools.permutations(range(4)))
     assert groups_module._perm_table(perms).tolist() == brute_perm_table(perms)
-    for perms in ([(0, 1, 2), (0, 2, 1), (1, 0, 2)],  # one-word uint64 keys
+    for perms in ([(0, 1, 2), (0, 2, 1), (1, 0, 2)],
                   [tuple(range(9)), (0, 2, 1) + tuple(range(3, 9)),
-                   (1, 0) + tuple(range(2, 9))]):  # two-word void keys
+                   (1, 0) + tuple(range(2, 9))]):
         with pytest.raises(NotAGroup):  # row 0 (the identity) is closed, row 1 is not
             groups_module._perm_table(perms)
 
