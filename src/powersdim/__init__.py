@@ -12,14 +12,14 @@ __version__ = "0.1.0"
 from .clique import CliqueResult, max_clique, min_vertex_cover
 from .corpus import CORPUS_SPECS
 from .graphs import (Disconnected, Graph, ReducedGraph, bfs_distances, diameter,
-                     from_edge_list, graph6_decode, graph6_encode, is_connected,
-                     power_graph, reduced_graph, to_dot, to_edge_list)
+                     from_edge_list, graph6_decode, graph6_encode, power_graph,
+                     reduced_graph, to_dot, to_edge_list)
 from .groups import (Abelian, Alternating, CayleyFile, ChainAnalysis, ClosureTooLarge,
                      Cyclic, CyclicSubgroup, Dihedral, DirectProduct, ElementaryAbelian,
                      GeneralizedQuaternion, Group, GroupSpec, InvalidSpec,
                      MaximalCyclicFamily, NotAGroup, NotAPrimeDivisor, PermFile,
                      PrimeFactorization, Symmetric, alpha_p, build_group, chain_analysis,
-                     element_order, element_orders, factorize, is_abelian_group,
+                     element_orders, factorize, is_abelian_group,
                      is_cp_group, is_cyclic_group, maximal_cyclic_subgroups, parse_spec,
                      sigma, sigma_of, spec_order, spec_string)
 from .sdim import (DEFAULT_ORACLE_CAP, DiameterTooLarge, EmptyFamily,
@@ -35,13 +35,13 @@ __all__ = [
     "ElementaryAbelian", "Abelian", "Symmetric", "Alternating", "DirectProduct",
     "CayleyFile", "PermFile", "PrimeFactorization", "CyclicSubgroup",
     "MaximalCyclicFamily", "ChainAnalysis", "build_group", "parse_spec",
-    "spec_string", "spec_order", "element_order", "element_orders", "maximal_cyclic_subgroups",
+    "spec_string", "spec_order", "element_orders", "maximal_cyclic_subgroups",
     "chain_analysis", "alpha_p", "sigma", "sigma_of", "factorize", "is_cp_group",
     "is_cyclic_group", "is_abelian_group",
     "InvalidSpec", "NotAGroup", "ClosureTooLarge", "NotAPrimeDivisor",
     # graphs
     "Graph", "ReducedGraph", "power_graph", "bfs_distances", "diameter",
-    "is_connected", "reduced_graph", "to_edge_list", "from_edge_list",
+    "reduced_graph", "to_edge_list", "from_edge_list",
     "graph6_encode", "graph6_decode", "to_dot", "Disconnected",
     # clique
     "CliqueResult", "max_clique", "min_vertex_cover",

@@ -49,20 +49,22 @@ def _result_dict(group_name: str, order: int, res: SdimResult,
     }
 
 
-def _print_result(group_name: str, order: int, res: SdimResult, args) -> None:
+def _print_result(group_name: str, order: int, res: SdimResult, args, ms: float) -> None:
     include_witness = getattr(args, "witness", False)
+    result = _result_dict(group_name, order, res, include_witness)
     if args.json:
-        print(json.dumps(_result_dict(group_name, order, res, include_witness)))
+        print(json.dumps(result))
         return
-    print(f"group: {group_name}")
-    print(f"order: {order}")
-    print(f"sdim: {res.value}")
-    print(f"omega_reduced: {res.omega_reduced if res.omega_reduced is not None else '-'}")
-    print(f"method: {res.method.value}")
-    print(f"closed_form: {res.closed_form.value if res.closed_form else '-'}")
-    if include_witness:
-        print(f"witness: {sorted(res.witness) if res.witness is not None else '-'}")
-    print(f"verified: {'true' if res.verified else 'false'}")
+    if not include_witness:
+        del result["witness"]
+    for key, value in result.items():
+        if value is None:
+            value = "-"
+        elif isinstance(value, bool):
+            value = "true" if value else "false"
+        print(f"{key}: {value}")
+    if not args.no_timing:
+        print(f"time_ms: {ms:.1f}")
 
 
 def _load_graph_target(target: str, oracle_cap: int):
@@ -99,10 +101,7 @@ def cmd_compute(args) -> int:
     name = spec_string(g.spec)
     t0 = time.perf_counter()
     res = sdim_group(g, oracle_cap=args.oracle_cap if args.check else 0)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    _print_result(name, g.n, res, args)
-    if not args.json and not args.no_timing:
-        print(f"time_ms: {elapsed:.1f}")
+    _print_result(name, g.n, res, args, (time.perf_counter() - t0) * 1000.0)
     if args.check and not (res.verified and len(res.witness) == res.value):
         _err("MISMATCH", f"witness check failed for {name}")
         return EXIT_MISMATCH
@@ -113,10 +112,7 @@ def cmd_oracle(args) -> int:
     name, graph = _load_graph_target(args.target, args.oracle_cap)
     t0 = time.perf_counter()
     res = sdim_oracle(graph, oracle_cap=args.oracle_cap)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    _print_result(name, graph.n, res, args)
-    if not args.json and not args.no_timing:
-        print(f"time_ms: {elapsed:.1f}")
+    _print_result(name, graph.n, res, args, (time.perf_counter() - t0) * 1000.0)
     return EXIT_OK
 
 

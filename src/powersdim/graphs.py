@@ -147,7 +147,8 @@ def bfs_distances(graph: Graph, source: int) -> list:
     """Exact shortest-path distances from source; math.inf marks unreachable.
 
     Each vertex is visited once: the loop that writes its distance also ORs
-    its row into the set reached by the next layer."""
+    its row into the set reached by the next layer.  Unused in the package,
+    it stays as the sweep's reference: perfbench's tracer counts it by name."""
     n = graph.n
     if not 0 <= source < n:
         raise ValueError(f"vertex {source} out of range")
@@ -165,12 +166,6 @@ def bfs_distances(graph: Graph, source: int) -> list:
             dist[v] = d
             reach |= rows[v]
     return dist
-
-
-def is_connected(graph: Graph) -> bool:
-    if graph.n == 0:
-        return True
-    return math.inf not in bfs_distances(graph, 0)
 
 
 def has_universal_vertex(graph: Graph) -> bool:

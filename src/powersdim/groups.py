@@ -223,29 +223,32 @@ GroupSpec = (
 )
 
 
+# The atom grammar, one row per family: spec class -> (pattern, reader of
+# each matched group into one field, rendering).  parse_spec and spec_string
+# both read it, so a new family is one more row.
+_ATOMS = {
+    Cyclic: (re.compile(r"Z(\d+)"), int, lambda s: f"Z{s.n}"),
+    Abelian: (re.compile(r"Ab\[(\d+(?:,\d+)*)\]"), lambda t: tuple(int(d) for d in t.split(",")),
+              lambda s: "Ab[" + ",".join(str(d) for d in s.invariant_factors) + "]"),
+    Dihedral: (re.compile(r"D(\d+)"), int, lambda s: f"D{s.order}"),
+    GeneralizedQuaternion: (re.compile(r"Q(\d+)"), int, lambda s: f"Q{s.order}"),
+    ElementaryAbelian: (re.compile(r"E(\d+)\^(\d+)"), int, lambda s: f"E{s.p}^{s.k}"),
+    Symmetric: (re.compile(r"S(\d+)"), int, lambda s: f"S{s.n}"),
+    Alternating: (re.compile(r"A(\d+)"), int, lambda s: f"A{s.n}"),
+}
+
+
 def spec_string(spec: GroupSpec) -> str:
     """Canonical spec-grammar rendering, re-parseable by parse_spec."""
-    if isinstance(spec, Cyclic):
-        return f"Z{spec.n}"
-    if isinstance(spec, Dihedral):
-        return f"D{spec.order}"
-    if isinstance(spec, GeneralizedQuaternion):
-        return f"Q{spec.order}"
-    if isinstance(spec, ElementaryAbelian):
-        return f"E{spec.p}^{spec.k}"
-    if isinstance(spec, Abelian):
-        return "Ab[" + ",".join(str(d) for d in spec.invariant_factors) + "]"
-    if isinstance(spec, Symmetric):
-        return f"S{spec.n}"
-    if isinstance(spec, Alternating):
-        return f"A{spec.n}"
     if isinstance(spec, DirectProduct):
         return "x".join(spec_string(p) for p in spec.parts)
     if isinstance(spec, CayleyFile):
         return f"cayley:{spec.path}"
     if isinstance(spec, PermFile):
         return f"perm:{spec.path}"
-    raise TypeError(f"not a GroupSpec: {spec!r}")
+    if type(spec) not in _ATOMS:
+        raise TypeError(f"not a GroupSpec: {spec!r}")
+    return _ATOMS[type(spec)][2](spec)
 
 
 def spec_order(spec: GroupSpec) -> int | None:
@@ -293,30 +296,13 @@ def parse_spec(text: str) -> GroupSpec:
 
 
 def _parse_atom(t: str, full: str) -> GroupSpec:
-    try:
-        m = re.fullmatch(r"Z(\d+)", t)
+    for cls, (pattern, read, _) in _ATOMS.items():
+        m = pattern.fullmatch(t)
         if m:
-            return Cyclic(int(m.group(1)))
-        m = re.fullmatch(r"Ab\[(\d+(?:,\d+)*)\]", t)
-        if m:
-            return Abelian(tuple(int(d) for d in m.group(1).split(",")))
-        m = re.fullmatch(r"D(\d+)", t)
-        if m:
-            return Dihedral(int(m.group(1)))
-        m = re.fullmatch(r"Q(\d+)", t)
-        if m:
-            return GeneralizedQuaternion(int(m.group(1)))
-        m = re.fullmatch(r"E(\d+)\^(\d+)", t)
-        if m:
-            return ElementaryAbelian(int(m.group(1)), int(m.group(2)))
-        m = re.fullmatch(r"S(\d+)", t)
-        if m:
-            return Symmetric(int(m.group(1)))
-        m = re.fullmatch(r"A(\d+)", t)
-        if m:
-            return Alternating(int(m.group(1)))
-    except InvalidSpec as exc:  # the spec's own check, reported against the input
-        raise InvalidSpec(f"{exc} in {full!r}") from None
+            try:
+                return cls(*map(read, m.groups()))
+            except InvalidSpec as exc:  # the spec's own check, reported against the input
+                raise InvalidSpec(f"{exc} in {full!r}") from None
     raise InvalidSpec(f"cannot parse group spec {full!r} (at {t!r})")
 
 
@@ -740,13 +726,6 @@ def build_group(spec: GroupSpec | str, *, closure_cap: int = DEFAULT_CLOSURE_CAP
 # Orders and cyclic subgroups
 
 
-def element_order(g: Group, x: int) -> int:
-    """Least k >= 1 with x^k = identity, read from element_orders."""
-    if not 0 <= x < g.n:
-        raise ValueError(f"element index {x} out of range for order-{g.n} group")
-    return element_orders(g)[x]
-
-
 def element_orders(g: Group) -> list[int]:
     """Orders of all elements, cached on the group: ord(x) = |<x>|, the
     popcount of x's cyclic mask."""
@@ -916,7 +895,6 @@ class ChainAnalysis:
 
     subgroup_index: int
     chain: tuple[CyclicSubgroup, ...]
-    chain_generators: tuple[int, ...]
     s_i: int
     lambda_exp: int
     s_prime: int
@@ -983,11 +961,9 @@ def chain_analysis(g: Group, p: int) -> list[ChainAnalysis]:
         raise NotAPrimeDivisor(f"{p} is not a prime divisor of the group order {g.n}")
     out = []
     for i, c in enumerate(_chain_stats(g, p)):
-        chain = tuple(_subgroup_from_mask(g, m) for m in c.masks)
         out.append(ChainAnalysis(
             subgroup_index=i,
-            chain=chain,
-            chain_generators=tuple(s.generator for s in chain),
+            chain=tuple(_subgroup_from_mask(g, m) for m in c.masks),
             s_i=c.s_i,
             lambda_exp=c.lambda_exp,
             s_prime=c.s_prime,

@@ -432,7 +432,6 @@ def ref_chain_analysis(g, p: int) -> list[ChainAnalysis]:
         out.append(ChainAnalysis(
             subgroup_index=i,
             chain=chain,
-            chain_generators=tuple(c.generator for c in chain),
             s_i=s_i,
             lambda_exp=lambda_exp,
             s_prime=s_prime,

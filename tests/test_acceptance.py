@@ -11,7 +11,7 @@ import pytest
 
 from powersdim import (CORPUS_SPECS, alpha_p, build_group, chain_analysis,
                        classify_n_minus_2, clique_witness_alpha_p,
-                       clique_witness_cyclic, element_order, factorize,
+                       clique_witness_cyclic, element_orders, factorize,
                        is_strong_resolving_set, max_clique, maximal_cyclic_subgroups,
                        power_graph, sdim_group, sdim_oracle, sdim_via_reduction,
                        sigma_of)
@@ -54,8 +54,7 @@ def test_criterion_02_prime_power_extremal(corpus):
     failures = []
     for spec, (g, res) in corpus.items():
         fac = factorize(g.n)
-        is_cyclic_prime_power = (g.n in [element_order(g, x) for x in range(g.n)]
-                                 and len(fac.factors) == 1)
+        is_cyclic_prime_power = g.n in element_orders(g) and len(fac.factors) == 1
         if (res.value == g.n - 1) != is_cyclic_prime_power:
             failures.append(spec)
     _report("criterion 2: sdim = n-1 exactly for the cyclic prime-power corpus groups",

@@ -70,7 +70,7 @@ def dump(spec: str) -> str:
             "alpha_p": alpha_p(g, p),
             "clique_witness_alpha_p": _witness_alpha_p(g, p),
             "chain_analysis": [[a.subgroup_index, [_sub(s) for s in a.chain],
-                                list(a.chain_generators), a.s_i, a.lambda_exp,
+                                [s.generator for s in a.chain], a.s_i, a.lambda_exp,
                                 a.s_prime, a.f_i] for a in chain_analysis(g, p)],
         } for p in primes},
         "classify_n_minus_2": list(classify_n_minus_2(g)),

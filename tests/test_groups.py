@@ -13,7 +13,7 @@ from powersdim import (CORPUS_SPECS, Abelian, Alternating, CayleyFile, ClosureTo
                        Cyclic, Dihedral, DirectProduct, ElementaryAbelian, GeneralizedQuaternion,
                        InvalidSpec, NotAGroup, NotAPrimeDivisor, PermFile, Symmetric,
                        alpha_p, build_group, chain_analysis,
-                       element_order, element_orders, factorize, is_cp_group,
+                       element_orders, factorize, is_cp_group,
                        is_cyclic_group, maximal_cyclic_subgroups, parse_spec, sigma,
                        sigma_of, spec_order, spec_string)
 import powersdim
@@ -25,6 +25,19 @@ from helpers import (brute_perm_table, is_associative, random_loop, ref_alpha_p,
                      ref_maximal_cyclic_subgroups, ref_product_table, ref_quaternion_table,
                      write_cayley_file)
 from powersdim import Group
+
+
+# ---------------------------------------------------------------------------
+# The package's exports
+
+
+def test_package_exports_each_name_once_and_every_one_resolves():
+    names = powersdim.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(powersdim, name) for name in names)
+    namespace = {}
+    exec("from powersdim import *", namespace)
+    assert set(names) <= namespace.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +73,10 @@ def test_sigma_values():
 
 def test_parse_spec_round_trips():
     for text in ["Z12", "D12", "Q8", "E2^3", "Ab[2,6]", "S4", "A5", "Z3xQ8",
-                 "cayley:/tmp/t.txt", "perm:/tmp/p.txt"]:
+                 "cayley:/tmp/t.txt", "perm:/tmp/p.txt",
+                 # every family of the grammar at its bounds
+                 "Z1", "D6", "E3^2", "E2^1", "Ab[2]", "Ab[2,4,8]", "S1", "S7",
+                 "A1", "A7", "Z2xS3xQ8", "Ab[2,2]xE5^1xD8"]:
         assert spec_string(parse_spec(text)) == text
 
 
@@ -120,14 +136,14 @@ def test_dihedral_involution_count():
     # six reflections plus the rotation a^3 plus the identity
     g = build_group("D12")
     assert g.n == 12
-    assert sum(1 for x in range(g.n) if element_order(g, x) <= 2) == 8
+    assert sum(1 for x in range(g.n) if element_orders(g)[x] <= 2) == 8
 
 
 def test_quaternion_structure():
     g = build_group("Q8")
     # y sits at index 2n = 4 and has order 4
-    assert element_order(g, 4) == 4
-    assert sum(1 for x in range(8) if element_order(g, x) == 2) == 1
+    assert element_orders(g)[4] == 4
+    assert sum(1 for x in range(8) if element_orders(g)[x] == 2) == 1
 
 
 def test_symmetric_and_alternating_orders():
@@ -154,9 +170,9 @@ def test_element_order_profiles(spec, orders):
 
 def test_element_order_examples():
     g = build_group("Z6")
-    assert element_order(g, 2) == 3
-    assert element_order(g, 0) == 1
-    assert all(g.n % element_order(g, x) == 0 for x in range(g.n))
+    assert element_orders(g)[2] == 3
+    assert element_orders(g)[0] == 1
+    assert all(g.n % element_orders(g)[x] == 0 for x in range(g.n))
 
 
 def test_group_axioms_hold_for_builtins_up_to_128():
@@ -444,7 +460,7 @@ def test_random_specs_build_valid_groups(spec):
     g = build_group(spec)
     e = g.identity
     assert g.table[e] == list(range(g.n))
-    assert all(g.n % element_order(g, x) == 0 for x in range(g.n))
+    assert all(g.n % element_orders(g)[x] == 0 for x in range(g.n))
     fam = maximal_cyclic_subgroups(g)
     assert set().union(*(set(s.elements) for s in fam.all)) == set(range(g.n))
 
@@ -567,7 +583,7 @@ def test_perm_table_of_a_1000_cycle_in_bounded_memory():
     assert peak < 16 << 20, peak
 
 
-def test_perm_table_with_two_word_keys_matches_composition(tmp_path):
+def test_degree_8_perm_table_matches_composition(tmp_path):
     path = tmp_path / "d16.txt"  # degree 8: a row and its fixed point take 9 bytes
     path.write_text("(1 2 3 4 5 6 7 8)\n(1 8)(2 7)(3 6)(4 5)\n")
     elems = groups_module._close_permutations(groups_module._parse_perm_file(str(path)), 100)

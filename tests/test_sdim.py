@@ -14,7 +14,7 @@ import powersdim.sdim as sdim_module
 from powersdim import (CORPUS_SPECS, DiameterTooLarge, Disconnected, EmptyFamily, Graph,
                        InternalInconsistency, Method, OracleCapExceeded, alpha_p,
                        build_group, classify_n_minus_2, clique_witness_alpha_p,
-                       clique_witness_cyclic, diameter, element_order, factorize,
+                       clique_witness_cyclic, diameter, element_orders, factorize,
                        from_edge_list, is_cp_group, is_strong_resolving_set,
                        maximal_cyclic_subgroups, parse_spec, spec_order,
                        omega_reduced_group, power_graph, reduced_graph, sdim_group,
@@ -395,7 +395,7 @@ def test_clique_witness_cyclic_is_nontwin_clique():
         g = power_graph(grp)
         orders, elements = clique_witness_cyclic(n)
         assert len(elements) == sigma_of(n)
-        assert [element_order(grp, e) for e in elements] == orders
+        assert [element_orders(grp)[e] for e in elements] == orders
         assert all(b % a == 0 for a, b in zip(orders, orders[1:]))
         assert is_clique(g, elements)
         assert pairwise_distinct_closed_neighborhoods(g, elements)
