@@ -6,7 +6,7 @@ Z3xQ8, cayley:<path>, perm:<path>); the oracle command also accepts
 edgelist:<path> (edge-list JSON) and graph6:<path> graph files.
 
 Errors go to stderr with greppable prefixes: ERROR:PARSE (exit 2),
-ERROR:MISMATCH (exit 3), ERROR:CAP (exit 2).
+ERROR:MISMATCH (exit 3), ERROR:CAP (exit 2; also when memory runs out).
 """
 
 from __future__ import annotations
@@ -167,7 +167,10 @@ def cmd_table(args) -> int:
         g = build_group(make_spec(k))
         res = sdim_group(g)
         rows.append((k, g.n, res.value, res.omega_reduced, res.method.value))
-    if args.csv:
+    if args.json:
+        keys = ("param", "order", "sdim", "omega_reduced", "method")
+        print(json.dumps([dict(zip(keys, row)) for row in rows]))
+    elif args.csv:
         print("param,order,sdim,omega_reduced,method")
         for row in rows:
             print(",".join(str(x) for x in row))
@@ -180,16 +183,9 @@ def cmd_table(args) -> int:
 
 def cmd_witness(args) -> int:
     g = build_group(args.spec)
-    name = spec_string(g.spec)
+    t0 = time.perf_counter()
     res = sdim_group(g)
-    if args.json:
-        print(json.dumps(_result_dict(name, g.n, res, include_witness=True)))
-        return EXIT_OK
-    witness = sorted(res.witness)
-    print(f"group: {name}")
-    print(f"sdim: {res.value}")
-    print(f"witness ({len(witness)} elements): {witness}")
-    print(f"verified: {'true' if res.verified else 'false'}")
+    _print_result(spec_string(g.spec), g.n, res, args, (time.perf_counter() - t0) * 1000.0)
     return EXIT_OK
 
 
@@ -288,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="print a verified minimum witness set")
     p.add_argument("spec")
     _add_common(p)
-    p.set_defaults(func=cmd_witness)
+    p.set_defaults(func=cmd_witness, witness=True)  # printed always, with no flag
 
     p = sub.add_parser("classify", help="test whether sdim equals n-2, with the class")
     p.add_argument("spec")
@@ -323,6 +319,9 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInconsistency as exc:
         _err("MISMATCH", str(exc))
         return EXIT_MISMATCH
+    except MemoryError as exc:  # an input too large for this machine's memory
+        _err("CAP", f"out of memory: {str(exc) or type(exc).__name__}")
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -101,10 +101,12 @@ def _search(adj: list[int], nadj: list[int]) -> list[int]:
     return best
 
 
-def _relabel(graph: Graph, key) -> tuple[list[int], list[int], list[int]]:
-    """(order, rows, non-neighbour masks) of graph relabelled by key, ties by
-    index, as one bool-matrix permutation m[order][:, order]."""
-    order = sorted(range(graph.n), key=key)  # stable: ties by index
+def _relabel(graph: Graph, descending: bool) -> tuple[list[int], list[int], list[int]]:
+    """(order, rows, non-neighbour masks) of graph relabelled by degree,
+    ascending or descending, ties by index, as one bool-matrix permutation
+    m[order][:, order]."""
+    deg = (-graph.matrix.sum(1) if descending else graph.matrix.sum(1)).tolist()
+    order = sorted(range(graph.n), key=deg.__getitem__)  # stable: ties by index
     rows = bit_rows(graph.matrix.take(order, 0).take(order, 1))
     full = (1 << graph.n) - 1
     return order, rows, [full ^ row ^ 1 << v for v, row in enumerate(rows)]
@@ -113,7 +115,7 @@ def _relabel(graph: Graph, key) -> tuple[list[int], list[int], list[int]]:
 def max_clique(graph: Graph) -> CliqueResult:
     """Exact maximum clique; deterministic for identical input bits.  The
     search runs on the rows relabelled by descending degree, ties by index."""
-    order, adj, nadj = _relabel(graph, lambda v: -graph.degree(v))
+    order, adj, nadj = _relabel(graph, descending=True)
     best = _search(adj, nadj)
     return CliqueResult(len(best), tuple(sorted(order[v] for v in best)))
 
@@ -122,6 +124,6 @@ def min_vertex_cover(graph: Graph) -> list[int]:
     """Exact minimum vertex cover: the vertices outside a maximum clique of
     the complement.  Ascending degree, ties by index, is the complement's
     descending-degree order, and no complement graph is built."""
-    order, rows, nrows = _relabel(graph, graph.degree)
+    order, rows, nrows = _relabel(graph, descending=False)
     independent = {order[v] for v in _search(nrows, rows)}
     return [v for v in range(graph.n) if v not in independent]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import Group, bit_matrix, bits, membership_matrix
+from .groups import Group, _cached, bit_matrix, bits, membership_matrix
 
 
 class Disconnected(ValueError):
@@ -30,16 +30,16 @@ def bit_rows(m: np.ndarray) -> list[int]:
 class Graph:
     """Simple undirected graph on vertices 0..n-1; row v is the neighbor bitmask.
 
-    matrix is the same adjacency as a read-only n x n bool array, kept
-    beside the rows.  Graph(n, rows) checks each row's range in order, then
-    builds the matrix; Graph.from_matrix(m) keeps m and derives the rows.
-    Either way one check runs on the matrix: no loop on the diagonal, then
-    symmetry, as one comparison with its transpose.  Instances are immutable
-    after construction: rows must not be changed, because derived data (the
-    distance matrix and the sweep's far matrix) is cached lazily.
+    matrix, a read-only n x n bool array, is the one stored adjacency; the
+    rows are derived from it on first read.  Graph(n, rows) checks each
+    row's range in order, builds the matrix and keeps the rows as derived;
+    Graph.from_matrix(m) keeps m.  Either way one check runs on the matrix:
+    no loop on the diagonal, then symmetry, as one comparison with its
+    transpose.  Instances are immutable after construction; derived data
+    (the rows, distances, sweep and twin quotient) is cached by _cached.
     """
 
-    __slots__ = ("n", "rows", "matrix", "_dist", "_far")
+    __slots__ = ("n", "matrix", "_cache")
 
     def __init__(self, n: int, rows: list[int] | None = None):
         if n < 0:
@@ -51,7 +51,8 @@ class Graph:
         for u, row in enumerate(rows):
             if row >> n:
                 raise ValueError(f"row {u} references vertices >= {n}")
-        self._adopt(bit_matrix(rows, n), list(rows))
+        self._adopt(bit_matrix(rows, n))
+        self._cache["rows"] = list(rows)  # the rows property's entry, under its name
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "Graph":
@@ -60,10 +61,10 @@ class Graph:
         if m.dtype != bool or m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("adjacency must be a square bool matrix")
         graph = cls.__new__(cls)
-        graph._adopt(m, bit_rows(m))
+        graph._adopt(m)
         return graph
 
-    def _adopt(self, m: np.ndarray, rows: list[int]) -> None:
+    def _adopt(self, m: np.ndarray) -> None:
         """The one adjacency check, shared by both constructors."""
         loops = np.flatnonzero(m.diagonal())
         if len(loops):
@@ -72,9 +73,14 @@ class Graph:
             raise ValueError("adjacency is not symmetric")
         m.flags.writeable = False
         self.n = len(m)
-        self.rows = rows
         self.matrix = m
-        self._dist = self._far = None
+        self._cache = {}
+
+    @property
+    @_cached
+    def rows(self) -> list[int]:
+        """Row v is the neighbour bitmask of v: bit_rows of the matrix."""
+        return bit_rows(self.matrix)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -98,7 +104,7 @@ class Graph:
         return self.rows[v] | (1 << v)
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
+        return int(np.count_nonzero(self.matrix)) // 2
 
     def edges(self):
         """Yield edges (u, v) with u < v, in ascending order."""
@@ -126,17 +132,16 @@ class Graph:
 # Power graph
 
 
+@_cached
 def power_graph(g: Group) -> Graph:
     """Vertices are the group elements; x ~ y iff x != y and one generates
     a cyclic subgroup containing the other.  With C = membership_matrix(g),
     C[x, y] true iff y is in <x>, the adjacency is C | C.T without the
     diagonal.  Cached on the group."""
-    if g._power_graph is None:
-        c = membership_matrix(g)
-        m = c | c.T
-        np.fill_diagonal(m, False)
-        g._power_graph = Graph.from_matrix(m)
-    return g._power_graph
+    c = membership_matrix(g)
+    m = c | c.T
+    np.fill_diagonal(m, False)
+    return Graph.from_matrix(m)
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +196,15 @@ def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
 
 
+@_cached
 def sweep(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Breadth-first search from every source at once: (dist, far).
+    """Breadth-first search from every source at once: (dist, far), cached.
 
     dist is the n x n distance matrix in the smallest unsigned dtype that
-    holds n - 1; it fills the graph's distance cache when that is empty, so
-    all_pairs after any sweep of the graph reads the cache.  far[v, s] is
-    true iff v has a neighbour one layer farther from s than v is, that is,
-    iff v is not maximally distant from s; it is kept read-only on the
-    graph for far_matrix.
+    holds n - 1, which all_pairs reads off diameter 2.  far[v, s] is true
+    iff v has a neighbour one layer farther from s than v is, that is, iff
+    v is not maximally distant from s; it is read-only, for the strong
+    resolving graph.
 
     Row v of each working array is a set of sources, packed as uint64
     words.  A layer is one gather of the frontier over the neighbour lists
@@ -258,34 +263,21 @@ def sweep(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
         dist |= _unpack(plane, n).astype(dist.dtype) << k
     far = _unpack(far, n)
     far.flags.writeable = False
-    if graph._dist is None:
-        graph._dist = dist
-    graph._far = far
     return dist, far
 
 
-def far_matrix(graph: Graph) -> np.ndarray:
-    """The far matrix of sweep, cached on the graph: the sweep behind
-    all_pairs keeps it too, so a graph is swept at most once."""
-    if graph._far is None:
-        sweep(graph)
-    return graph._far
-
-
+@_cached
 def all_pairs(graph: Graph) -> np.ndarray:
     """n x n distance matrix, cached on the graph.  With a universal vertex
     d(u, v) = 2 - A[u, v] for u != v and no search runs; the diameter is at
-    most 2, so the matrix is uint8.  Other graphs take the distances of one
-    sweep, in the smallest unsigned dtype that holds n - 1, so any diameter
-    fits.  Raises Disconnected when unreachable pairs exist."""
-    if graph._dist is None:
-        if has_universal_vertex(graph):
-            dist = 2 - graph.matrix.astype(np.uint8)
-            np.fill_diagonal(dist, 0)
-            graph._dist = dist
-        else:
-            sweep(graph)
-    return graph._dist
+    most 2, so the matrix is uint8.  Other graphs take the distances of the
+    one sweep, in the smallest unsigned dtype that holds n - 1, so any
+    diameter fits.  Raises Disconnected when unreachable pairs exist."""
+    if not has_universal_vertex(graph):
+        return sweep(graph)[0]
+    dist = 2 - graph.matrix.astype(np.uint8)
+    np.fill_diagonal(dist, 0)
+    return dist
 
 
 def diameter(graph: Graph) -> int:
@@ -305,7 +297,7 @@ class ReducedGraph:
 
     representatives[c] is the smallest vertex of class c; class_of maps each
     vertex to its class id; quotient joins two classes when their
-    representatives are adjacent in the base graph.
+    representatives are adjacent in the base graph.  Cached: do not change it.
     """
 
     base: Graph
@@ -320,10 +312,12 @@ class ReducedGraph:
         return members
 
 
-def _twin_classes(graph: Graph) -> tuple[list[int], list[int]]:
-    """(representatives, class_of) of the closed-twin classes: vertices are
-    grouped by their closed neighbourhood row | 1 << v (a dict lookup gives
-    hash-then-exact-equality), each class represented by its smallest vertex."""
+@_cached
+def reduced_graph(graph: Graph) -> ReducedGraph:
+    """Closed-twin classes with the smallest vertex as representative, cached
+    on the graph: vertices are grouped by their closed neighbourhood
+    row | 1 << v (a dict lookup gives hash-then-exact-equality).  The
+    quotient is the adjacency matrix restricted to the representatives."""
     class_ids: dict[int, int] = {}
     representatives: list[int] = []
     class_of = []
@@ -332,13 +326,6 @@ def _twin_classes(graph: Graph) -> tuple[list[int], list[int]]:
         if cid == len(representatives):
             representatives.append(v)
         class_of.append(cid)
-    return representatives, class_of
-
-
-def reduced_graph(graph: Graph) -> ReducedGraph:
-    """Closed-twin classes with the smallest vertex as representative; the
-    quotient is the adjacency matrix restricted to the representatives."""
-    representatives, class_of = _twin_classes(graph)
     quotient = Graph.from_matrix(graph.matrix.take(representatives, 0)
                                  .take(representatives, 1))
     return ReducedGraph(graph, representatives, class_of, quotient)

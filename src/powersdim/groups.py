@@ -12,6 +12,7 @@ like built-in ones.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -310,6 +311,24 @@ def _parse_atom(t: str, full: str) -> GroupSpec:
 # The Group type
 
 
+def _cached(f):
+    """Decorator for what a Group or a Graph derives: f(obj, *args) runs the
+    first time it is asked for, and its result is kept in obj._cache, the
+    one cache slot, under f's name and args.  A call that raises keeps nothing."""
+    name = f.__name__
+
+    @functools.wraps(f)
+    def cached(obj, *args):
+        key = (name, *args) if args else name
+        try:
+            return obj._cache[key]
+        except KeyError:
+            value = obj._cache[key] = f(obj, *args)
+            return value
+
+    return cached
+
+
 class Group:
     """Finite group on elements 0..n-1 with an explicit multiplication table.
 
@@ -322,11 +341,10 @@ class Group:
     starts: any indices give the same verdict, and a small generating set
     the fastest check.  Instances are immutable after construction and safe
     for concurrent reads; derived data (element orders, cyclic subgroups,
-    the chain data, the power graph) is cached lazily.
+    the chain data, the power graph) is cached lazily by _cached.
     """
 
-    __slots__ = ("n", "array", "identity", "spec", "_table", "_inverse", "_orders",
-                 "_cyclic_masks", "_membership", "_maximal_family", "_chains", "_power_graph")
+    __slots__ = ("n", "array", "identity", "spec", "_cache")
 
     def __init__(self, table, spec: GroupSpec | None = None, *, generators=()):
         try:
@@ -341,28 +359,19 @@ class Group:
         self.n = n
         self.spec = spec
         self.array, self.identity = _validate_table(t, generators)
-        self._table: list[list[int]] | None = None
-        self._inverse: list[int] | None = None
-        self._orders: list[int] | None = None
-        self._cyclic_masks: list[int] | None = None
-        self._membership: np.ndarray | None = None
-        self._maximal_family: MaximalCyclicFamily | None = None
-        self._chains: dict[int, tuple[_Chain, ...]] = {}  # by prime, set by _chain_stats
-        self._power_graph = None  # graphs.Graph, set by graphs.power_graph
+        self._cache: dict = {}  # filled by _cached
 
     @property
+    @_cached
     def table(self) -> list[list[int]]:
         """The table as lists of ints, table[a][b] = a*b."""
-        if self._table is None:
-            self._table = self.array.tolist()
-        return self._table
+        return self.array.tolist()
 
     @property
+    @_cached
     def inverse(self) -> list[int]:
-        """inverse[x] is the y with x*y = identity."""
-        if self._inverse is None:  # one identity per row of a Latin square
-            self._inverse = np.nonzero(self.array == self.identity)[1].tolist()
-        return self._inverse
+        """inverse[x] is the y with x*y = identity, one per row of a Latin square."""
+        return np.nonzero(self.array == self.identity)[1].tolist()
 
     def __repr__(self):
         name = spec_string(self.spec) if self.spec is not None else "table"
@@ -726,14 +735,14 @@ def build_group(spec: GroupSpec | str, *, closure_cap: int = DEFAULT_CLOSURE_CAP
 # Orders and cyclic subgroups
 
 
+@_cached
 def element_orders(g: Group) -> list[int]:
     """Orders of all elements, cached on the group: ord(x) = |<x>|, the
     popcount of x's cyclic mask."""
-    if g._orders is None:
-        g._orders = [m.bit_count() for m in cyclic_masks(g)]
-    return g._orders
+    return [m.bit_count() for m in cyclic_masks(g)]
 
 
+@_cached
 def cyclic_masks(g: Group) -> list[int]:
     """Bitmask of the cyclic subgroup <x> for every element x, cached: the
     group layer's one power walk, which element_orders reads.
@@ -741,23 +750,21 @@ def cyclic_masks(g: Group) -> list[int]:
     One walk x, x^2, ... per cyclic subgroup, reading the array entry by
     entry; each power x^j with gcd(j, ord x) = 1 generates the same
     subgroup and takes its mask without a walk."""
-    if g._cyclic_masks is None:
-        item, e, gcd = g.array.item, g.identity, math.gcd
-        masks = [0] * g.n
-        for x in range(g.n):
-            if masks[x]:
-                continue
-            powers, m, y = [e], 1 << e, x  # powers[j] = x^j
-            while y != e:
-                powers.append(y)
-                m |= 1 << y
-                y = item(y, x)
-            k = len(powers)
-            for j, y in enumerate(powers):
-                if gcd(j, k) == 1:
-                    masks[y] = m
-        g._cyclic_masks = masks
-    return g._cyclic_masks
+    item, e, gcd = g.array.item, g.identity, math.gcd
+    masks = [0] * g.n
+    for x in range(g.n):
+        if masks[x]:
+            continue
+        powers, m, y = [e], 1 << e, x  # powers[j] = x^j
+        while y != e:
+            powers.append(y)
+            m |= 1 << y
+            y = item(y, x)
+        k = len(powers)
+        for j, y in enumerate(powers):
+            if gcd(j, k) == 1:
+                masks[y] = m
+    return masks
 
 
 def is_cyclic_group(g: Group) -> bool:
@@ -828,17 +835,17 @@ class MaximalCyclicFamily:
     mixed: tuple[CyclicSubgroup, ...]
 
 
+@_cached
 def membership_matrix(g: Group) -> np.ndarray:
     """Read-only n x n bool matrix C with C[x, y] true iff y is in <x>: the
     cyclic masks unpacked, cached on the group for power_graph and
     maximal_cyclic_subgroups."""
-    if g._membership is None:
-        c = bit_matrix(cyclic_masks(g), g.n)
-        c.flags.writeable = False
-        g._membership = c
-    return g._membership
+    c = bit_matrix(cyclic_masks(g), g.n)
+    c.flags.writeable = False
+    return c
 
 
+@_cached
 def maximal_cyclic_subgroups(g: Group) -> MaximalCyclicFamily:
     """The inclusion-maximal cyclic subgroups, each once, under its smallest
     generator; cached on the group.
@@ -848,8 +855,6 @@ def maximal_cyclic_subgroups(g: Group) -> MaximalCyclicFamily:
     with C[y, x] true iff x is in <y>.  The test reads C down its columns,
     in memory order, where the same test as row x of C.T & ~C reads it
     across."""
-    if g._maximal_family is not None:
-        return g._maximal_family
     masks = cyclic_masks(g)
     orders = np.array(element_orders(g))
     first_gen: dict[int, int] = {}
@@ -868,13 +873,11 @@ def maximal_cyclic_subgroups(g: Group) -> MaximalCyclicFamily:
             by_prime.setdefault(factors[s.order][0][0], []).append(s)
         else:
             mixed.append(s)
-    fam = MaximalCyclicFamily(
+    return MaximalCyclicFamily(
         all=tuple(subs),
         by_prime={p: tuple(v) for p, v in sorted(by_prime.items())},
         mixed=tuple(mixed),
     )
-    g._maximal_family = fam
-    return fam
 
 
 # ---------------------------------------------------------------------------
@@ -921,6 +924,7 @@ def _exact_log(base: int, value: int) -> int:
     return e
 
 
+@_cached
 def _chain_stats(g: Group, p: int) -> tuple[_Chain, ...]:
     """The chain data of every maximal cyclic p-subgroup, in family order,
     from masks and popcounts alone; cached on the group per prime p, which
@@ -930,8 +934,6 @@ def _chain_stats(g: Group, p: int) -> tuple[_Chain, ...]:
     of the cyclic p-group M_i, and those form a chain, so the largest
     |M_i & O| over the O of non-p-power order is |M_i & U|, U the union of
     those O."""
-    if p in g._chains:
-        return g._chains[p]
     fam = maximal_cyclic_subgroups(g)
     masks = cyclic_masks(g)
     mp_masks = [masks[s.generator] for s in fam.by_prime.get(p, ())]
@@ -951,8 +953,7 @@ def _chain_stats(g: Group, p: int) -> tuple[_Chain, ...]:
         s_prime = next(u for u, c in enumerate(inter, 1) if c.bit_count() > threshold)
         out.append(_Chain(tuple(inter), len(inter), lambda_exp, s_prime,
                           _exact_log(p, mi.bit_count())))
-    g._chains[p] = chains = tuple(out)
-    return chains
+    return tuple(out)
 
 
 def chain_analysis(g: Group, p: int) -> list[ChainAnalysis]:

@@ -19,8 +19,8 @@ import numpy as np
 from . import groups as gr
 from .groups import InternalInconsistency
 from .clique import max_clique, min_vertex_cover
-from .graphs import (Graph, _twin_classes, all_pairs, diameter, far_matrix,
-                     has_universal_vertex, power_graph, reduced_graph)
+from .graphs import (Graph, all_pairs, diameter, has_universal_vertex, power_graph,
+                     reduced_graph, sweep)
 
 DEFAULT_ORACLE_CAP = 200
 
@@ -105,17 +105,17 @@ def strong_resolving_graph(graph: Graph) -> Graph:
 
     With a universal vertex the diameter is at most 2: a pair at distance 2
     is always joined, and adjacent u, v are joined iff N[u] = N[v], so the
-    edges are read from the cached 2 - A and the closed-twin classes.  Any
-    other graph reads the far matrix of its one sweep (which a diameter
-    call may already have run): far[v, u] says that v is not maximally
-    distant from u, and u and v are joined iff neither far[u, v] nor
-    far[v, u]."""
+    edges are read from the cached 2 - A and the cached closed-twin classes
+    of reduced_graph.  Any other graph reads the far matrix of its one
+    sweep (which a diameter call may already have run): far[v, u] says
+    that v is not maximally distant from u, and u and v are joined iff
+    neither far[u, v] nor far[v, u]."""
     if has_universal_vertex(graph):
         srg = all_pairs(graph) == 2
-        class_of = np.array(_twin_classes(graph)[1])
+        class_of = np.array(reduced_graph(graph).class_of)
         srg |= class_of[:, None] == class_of
     else:
-        far = far_matrix(graph)
+        far = sweep(graph)[1]
         srg = ~(far | far.T)
     np.fill_diagonal(srg, False)
     return Graph.from_matrix(srg)

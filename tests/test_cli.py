@@ -207,19 +207,17 @@ def test_compare_exits_3_when_methods_disagree(capsys, monkeypatch):
 
 
 def test_a_family_that_is_not_a_chain_exits_3_without_a_traceback(capsys, monkeypatch):
-    def with_a_non_chain(spec):
+    def with_a_non_chain(g):
         # lists <x> of order 6 among the 2-subgroups next to <x^3> and <x^2>,
         # whose intersections with <x>, of orders 2 and 3, are not nested
-        g = build_group(spec)
         x = element_orders(g).index(6)
         x2 = g.table[x][x]
         sub = [groups_module._subgroup_from_mask(g, groups_module.cyclic_masks(g)[y])
                for y in (x, g.table[x2][x], x2)]
         fam = maximal_cyclic_subgroups(g)
-        g._maximal_family = replace(fam, by_prime={**fam.by_prime, 2: tuple(sub)})
-        return g
+        return replace(fam, by_prime={**fam.by_prime, 2: tuple(sub)})
 
-    monkeypatch.setattr(cli_module, "build_group", with_a_non_chain)
+    monkeypatch.setattr(groups_module, "maximal_cyclic_subgroups", with_a_non_chain)
     code, out, err = run(capsys, "compare", "Z2xS3", "--no-timing")
     assert code == 3 and err == "ERROR:MISMATCH intersections do not form a chain\n"
     assert "Traceback" not in out + err
@@ -266,6 +264,22 @@ def test_table_quaternion(capsys):
         assert int(value) == int(order) - 1 - sigma_of(2 * int(k))
 
 
+def test_table_json_is_one_array_of_the_csv_rows(capsys):
+    code, out, err = run(capsys, "table", "--family", "cyclic", "--range", "2..4", "--json")
+    assert code == 0 and not err
+    assert json.loads(out) == [
+        {"param": 2, "order": 2, "sdim": 1, "omega_reduced": 1,
+         "method": "ClosedFormCyclicPrimePower"},
+        {"param": 3, "order": 3, "sdim": 2, "omega_reduced": 1,
+         "method": "ClosedFormCyclicPrimePower"},
+        {"param": 4, "order": 4, "sdim": 3, "omega_reduced": 1,
+         "method": "ClosedFormCyclicPrimePower"},
+    ]
+    code, csv, err = run(capsys, "table", "--family", "cyclic", "--range", "2..4", "--csv")
+    assert csv.splitlines()[1:] == [",".join(str(v) for v in row.values())
+                                    for row in json.loads(out)]
+
+
 def test_table_bad_range(capsys):
     code, out, err = run(capsys, "table", "--family", "cyclic", "--range", "12..2")
     assert code == 2 and err.startswith("ERROR:PARSE")
@@ -283,6 +297,16 @@ def test_witness_command(capsys):
     payload = json.loads(out)
     assert len(payload["witness"]) == payload["sdim"] == 9
     assert payload["verified"] is True
+
+
+def test_witness_text_has_the_keys_of_compute(capsys):
+    code, out, err = run(capsys, "witness", "D12", "--no-timing")
+    assert code == 0 and not err
+    code, computed, err = run(capsys, "compute", "D12", "--witness", "--no-timing")
+    assert out == computed
+    assert "witness: [2, 4, 5, 6, 7, 8, 9, 10, 11]\n" in out and "verified: true\n" in out
+    code, out, err = run(capsys, "witness", "D12")
+    assert out.splitlines()[-1].startswith("time_ms: ")
 
 
 def test_classify_command(capsys):
@@ -328,6 +352,22 @@ def test_export_oversized_graph6(capsys):
     code, out, err = run(capsys, "export", "Z100", "--format", "graph6")
     assert code == 2
     assert err.startswith("ERROR:CAP")
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    (["compute", "Z12"], MemoryError("Unable to allocate 74.5 GiB for an array"),
+     "Unable to allocate 74.5 GiB for an array"),
+    (["table", "--family", "cyclic", "--range", "2..3", "--json"], MemoryError(),
+     "MemoryError"),
+], ids=["compute", "table"])
+def test_running_out_of_memory_is_a_cap_error_without_a_traceback(capsys, monkeypatch,
+                                                                  argv, error, message):
+    def too_large(n):
+        raise error
+
+    monkeypatch.setattr(groups_module, "_cyclic_table", too_large)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"ERROR:CAP out of memory: {message}\n")
 
 
 # ---------------------------------------------------------------------------

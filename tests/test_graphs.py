@@ -13,6 +13,7 @@ from powersdim import (Disconnected, Graph, bfs_distances, build_group, chain_an
                        diameter, element_orders, factorize, from_edge_list,
                        graph6_decode, graph6_encode, power_graph,
                        reduced_graph, to_dot, to_edge_list)
+import powersdim.graphs as graphs_module
 from powersdim.graphs import all_pairs, bit_matrix, bit_rows, sweep
 
 from helpers import (all_pairs_distances, brute_strong_resolving_graph, cone,
@@ -231,7 +232,8 @@ def test_sweep_raises_disconnected(n, edges):
         all_pairs(g)
     with pytest.raises(Disconnected):
         diameter(g)
-    assert g._dist is None
+    with pytest.raises(Disconnected):  # a failed search leaves nothing cached
+        all_pairs(g)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +392,19 @@ def test_from_matrix_keeps_the_matrix_and_checks_it_like_rows():
         with pytest.raises(ValueError) as exc:
             Graph.from_matrix(bad)
         assert str(exc.value) == message
+
+
+def test_int_rows_are_built_only_when_read(monkeypatch):
+    calls = []
+    monkeypatch.setattr(graphs_module, "bit_rows", lambda m: calls.append(len(m)) or bit_rows(m))
+    g = Graph.from_matrix(np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], bool))
+    assert calls == []
+    assert g.rows == [0b110, 0b001, 0b001] and calls == [3]
+    assert g.rows is g.rows and calls == [3]  # built once, then kept
+    h = Graph(3, [0b110, 0b001, 0b001])  # the rows given are kept, not rebuilt
+    assert h.rows == g.rows and calls == [3]
+    reduced_graph(g)  # the twin classes read the rows, the quotient only the matrix
+    assert calls == [3]
 
 
 def test_graph6_known_strings():

@@ -341,13 +341,18 @@ def count_graphs_calls(monkeypatch, name: str, counts) -> list[int]:
     return calls
 
 
+def count_computations(monkeypatch, name: str) -> list[int]:
+    """Calls of graphs.<name> that compute, that is, find no result of
+    theirs in the graph's cache."""
+    return count_graphs_calls(monkeypatch, name, lambda graph: name not in graph._cache)
+
+
 def count_sweeps(monkeypatch) -> list[int]:
-    return count_graphs_calls(monkeypatch, "sweep", lambda graph: 1)
+    return count_computations(monkeypatch, "sweep")
 
 
 def count_distance_builds(monkeypatch) -> list[int]:
-    """Distance matrices built: calls of all_pairs that find the graph's cache empty."""
-    return count_graphs_calls(monkeypatch, "all_pairs", lambda graph: graph._dist is None)
+    return count_computations(monkeypatch, "all_pairs")
 
 
 @pytest.mark.parametrize("spec", ["Z12", "S4", "Q16"])
@@ -357,6 +362,16 @@ def test_ladder_and_oracle_share_one_distance_matrix(monkeypatch, spec):
     assert sdim_group(g).value == sdim_oracle(power_graph(g)).value
     assert builds[0] == 1
     assert sweeps[0] == 0  # the identity is a universal vertex: distances are 2 - A
+
+
+@pytest.mark.parametrize("spec", ["S4", "Z12"])
+def test_ladder_and_oracle_share_one_twin_quotient(monkeypatch, spec):
+    reads = count_graphs_calls(monkeypatch, "reduced_graph", lambda graph: 1)
+    builds = count_computations(monkeypatch, "reduced_graph")
+    sdim_group(build_group(spec), oracle_cap=200)
+    # the reduction and the oracle's strong resolving graph both read the
+    # closed-twin classes, which are computed once
+    assert (reads[0], builds[0]) == (2, 1)
 
 
 def test_oracle_computes_distances_once_off_diameter_two(monkeypatch):
