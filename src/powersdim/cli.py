@@ -181,14 +181,6 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def cmd_witness(args) -> int:
-    g = build_group(args.spec)
-    t0 = time.perf_counter()
-    res = sdim_group(g)
-    _print_result(spec_string(g.spec), g.n, res, args, (time.perf_counter() - t0) * 1000.0)
-    return EXIT_OK
-
-
 def cmd_classify(args) -> int:
     g = build_group(args.spec)
     name = spec_string(g.spec)
@@ -284,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="print a verified minimum witness set")
     p.add_argument("spec")
     _add_common(p)
-    p.set_defaults(func=cmd_witness, witness=True)  # printed always, with no flag
+    p.set_defaults(func=cmd_compute, witness=True, check=False)  # compute --witness
 
     p = sub.add_parser("classify", help="test whether sdim equals n-2, with the class")
     p.add_argument("spec")

@@ -16,6 +16,7 @@ import functools
 import itertools
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -51,21 +52,6 @@ class InternalInconsistency(RuntimeError):
 # Arithmetic helpers
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
 @dataclass(frozen=True)
 class PrimeFactorization:
     """n = prod p_i^{r_i} with primes ascending and all r_i >= 1."""
@@ -93,6 +79,10 @@ def factorize(n: int) -> PrimeFactorization:
     return PrimeFactorization(n, tuple(factors))
 
 
+def is_prime(p: int) -> bool:
+    return p > 1 and factorize(p).factors == ((p, 1),)
+
+
 def sigma(f: PrimeFactorization) -> int:
     """1 for prime powers, else the sum of the exponents.
 
@@ -112,6 +102,7 @@ def sigma_of(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Group specifications.  Each spec checks its own fields on construction
 # (InvalidSpec), so parse_spec, build_group and direct callers share one check.
+# Each family's grammar, order and builder are its row of _ATOMS, below.
 
 
 @dataclass(frozen=True)
@@ -224,21 +215,6 @@ GroupSpec = (
 )
 
 
-# The atom grammar, one row per family: spec class -> (pattern, reader of
-# each matched group into one field, rendering).  parse_spec and spec_string
-# both read it, so a new family is one more row.
-_ATOMS = {
-    Cyclic: (re.compile(r"Z(\d+)"), int, lambda s: f"Z{s.n}"),
-    Abelian: (re.compile(r"Ab\[(\d+(?:,\d+)*)\]"), lambda t: tuple(int(d) for d in t.split(",")),
-              lambda s: "Ab[" + ",".join(str(d) for d in s.invariant_factors) + "]"),
-    Dihedral: (re.compile(r"D(\d+)"), int, lambda s: f"D{s.order}"),
-    GeneralizedQuaternion: (re.compile(r"Q(\d+)"), int, lambda s: f"Q{s.order}"),
-    ElementaryAbelian: (re.compile(r"E(\d+)\^(\d+)"), int, lambda s: f"E{s.p}^{s.k}"),
-    Symmetric: (re.compile(r"S(\d+)"), int, lambda s: f"S{s.n}"),
-    Alternating: (re.compile(r"A(\d+)"), int, lambda s: f"A{s.n}"),
-}
-
-
 def spec_string(spec: GroupSpec) -> str:
     """Canonical spec-grammar rendering, re-parseable by parse_spec."""
     if isinstance(spec, DirectProduct):
@@ -249,25 +225,15 @@ def spec_string(spec: GroupSpec) -> str:
         return f"perm:{spec.path}"
     if type(spec) not in _ATOMS:
         raise TypeError(f"not a GroupSpec: {spec!r}")
-    return _ATOMS[type(spec)][2](spec)
+    return _ATOMS[type(spec)].render(spec)
 
 
 def spec_order(spec: GroupSpec) -> int | None:
     """Order of the group a spec describes, from its parameters alone, so a
     caller can bound it before any table is built; None for file specs,
     whose order is known only once the file is read."""
-    if isinstance(spec, Cyclic):
-        return spec.n
-    if isinstance(spec, (Dihedral, GeneralizedQuaternion)):
-        return spec.order
-    if isinstance(spec, ElementaryAbelian):
-        return spec.p ** spec.k
-    if isinstance(spec, Abelian):
-        return math.prod(spec.invariant_factors)
-    if isinstance(spec, Symmetric):
-        return math.factorial(spec.n)
-    if isinstance(spec, Alternating):
-        return math.factorial(spec.n) // 2 if spec.n >= 2 else 1
+    if type(spec) in _ATOMS:
+        return _ATOMS[type(spec)].order(spec)
     if isinstance(spec, DirectProduct):
         orders = [spec_order(p) for p in spec.parts]
         return None if None in orders else math.prod(orders)
@@ -297,11 +263,11 @@ def parse_spec(text: str) -> GroupSpec:
 
 
 def _parse_atom(t: str, full: str) -> GroupSpec:
-    for cls, (pattern, read, _) in _ATOMS.items():
-        m = pattern.fullmatch(t)
+    for cls, atom in _ATOMS.items():
+        m = atom.pattern.fullmatch(t)
         if m:
             try:
-                return cls(*map(read, m.groups()))
+                return cls(*map(atom.read, m.groups()))
             except InvalidSpec as exc:  # the spec's own check, reported against the input
                 raise InvalidSpec(f"{exc} in {full!r}") from None
     raise InvalidSpec(f"cannot parse group spec {full!r} (at {t!r})")
@@ -672,28 +638,67 @@ def _close_permutations(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int
     return elems
 
 
-def _standard_generators(spec: Symmetric | Alternating) -> list[tuple[int, ...]]:
-    """Two generators of S_k, the k-cycle and (0 1), or of A_k, (0 1 2) and
-    the cycle on 0..k-1 (odd k) or on 1..k-1 (even k); none below k = 3,
-    where _perm_table picks its own."""
-    k = spec.n
-    if k < 3:
-        return []
-    if isinstance(spec, Symmetric):
-        return [tuple(range(1, k)) + (0,), (1, 0) + tuple(range(2, k))]
-    lo = k % 2 ^ 1  # the long cycle is even: length k for odd k, k - 1 for even k
-    cycle = tuple(range(lo)) + tuple(range(lo + 1, k)) + (lo,)
-    return [(1, 2, 0) + tuple(range(3, k)), cycle]
-
-
 def _perm_group(perms: list[tuple[int, ...]], gens: list[tuple[int, ...]], spec: GroupSpec) -> Group:
     """The group of a list of permutations closed under composition, gens
     among them generating it."""
     return Group(_perm_table(perms, gens), spec, generators=[perms.index(s) for s in gens])
 
 
+def _symmetric_or_alternating(spec: Symmetric | Alternating) -> Group:
+    """S_k on the permutations of 0..k-1 in lexicographic order, or A_k on
+    the even ones, generated by the k-cycle and (0 1) for S_k, and for A_k
+    by (0 1 2) and the cycle on 0..k-1 (odd k) or on 1..k-1 (even k); no
+    generators below k = 3, where _perm_table picks its own."""
+    k = spec.n
+    perms = list(itertools.permutations(range(k)))
+    if isinstance(spec, Symmetric):
+        gens = [tuple(range(1, k)) + (0,), (1, 0) + tuple(range(2, k))]
+    else:
+        perms = [p for p in perms if _perm_parity_even(p)]
+        lo = k % 2 ^ 1  # the long cycle is even: length k for odd k, k - 1 for even k
+        gens = [(1, 2, 0) + tuple(range(3, k)), tuple(range(lo)) + tuple(range(lo + 1, k)) + (lo,)]
+    return _perm_group(perms, gens if k >= 3 else [], spec)
+
+
 # ---------------------------------------------------------------------------
-# build_group
+# The spec table and build_group
+
+
+class _Atom(NamedTuple):
+    pattern: re.Pattern  # a spec's text, one group per field
+    read: Callable[[str], object]  # matched group -> field
+    render: Callable[[GroupSpec], str]
+    order: Callable[[GroupSpec], int]  # from the fields alone
+    build: Callable[[GroupSpec], Group]
+
+
+# One row per family.  parse_spec, spec_string, spec_order and build_group
+# all read it, so a new family is one dataclass and one row.
+_ATOMS = {
+    Cyclic: _Atom(
+        re.compile(r"Z(\d+)"), int, lambda s: f"Z{s.n}", lambda s: s.n,
+        lambda s: Group(_cyclic_table(s.n), s)),
+    Abelian: _Atom(
+        re.compile(r"Ab\[(\d+(?:,\d+)*)\]"), lambda t: tuple(int(d) for d in t.split(",")),
+        lambda s: "Ab[" + ",".join(str(d) for d in s.invariant_factors) + "]",
+        lambda s: math.prod(s.invariant_factors),
+        lambda s: Group(_product_table([_cyclic_table(d) for d in s.invariant_factors]), s)),
+    Dihedral: _Atom(
+        re.compile(r"D(\d+)"), int, lambda s: f"D{s.order}", lambda s: s.order,
+        lambda s: Group(_dihedral_table(s.order), s)),
+    GeneralizedQuaternion: _Atom(
+        re.compile(r"Q(\d+)"), int, lambda s: f"Q{s.order}", lambda s: s.order,
+        lambda s: Group(_quaternion_table(s.order), s)),
+    ElementaryAbelian: _Atom(
+        re.compile(r"E(\d+)\^(\d+)"), int, lambda s: f"E{s.p}^{s.k}", lambda s: s.p ** s.k,
+        lambda s: Group(_product_table([_cyclic_table(s.p)] * s.k), s)),
+    Symmetric: _Atom(
+        re.compile(r"S(\d+)"), int, lambda s: f"S{s.n}", lambda s: math.factorial(s.n),
+        _symmetric_or_alternating),
+    Alternating: _Atom(
+        re.compile(r"A(\d+)"), int, lambda s: f"A{s.n}", lambda s: max(1, math.factorial(s.n) // 2),
+        _symmetric_or_alternating),
+}
 
 
 def build_group(spec: GroupSpec | str, *, closure_cap: int = DEFAULT_CLOSURE_CAP) -> Group:
@@ -701,21 +706,8 @@ def build_group(spec: GroupSpec | str, *, closure_cap: int = DEFAULT_CLOSURE_CAP
     table, built-in or from a file of any order, gets Group()'s full check."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    if isinstance(spec, Cyclic):
-        return Group(_cyclic_table(spec.n), spec)
-    if isinstance(spec, Dihedral):
-        return Group(_dihedral_table(spec.order), spec)
-    if isinstance(spec, GeneralizedQuaternion):
-        return Group(_quaternion_table(spec.order), spec)
-    if isinstance(spec, ElementaryAbelian):
-        return Group(_product_table([_cyclic_table(spec.p)] * spec.k), spec)
-    if isinstance(spec, Abelian):
-        return Group(_product_table([_cyclic_table(d) for d in spec.invariant_factors]), spec)
-    if isinstance(spec, (Symmetric, Alternating)):
-        perms = list(itertools.permutations(range(spec.n)))  # lexicographic numbering
-        if isinstance(spec, Alternating):
-            perms = [p for p in perms if _perm_parity_even(p)]
-        return _perm_group(perms, _standard_generators(spec), spec)
+    if type(spec) in _ATOMS:
+        return _ATOMS[type(spec)].build(spec)
     if isinstance(spec, DirectProduct):
         factors = [build_group(p, closure_cap=closure_cap) for p in spec.parts]
         return Group(_product_table([f.array for f in factors]), spec)

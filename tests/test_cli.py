@@ -309,6 +309,12 @@ def test_witness_text_has_the_keys_of_compute(capsys):
     assert out.splitlines()[-1].startswith("time_ms: ")
 
 
+def test_witness_is_compute_with_witness_on_the_corpus(capsys):
+    for spec in CORPUS_SPECS:
+        assert run(capsys, "witness", spec, "--json") == \
+            run(capsys, "compute", spec, "--witness", "--json"), spec
+
+
 def test_classify_command(capsys):
     code, out, err = run(capsys, "classify", "Z15", "--json")
     assert code == 0

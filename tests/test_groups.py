@@ -60,6 +60,11 @@ def test_factorize_reconstructs(n):
     assert all(r >= 1 for _, r in f.factors)
 
 
+def test_is_prime_matches_its_definition():
+    for p in [*range(201), 7919]:
+        assert groups_module.is_prime(p) == (p > 1 and all(p % d for d in range(2, p))), p
+
+
 def test_sigma_values():
     assert sigma(factorize(8)) == 1       # single prime
     assert sigma(factorize(12)) == 3      # 2 + 1
@@ -112,8 +117,11 @@ def test_spec_field_errors_name_the_parsed_input():
 
 
 def test_spec_order_is_the_built_order_on_the_corpus():
-    for spec in list(CORPUS_SPECS) + ["Z1", "S1", "A1", "A2", "A3", "E3^2", "Z2xS3xQ8"]:
+    for spec in list(CORPUS_SPECS) + ["Z1", "D6", "Q8", "E2^1", "E3^2", "Ab[2]", "Ab[2,4,8]",
+                                      "S1", "S6", "A1", "A2", "A3", "A6", "Z2xS3xQ8"]:
         assert spec_order(parse_spec(spec)) == build_group(spec).n, spec
+    assert spec_order(parse_spec("S7")) == 5040  # not built: S7 takes about half a second
+    assert spec_order(parse_spec("A7")) == 2520
 
 
 def test_spec_order_of_file_specs_is_unknown():
