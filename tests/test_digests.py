@@ -23,11 +23,19 @@ from powersdim import (CORPUS_SPECS, DEFAULT_ORACLE_CAP, alpha_p, build_group,
                        factorize, maximal_cyclic_subgroups, sdim_group)
 from powersdim.sdim import EmptyFamily
 
-DIGESTS = Path(__file__).parent / "data" / "digests.json"
+DATA = Path(__file__).parent / "data"
+DIGESTS = DATA / "digests.json"
+
+# Perm files under tests/data, keyed by file name, so that a key names the
+# same input from any working directory.  Their element numbering is the
+# closure's first-discovery order, which s5.txt's generators, (1 2 3 4 5) and
+# (1 2), make differ from the lexicographic order of S5.
+PERM_FILES = ["s5.txt", "d16.txt", "blocks3.txt"]
 
 DIGEST_SPECS = list(dict.fromkeys([
     *CORPUS_SPECS,
     "S6", "A6", "Z720", "D360", "Q64", "Z2xS4", "E3^3", "Ab[12,60]", "D200",
+    *(f"perm:{name}" for name in PERM_FILES),
 ]))
 
 
@@ -44,6 +52,8 @@ def _witness_alpha_p(g, p: int):
 
 def dump(spec: str) -> str:
     """Canonical JSON of every checked output for one group spec."""
+    if spec.startswith("perm:"):
+        spec = f"perm:{DATA / spec[len('perm:'):]}"
     g = build_group(spec)
     res = sdim_group(g, oracle_cap=DEFAULT_ORACLE_CAP)
     fam = maximal_cyclic_subgroups(g)
