@@ -6,7 +6,8 @@ Z3xQ8, cayley:<path>, perm:<path>); the oracle command also accepts
 edgelist:<path> (edge-list JSON) and graph6:<path> graph files.
 
 Errors go to stderr with greppable prefixes: ERROR:PARSE (exit 2),
-ERROR:MISMATCH (exit 3), ERROR:CAP (exit 2; also when memory runs out).
+ERROR:MISMATCH (exit 3), ERROR:CAP (exit 2: an oracle or permutation
+closure cap, or memory running out).
 """
 
 from __future__ import annotations
@@ -301,10 +302,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except OracleCapExceeded as exc:  # before ValueError: it is a subclass
+    except (OracleCapExceeded, ClosureTooLarge) as exc:  # before ValueError: both subclass it
         _err("CAP", str(exc))
         return EXIT_PARSE
-    except (InvalidSpec, NotAGroup, ClosureTooLarge, Disconnected, ValueError,
+    except (InvalidSpec, NotAGroup, Disconnected, ValueError,
             OSError, json.JSONDecodeError) as exc:
         _err("PARSE", str(exc))
         return EXIT_PARSE

@@ -1,13 +1,14 @@
 """Finite groups as explicit multiplication tables.
 
 Groups are built from parametric families (cyclic, dihedral, generalized
-quaternion, abelian products, small symmetric/alternating groups), from
-Cayley-table files, or by closing a set of permutation generators.  Elements
-are the indices 0..n-1, and every table passes one check, associativity by
-Light's test included.  Everything downstream (element orders, maximal
-cyclic subgroups, the intersection-chain data behind the dimension formulas)
-is computed directly from the table, so file-loaded groups behave exactly
-like built-in ones.
+quaternion, abelian products), from Cayley-table files, or by one closure
+of permutation generators, which serves both perm files and the small
+symmetric and alternating groups.  Elements are the indices 0..n-1, and
+every table passes one check, associativity by Light's test included.
+Everything downstream (element orders, maximal cyclic subgroups, the
+intersection-chain data behind the dimension formulas) is computed
+directly from the table, so file-loaded groups behave exactly like
+built-in ones.
 """
 
 from __future__ import annotations
@@ -363,8 +364,8 @@ def _validate_table(t: np.ndarray, generators=()) -> tuple[np.ndarray, int]:
     pair set, which fills the buffer exactly when no row repeats an entry,
     then every (entry, column) pair cleared, which empties it exactly when
     no column does.  Light's test: the a with (x*a)*y == x*(a*y) for all
-    x, y are closed under the product, so checking the generators of
-    _spanning_tree (started from generators) proves associativity.
+    x, y are closed under the product, so checking the generators that
+    _spanning_tree picks (starting from generators) proves associativity.
     """
     n = len(t)
     if t.dtype.kind not in "iu" or t.min() < 0 or t.max() >= n:
@@ -401,20 +402,19 @@ def _validate_table(t: np.ndarray, generators=()) -> tuple[np.ndarray, int]:
     return t, identity
 
 
-def _spanning_tree(n: int, identity: int, column, gens=()) -> list[tuple[int, int, int]]:
-    """Spanning tree of right multiplication from the identity, grown breadth first.
+def _spanning_tree(n: int, identity: int, column, gens=()) -> None:
+    """Grow a spanning tree of right multiplication from the identity,
+    breadth first, until it reaches all n elements; its edges are not kept.
 
     column(a) returns [x*a for every x], or raises NotAGroup.  The
     generators are gens, then greedily the smallest element not yet
     reached; one already reached is skipped.  In a group each generator at
     least doubles the subgroup reached, so more than log2(n) of them means
-    the table is not associative.  Returns the tree edges (h, g, s) with
-    h = g*s, one per element reached other than the identity, in the order
-    reached, so that g is the identity or an earlier edge's h.
+    the table is not associative.
     """
     seen = [False] * n
     seen[identity] = True
-    reached, edges, cols = [identity], [], []
+    reached, cols = [identity], []
     for a in itertools.chain(gens, range(n)):
         if len(reached) == n:
             break
@@ -423,22 +423,19 @@ def _spanning_tree(n: int, identity: int, column, gens=()) -> list[tuple[int, in
         if 2 << len(cols) > n:
             raise NotAGroup("table is not associative")
         col = column(a)
-        cols.append((a, col))
+        cols.append(col)
         pending = iter(reached)  # also yields what the loops below append
         for g in itertools.islice(pending, len(reached)):  # closed under the earlier generators
             h = col[g]
             if not seen[h]:
                 seen[h] = True
                 reached.append(h)
-                edges.append((h, g, a))
         for g in pending:
-            for s, c in cols:
+            for c in cols:
                 h = c[g]
                 if not seen[h]:
                     seen[h] = True
                     reached.append(h)
-                    edges.append((h, g, s))
-    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -479,64 +476,68 @@ def _product_table(tables) -> np.ndarray:
     return out
 
 
-def _perm_parity_even(p: tuple[int, ...]) -> bool:
-    seen = [False] * len(p)
-    transpositions = 0
-    for i in range(len(p)):
-        if not seen[i]:
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                length += 1
-            transpositions += length - 1
-    return transpositions % 2 == 0
+def _perm_table(gens: list[tuple[int, ...]], cap: float = math.inf,
+                lexicographic: bool = False) -> tuple[np.ndarray, list[int]]:
+    """Multiplication table of the group that the permutations gens of
+    0..k-1 generate, row a, column b holding the index of a.b,
+    (a.b)(x) = a(b(x)), and the index of each generator.
 
-
-def _perm_table(perms: list[tuple[int, ...]], gens=()) -> np.ndarray:
-    """Multiplication table of a list of distinct permutations of 0..k-1,
-    where row a, column b holds the index of a.b, (a.b)(x) = a(b(x)).
-
-    Each permutation is a row with one fixed point k appended, so that even
-    the degree-0 identity has a non-empty key, and one dict maps each row's
-    raw bytes to its index.  Only the generators' products are looked up:
-    the permutations gens (which must be in the list), then more as
-    _spanning_tree picks them.  Column s lists b.s for every b, which gives
-    the spanning tree; row s lists s.b, and for each tree edge h = g.s,
-    since (g.s).b = g.(s.b), row h is row g gathered by row s (a Schreier
-    vector; Holt, Eick and O'Brien, Handbook of Computational Group
-    Theory, ch. 4).  Every element is a product of generators, so the
-    generators' products lying in the list prove it closed.  Raises
-    NotAGroup when a product is not in the list, or a permutation repeats.
+    One breadth-first closure from the identity grows a spanning tree of
+    the generators (a Schreier vector; Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, ch. 4).  Each permutation is a row with one
+    fixed point k appended, so that even the degree-0 identity has a key,
+    and one dict maps each row's raw bytes to its index, the elements
+    numbered in first-discovery order.  The rows are multiplied by every
+    generator in that order, in one numpy product per _block_rows of them,
+    so that many generators on many points still take bounded memory, and
+    each new h = g.s is a tree edge.  Since (g.s).b = g.(s.b), row h of the
+    table is row g gathered by row s, which lists s.b for every b.  With
+    lexicographic, the elements are numbered in the lexicographic order of
+    their rows instead, through the edges and the generators' rows.  Raises
+    ClosureTooLarge when the group has more than cap elements.
     """
+    k = len(gens[0]) if gens else 0
+    s = np.empty((len(gens), k + 1), dtype=np.min_scalar_type(k))
+    s[:, :k] = gens
+    s[:, k] = k
+    key = np.dtype((np.void, s.itemsize * (k + 1)))
+
+    def keys(rows: np.ndarray) -> list[bytes]:
+        return rows.view(key).ravel().tolist()  # each row's raw bytes
+
+    m = len(s)
+    blocks = [np.arange(k + 1, dtype=s.dtype)[None]]
+    index = dict.fromkeys(keys(blocks[0]), 0)
+    edges = []  # edges[h - 1] = g*m + j for the tree edge h = g.gens[j]
+    step, first = _block_rows(s.size or 1), 0  # first: the index of block[0]
+    for block in blocks:  # also yields the blocks appended below
+        for lo in range(0, len(block), step):
+            products = block[lo:lo + step].take(s, axis=1).reshape(-1, k + 1)  # row g*m + j: g.gens[j]
+            new = []
+            for r, b in enumerate(keys(products)):
+                if b not in index:
+                    if len(index) >= cap:
+                        raise ClosureTooLarge(
+                            f"permutation closure exceeds the cap of {cap} elements")
+                    index[b] = len(index)
+                    new.append(r)
+            if new:
+                blocks.append(products[new])
+                edges += [(first + lo) * m + r for r in new]
+        first += len(block)
+    perms = np.concatenate(blocks)
     n = len(perms)
-    if n == 0:
-        return np.empty((0, 0), dtype=np.uint8)
-    k = len(perms[0])
-    p = np.empty((n, k + 1), dtype=np.min_scalar_type(k))
-    p[:, :k] = perms
-    p[:, k] = k
-    key = np.dtype((np.void, p.itemsize * (k + 1)))  # a row's raw bytes, as bytes by tolist()
-    index = {row: i for i, row in enumerate(p.view(key).ravel().tolist())}
-    if len(index) != n:
-        raise NotAGroup("a permutation is listed twice")
-
-    def find(products) -> list[int]:
-        """Index of every permutation in products, an (r, k + 1) array."""
-        try:
-            return list(map(index.__getitem__, products.view(key).ravel().tolist()))
-        except KeyError:
-            raise NotAGroup("the permutations are not closed under composition") from None
-
-    ends = [tuple(range(k + 1)), *((*s, k) for s in gens)]  # the identity, then gens
-    identity, *start = find(np.array(ends, dtype=p.dtype))
-    edges = _spanning_tree(n, identity, lambda s: find(p.take(p[s], axis=1)), start)
-    rows = {s: np.array(find(p[s][p])) for s in {s for _, _, s in edges}}
+    label = np.argsort(np.lexsort(perms.T[::-1])) if lexicographic else np.arange(n)
+    rows = np.empty((m, n), dtype=np.intp)
+    for row, r in zip(s, rows):
+        r[label] = label[[index[b] for b in keys(row[perms])]]
     table = np.empty((n, n), dtype=np.min_scalar_type(n))
-    table[identity] = np.arange(n)
-    for h, g, s in edges:
-        table[g].take(rows[s], out=table[h])
-    return table
+    at = label.tolist()
+    table[at[0]] = np.arange(n)
+    for h, q in enumerate(edges, 1):
+        g, j = divmod(q, m)
+        table[at[g]].take(rows[j], out=table[at[h]])
+    return table, label[[index[b] for b in keys(s)]].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -617,47 +618,20 @@ def _parse_perm_file(path: str) -> list[tuple[int, ...]]:
     return gens
 
 
-def _close_permutations(gens: list[tuple[int, ...]], cap: int) -> list[tuple[int, ...]]:
-    """Breadth-first multiplicative closure, elements in first-discovery order."""
-    k = len(gens[0]) if gens else 0
-    ident = tuple(range(k))
-    elems = [ident]
-    index = {ident: 0}
-    i = 0
-    while i < len(elems):
-        g = elems[i]
-        i += 1
-        for s in gens:
-            h = tuple(g[s[j]] for j in range(k))
-            if h not in index:
-                if len(elems) >= cap:
-                    raise ClosureTooLarge(
-                        f"permutation closure exceeds the cap of {cap} elements")
-                index[h] = len(elems)
-                elems.append(h)
-    return elems
-
-
-def _perm_group(perms: list[tuple[int, ...]], gens: list[tuple[int, ...]], spec: GroupSpec) -> Group:
-    """The group of a list of permutations closed under composition, gens
-    among them generating it."""
-    return Group(_perm_table(perms, gens), spec, generators=[perms.index(s) for s in gens])
-
-
 def _symmetric_or_alternating(spec: Symmetric | Alternating) -> Group:
     """S_k on the permutations of 0..k-1 in lexicographic order, or A_k on
-    the even ones, generated by the k-cycle and (0 1) for S_k, and for A_k
-    by (0 1 2) and the cycle on 0..k-1 (odd k) or on 1..k-1 (even k); no
-    generators below k = 3, where _perm_table picks its own."""
+    the even ones, closed from the k-cycle and (0 1) for S_k (k >= 2), and
+    for A_k (k >= 3) from (0 1 2) and the cycle on 0..k-1 (odd k) or on
+    1..k-1 (even k)."""
     k = spec.n
-    perms = list(itertools.permutations(range(k)))
     if isinstance(spec, Symmetric):
-        gens = [tuple(range(1, k)) + (0,), (1, 0) + tuple(range(2, k))]
+        gens = [tuple(range(1, k)) + (0,), (1, 0) + tuple(range(2, k))] if k >= 2 else []
     else:
-        perms = [p for p in perms if _perm_parity_even(p)]
         lo = k % 2 ^ 1  # the long cycle is even: length k for odd k, k - 1 for even k
         gens = [(1, 2, 0) + tuple(range(3, k)), tuple(range(lo)) + tuple(range(lo + 1, k)) + (lo,)]
-    return _perm_group(perms, gens if k >= 3 else [], spec)
+        gens = gens if k >= 3 else []
+    table, gens = _perm_table(gens, lexicographic=True)
+    return Group(table, spec, generators=gens)
 
 
 # ---------------------------------------------------------------------------
@@ -717,9 +691,8 @@ def build_group(spec: GroupSpec | str, *, closure_cap: int = DEFAULT_CLOSURE_CAP
             raise NotAGroup(f"Cayley file {spec.path!r}: element 0 must be the identity")
         return g
     if isinstance(spec, PermFile):
-        gens = _parse_perm_file(spec.path)
-        elems = _close_permutations(gens, closure_cap)
-        return _perm_group(elems, gens, spec)
+        table, gens = _perm_table(_parse_perm_file(spec.path), closure_cap)
+        return Group(table, spec, generators=gens)
     raise InvalidSpec(f"unsupported spec: {spec!r}")
 
 

@@ -106,6 +106,31 @@ def brute_perm_table(perms) -> list[list[int]]:
     return [[index[tuple(a[b[i]] for i in range(len(b)))] for b in perms] for a in perms]
 
 
+def ref_close_permutations(gens) -> list[tuple[int, ...]]:
+    """The group the permutation tuples gens generate, by a breadth-first
+    closure on tuples: g.s, x -> g[s[x]], for each g in the order found and
+    each s in gens.  The order found is a perm file's element numbering."""
+    k = len(gens[0]) if gens else 0
+    elems = [tuple(range(k))]
+    found = set(elems)
+    for g in elems:  # also yields what the loop appends
+        for s in gens:
+            h = tuple(g[x] for x in s)
+            if h not in found:
+                found.add(h)
+                elems.append(h)
+    return elems
+
+
+def lex_perms(k: int, even: bool = False) -> list[tuple[int, ...]]:
+    """The permutations of 0..k-1 in lexicographic order, or the even ones,
+    with an even count of inversions (pairs i < j with p[i] > p[j]): the
+    element numbering of S<k> and A<k>."""
+    pairs = list(itertools.combinations(range(k), 2))
+    return [p for p in sorted(itertools.permutations(range(k)))
+            if not even or sum(p[i] > p[j] for i, j in pairs) % 2 == 0]
+
+
 def ref_cyclic_masks(g) -> list[int]:
     """Bitmask of <x> for every x by its own power walk x, x^2, ... over the
     list table, one walk per element: the walk cyclic_masks replaced."""

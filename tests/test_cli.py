@@ -93,6 +93,14 @@ def test_compute_perm_file_with_a_huge_point_label(capsys, tmp_path):
     assert json.loads(out)["order"] == 3
 
 
+def test_a_perm_file_closure_over_the_cap_is_a_cap_error(capsys, tmp_path):
+    path = tmp_path / "s8.txt"
+    path.write_text("(1 2 3 4 5 6 7 8)\n(1 2)\n")
+    code, out, err = run(capsys, "compute", f"perm:{path}")
+    assert (code, out, err) == (
+        2, "", "ERROR:CAP permutation closure exceeds the cap of 5040 elements\n")
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

@@ -4,6 +4,7 @@ the closure's spanning tree, each against a reference that does not share
 its code path."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from powersdim import (CORPUS_SPECS, Group, NotAGroup, build_group, is_abelian_g
                        omega_reduced_group, power_graph, sdim_via_reduction)
 from powersdim import groups as groups_module
 
-from helpers import brute_perm_table, ref_cyclic_masks, ref_is_abelian
+from helpers import (brute_perm_table, lex_perms, ref_close_permutations, ref_cyclic_masks,
+                     ref_is_abelian)
 
 LARGER = ["Z720", "S6", "A6", "D360", "Q64", "Ab[12,60]"]
 
@@ -41,10 +43,12 @@ def test_the_table_is_one_read_only_array_with_list_views():
 
 
 def test_checks_and_abelian_test_with_one_row_per_block(monkeypatch):
+    specs = ["Z12", "S4", "Ab[2,6]", "Z3xQ8", f"perm:{Path(__file__).parent / 'data' / 's5.txt'}"]
+    tables = {spec: build_group(spec).table for spec in specs}
     monkeypatch.setattr(groups_module, "_BLOCK_ENTRIES", 1)
-    for spec in ["Z12", "S4", "Ab[2,6]", "Z3xQ8"]:
+    for spec in specs:
         g = build_group(spec)
-        assert g.table == build_group(spec).table
+        assert g.table == tables[spec]
         assert is_abelian_group(g) is ref_is_abelian(g)
     rows_repeat = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 0, 0]]
     cols_repeat = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [0, 1, 2, 3]]
@@ -63,16 +67,8 @@ def test_a_row_latin_table_with_a_repeat_down_a_later_column_is_refused(monkeypa
 
 @pytest.mark.parametrize("spec", ["S6", "A6"])
 def test_tree_table_matches_composition(spec):
-    k = int(spec[1:])
-    perms = sorted(itertools.permutations(range(k)))
-    if spec[0] == "A":
-        perms = [p for p in perms if groups_module._perm_parity_even(p)]
+    perms = lex_perms(int(spec[1:]), even=spec[0] == "A")
     assert build_group(spec).table == brute_perm_table(perms)
-
-
-def test_perm_table_refuses_a_repeated_permutation():
-    with pytest.raises(NotAGroup):
-        groups_module._perm_table([(0, 1), (1, 0), (1, 0)])
 
 
 @st.composite
@@ -97,7 +93,7 @@ def small_closures(draw):
 @given(small_closures())
 @settings(max_examples=25, deadline=None)
 def test_closures_in_s7_table_and_theorem_equals_reduction(gens):
-    elems = groups_module._close_permutations(gens, 300)
-    g = groups_module._perm_group(elems, gens, None)
-    assert g.table == brute_perm_table(elems)
+    table, generators = groups_module._perm_table(gens, 300)
+    g = Group(table, generators=generators)
+    assert g.table == brute_perm_table(ref_close_permutations(gens))
     assert omega_reduced_group(g) == sdim_via_reduction(power_graph(g)).omega_reduced

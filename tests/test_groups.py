@@ -1,6 +1,5 @@
 """Group construction, orders, maximal cyclic subgroups, and chain data."""
 
-import itertools
 import math
 import tracemalloc
 from random import Random
@@ -20,10 +19,10 @@ import powersdim
 from powersdim import groups as groups_module
 from powersdim import sdim as sdim_module
 
-from helpers import (brute_perm_table, is_associative, random_loop, ref_alpha_p,
-                     ref_chain_analysis, ref_cyclic_table, ref_dihedral_table,
-                     ref_maximal_cyclic_subgroups, ref_product_table, ref_quaternion_table,
-                     write_cayley_file)
+from helpers import (brute_perm_table, is_associative, lex_perms, random_loop, ref_alpha_p,
+                     ref_chain_analysis, ref_close_permutations, ref_cyclic_table,
+                     ref_dihedral_table, ref_maximal_cyclic_subgroups, ref_product_table,
+                     ref_quaternion_table, write_cayley_file)
 from powersdim import Group
 
 
@@ -267,8 +266,11 @@ def test_perm_file_closure_cap(tmp_path):
     path = tmp_path / "a4.txt"
     path.write_text("(1 2 3)\n(2 3 4)\n")
     assert build_group(f"perm:{path}").n == 12
+    assert build_group(f"perm:{path}", closure_cap=12).n == 12
     with pytest.raises(ClosureTooLarge):
         build_group(f"perm:{path}", closure_cap=10)
+    with pytest.raises(ClosureTooLarge, match="exceeds the cap of 11 elements"):
+        build_group(f"perm:{path}", closure_cap=11)
 
 
 def test_perm_file_bad_cycles(tmp_path):
@@ -278,16 +280,9 @@ def test_perm_file_bad_cycles(tmp_path):
         build_group(f"perm:{path}")
 
 
-def _inversions(p):
-    return sum(1 for i, j in itertools.combinations(range(len(p)), 2) if p[i] > p[j])
-
-
 @pytest.mark.parametrize("spec", ["S1", "S2", "S3", "S4", "S5", "A4", "A5"])
 def test_perm_table_matches_composition(spec):
-    k = int(spec[1:])
-    perms = sorted(itertools.permutations(range(k)))
-    if spec[0] == "A":
-        perms = [p for p in perms if _inversions(p) % 2 == 0]
+    perms = lex_perms(int(spec[1:]), even=spec[0] == "A")
     assert build_group(spec).table == brute_perm_table(perms)
 
 
@@ -295,15 +290,22 @@ def test_perm_table_matches_composition(spec):
 def test_perm_file_table_matches_composition(tmp_path, text):
     path = tmp_path / "gens.txt"
     path.write_text(text)
-    elems = groups_module._close_permutations(groups_module._parse_perm_file(str(path)), 100)
+    elems = ref_close_permutations(groups_module._parse_perm_file(str(path)))
     assert build_group(f"perm:{path}").table == brute_perm_table(elems)
 
 
-def test_perm_table_rejects_a_list_not_closed_under_composition():
-    with pytest.raises(NotAGroup):
-        groups_module._perm_table([(0, 1, 2), (1, 2, 0)])  # misses (2, 0, 1)
-    with pytest.raises(NotAGroup):
-        groups_module._perm_table([(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2)])
+@pytest.mark.parametrize("k", [4, 5])
+def test_a_perm_file_of_the_standard_generators_relabelled_is_the_built_in_table(tmp_path, k):
+    path = tmp_path / "sk.txt"  # the k-cycle and (1 2), numbered in the order the closure finds
+    path.write_text(f"({' '.join(str(i) for i in range(1, k + 1))})\n(1 2)\n")
+    lex = {p: i for i, p in enumerate(lex_perms(k))}
+    rank = [lex[p] for p in ref_close_permutations(groups_module._parse_perm_file(str(path)))]
+    relabelled = [[0] * len(rank) for _ in rank]
+    for a, row in enumerate(build_group(f"perm:{path}").table):
+        for b, c in enumerate(row):
+            relabelled[rank[a]][rank[b]] = rank[c]
+    assert rank != sorted(rank)
+    assert relabelled == build_group(f"S{k}").table
 
 
 # ---------------------------------------------------------------------------
@@ -550,17 +552,12 @@ def test_cyclic_dihedral_and_quaternion_tables_match_the_loop_builders():
         assert build_group(f"Q{order}").table == ref_quaternion_table(order), order
 
 
-def _perms(k, even=False):
-    return [p for p in sorted(itertools.permutations(range(k)))
-            if not even or _inversions(p) % 2 == 0]
-
-
 @pytest.mark.parametrize("spec, factors", [
     ("E2^8", lambda: [ref_cyclic_table(2)] * 8),
     ("Ab[2,4,8]", lambda: [ref_cyclic_table(d) for d in (2, 4, 8)]),
     ("Z3xQ8", lambda: [ref_cyclic_table(3), ref_quaternion_table(8)]),
-    ("Z2xA4", lambda: [ref_cyclic_table(2), brute_perm_table(_perms(4, even=True))]),
-    ("S3xS3", lambda: [brute_perm_table(_perms(3))] * 2),
+    ("Z2xA4", lambda: [ref_cyclic_table(2), brute_perm_table(lex_perms(4, even=True))]),
+    ("S3xS3", lambda: [brute_perm_table(lex_perms(3))] * 2),
 ])
 def test_product_tables_match_the_loop_builder(spec, factors):
     assert build_group(spec).table == ref_product_table(factors())
@@ -577,16 +574,16 @@ def test_perm_table_of_a_300_cycle_matches_the_cyclic_table(tmp_path):
 
 
 def test_perm_table_of_a_1000_cycle_in_bounded_memory():
-    # raw-byte dict keys peak at about 7.9 MB on this input; tuple keys, one
-    # Python int per point, peak at 34-68 MB
+    # the closure and the table together peak at about 9.9 MB on this input
+    # with raw-byte dict keys; tuple keys, one Python int per point, peak at 34-68 MB
     gen = tuple(range(1, 1000)) + (0,)
-    elems = groups_module._close_permutations([gen], 1000)
     tracemalloc.start()
     try:
-        table = groups_module._perm_table(elems, [gen])
+        table, gens = groups_module._perm_table([gen], 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert gens == [1]
     assert table.tolist() == ref_cyclic_table(1000)
     assert peak < 16 << 20, peak
 
@@ -594,19 +591,9 @@ def test_perm_table_of_a_1000_cycle_in_bounded_memory():
 def test_degree_8_perm_table_matches_composition(tmp_path):
     path = tmp_path / "d16.txt"  # degree 8: a row and its fixed point take 9 bytes
     path.write_text("(1 2 3 4 5 6 7 8)\n(1 8)(2 7)(3 6)(4 5)\n")
-    elems = groups_module._close_permutations(groups_module._parse_perm_file(str(path)), 100)
+    elems = ref_close_permutations(groups_module._parse_perm_file(str(path)))
     assert (len(elems), len(elems[0])) == (16, 8)
     assert build_group(f"perm:{path}").table == brute_perm_table(elems)
-
-
-def test_perm_table_matches_s4_and_refuses_unclosed_lists_of_degree_3_and_9():
-    perms = sorted(itertools.permutations(range(4)))
-    assert groups_module._perm_table(perms).tolist() == brute_perm_table(perms)
-    for perms in ([(0, 1, 2), (0, 2, 1), (1, 0, 2)],
-                  [tuple(range(9)), (0, 2, 1) + tuple(range(3, 9)),
-                   (1, 0) + tuple(range(2, 9))]):
-        with pytest.raises(NotAGroup):  # row 0 (the identity) is closed, row 1 is not
-            groups_module._perm_table(perms)
 
 
 # ---------------------------------------------------------------------------

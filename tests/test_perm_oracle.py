@@ -10,6 +10,8 @@ import pytest
 from powersdim import build_group, element_orders, is_abelian_group, is_cyclic_group
 from powersdim import groups as groups_module
 
+from helpers import ref_close_permutations
+
 combinatorics = pytest.importorskip("sympy.combinatorics")
 Permutation, PermutationGroup = combinatorics.Permutation, combinatorics.PermutationGroup
 
@@ -87,5 +89,5 @@ def test_perm_files_match_sympy(name, tmp_path):
     path = tmp_path / f"{name}.txt"
     path.write_text("\n".join(PERM_FILES[name]) + "\n")
     gens = groups_module._parse_perm_file(str(path))
-    elems = groups_module._close_permutations(gens, 5040)
+    elems = ref_close_permutations(gens)
     assert_matches_sympy(build_group(f"perm:{path}"), elems, gens)
