@@ -297,10 +297,11 @@ class ReducedGraph:
 
     representatives[c] is the smallest vertex of class c; class_of maps each
     vertex to its class id; quotient joins two classes when their
-    representatives are adjacent in the base graph.  Cached: do not change it.
+    representatives are adjacent in the graph.  Cached on the graph but
+    holds no reference to it, so both are freed by reference counting, with
+    no cycle left for the collector: do not change it.
     """
 
-    base: Graph
     representatives: list[int]
     class_of: list[int]
     quotient: Graph
@@ -328,7 +329,7 @@ def reduced_graph(graph: Graph) -> ReducedGraph:
         class_of.append(cid)
     quotient = Graph.from_matrix(graph.matrix.take(representatives, 0)
                                  .take(representatives, 1))
-    return ReducedGraph(graph, representatives, class_of, quotient)
+    return ReducedGraph(representatives, class_of, quotient)
 
 
 # ---------------------------------------------------------------------------
