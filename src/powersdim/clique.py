@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 from .graphs import Graph, bit_rows
 
+__all__ = ["CliqueResult", "max_clique", "min_vertex_cover"]
+
 
 @dataclass(frozen=True)
 class CliqueResult:

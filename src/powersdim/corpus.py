@@ -1,5 +1,7 @@
 """Built-in regression corpus: every method ladder must agree on all of these."""
 
+__all__ = ["CORPUS_SPECS"]
+
 CORPUS_SPECS = [
     # cyclic
     "Z2", "Z3", "Z4", "Z6", "Z8", "Z12", "Z15", "Z16", "Z24", "Z30", "Z36", "Z60",

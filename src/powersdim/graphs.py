@@ -14,6 +14,12 @@ import numpy as np
 
 from .groups import Group, _cached, bit_matrix, bits, membership_matrix
 
+__all__ = [
+    "Graph", "ReducedGraph", "power_graph", "bfs_distances", "diameter",
+    "reduced_graph", "to_edge_list", "from_edge_list",
+    "graph6_encode", "graph6_decode", "to_dot", "Disconnected",
+]
+
 
 class Disconnected(ValueError):
     """Raised by operations that require a connected graph."""

@@ -24,6 +24,18 @@ from typing import NamedTuple
 
 import numpy as np
 
+__all__ = [
+    "Group", "GroupSpec", "Cyclic", "Dihedral", "GeneralizedQuaternion",
+    "ElementaryAbelian", "Abelian", "Symmetric", "Alternating", "DirectProduct",
+    "CayleyFile", "PermFile", "PrimeFactorization", "CyclicSubgroup",
+    "MaximalCyclicFamily", "ChainAnalysis", "build_group", "parse_spec",
+    "spec_string", "spec_order", "element_orders", "maximal_cyclic_subgroups",
+    "chain_analysis", "alpha_p", "sigma", "sigma_of", "factorize", "is_cp_group",
+    "is_cyclic_group", "is_abelian_group",
+    "InvalidSpec", "NotAGroup", "ClosureTooLarge", "NotAPrimeDivisor",
+    "InternalInconsistency",
+]
+
 DEFAULT_CLOSURE_CAP = 5040  # permutation-closure guard (S_7 sized)
 
 

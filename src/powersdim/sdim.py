@@ -22,6 +22,14 @@ from .clique import max_clique, min_vertex_cover
 from .graphs import (Graph, all_pairs, diameter, has_universal_vertex, power_graph,
                      reduced_graph, sweep)
 
+__all__ = [
+    "Method", "SdimResult", "is_strong_resolving_set", "strong_resolving_graph",
+    "sdim_oracle", "sdim_via_reduction", "omega_reduced_group", "sdim_group",
+    "clique_witness_cyclic", "clique_witness_alpha_p", "classify_n_minus_2",
+    "DiameterTooLarge", "OracleCapExceeded", "EmptyFamily",
+    "DEFAULT_ORACLE_CAP",
+]
+
 DEFAULT_ORACLE_CAP = 200
 
 
