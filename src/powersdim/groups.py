@@ -117,6 +117,17 @@ def sigma_of(n: int) -> int:
 # (InvalidSpec), so parse_spec, build_group and direct callers share one check.
 # Each family's grammar, order and builder are its row of _ATOMS, below.
 
+# the largest order n whose n x n table numpy can index (3037000499 on 64-bit builds)
+_MAX_ORDER = math.isqrt(np.iinfo(np.intp).max)
+
+
+def _check_order(order: int | str) -> None:
+    """Refuse a spec whose order is above _MAX_ORDER; an order too large to
+    compute comes as its text."""
+    if isinstance(order, str) or order > _MAX_ORDER:
+        raise InvalidSpec(f"order {order} exceeds {_MAX_ORDER} (the largest n"
+                          " whose n x n table numpy can index)")
+
 
 @dataclass(frozen=True)
 class Cyclic:
@@ -125,6 +136,7 @@ class Cyclic:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidSpec("cyclic order must be >= 1")
+        _check_order(self.n)
 
 
 @dataclass(frozen=True)
@@ -134,6 +146,7 @@ class Dihedral:
     def __post_init__(self):
         if self.order < 6 or self.order % 2:
             raise InvalidSpec("dihedral order must be even and >= 6")
+        _check_order(self.order)
 
 
 @dataclass(frozen=True)
@@ -143,6 +156,7 @@ class GeneralizedQuaternion:
     def __post_init__(self):
         if self.order < 8 or self.order % 4:
             raise InvalidSpec("quaternion order must be a multiple of 4 and >= 8")
+        _check_order(self.order)
 
 
 @dataclass(frozen=True)
@@ -151,10 +165,14 @@ class ElementaryAbelian:
     k: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
+        # p's size before is_prime, which trial-divides up to sqrt(p); since
+        # p >= 2, k >= 32 is too large without computing p^k
+        too_large = self.k >= 1 and (self.p > _MAX_ORDER or self.k >= 32)
+        if not too_large and not is_prime(self.p):
             raise InvalidSpec(f"{self.p} is not prime")
         if self.k < 1:
             raise InvalidSpec("exponent must be >= 1")
+        _check_order(f"{self.p}^{self.k}" if too_large else self.p ** self.k)
 
 
 @dataclass(frozen=True)
@@ -167,6 +185,7 @@ class Abelian:
             raise InvalidSpec("invariant factors must be >= 2")
         if any(ds[i + 1] % ds[i] for i in range(len(ds) - 1)):
             raise InvalidSpec("invariant factors must form a divisibility chain")
+        _check_order(math.prod(ds))
 
 
 @dataclass(frozen=True)
@@ -194,6 +213,9 @@ class DirectProduct:
     def __post_init__(self):
         if not self.parts:
             raise InvalidSpec("direct product needs at least one factor")
+        order = spec_order(self)
+        if order is not None:
+            _check_order(order)
 
 
 @dataclass(frozen=True)
@@ -271,7 +293,7 @@ def parse_spec(text: str) -> GroupSpec:
         return PermFile(t[len("perm:"):])
     parts = t.split("x")
     if len(parts) > 1:
-        return DirectProduct(tuple(_parse_atom(p, t) for p in parts))
+        return _spec(DirectProduct, [tuple(_parse_atom(p, t) for p in parts)], t)
     return _parse_atom(t, t)
 
 
@@ -279,11 +301,15 @@ def _parse_atom(t: str, full: str) -> GroupSpec:
     for cls, atom in _ATOMS.items():
         m = atom.pattern.fullmatch(t)
         if m:
-            try:
-                return cls(*map(atom.read, m.groups()))
-            except InvalidSpec as exc:  # the spec's own check, reported against the input
-                raise InvalidSpec(f"{exc} in {full!r}") from None
+            return _spec(cls, map(atom.read, m.groups()), full)
     raise InvalidSpec(f"cannot parse group spec {full!r} (at {t!r})")
+
+
+def _spec(cls, fields, full: str) -> GroupSpec:
+    try:
+        return cls(*fields)
+    except InvalidSpec as exc:  # the spec's own check, reported against the input
+        raise InvalidSpec(f"{exc} in {full!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,13 @@ def test_oracle_cap_is_checked_before_the_graph_is_built(capsys, monkeypatch, tm
     assert (code, out, err) == (2, "", "ERROR:CAP oracle cap is 10 vertices, graph has 60\n")
 
 
+def test_oracle_on_an_order_too_large_to_compute_is_a_parse_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli_module, "build_group", _fail)
+    code, out, err = run(capsys, "oracle", "E3^99999999999")
+    assert (code, out) == (2, "")
+    assert err.startswith("ERROR:PARSE order 3^99999999999 exceeds ")
+
+
 @pytest.mark.parametrize("spec, order", [("Z1000", 1000), ("S6", 720), ("Z2xS5", 240)])
 def test_oracle_cap_refuses_built_in_families_before_building_the_table(
         capsys, monkeypatch, spec, order):

@@ -1,9 +1,11 @@
 """Group construction, orders, maximal cyclic subgroups, and chain data."""
 
 import math
+import re
 import tracemalloc
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -36,7 +38,7 @@ def test_package_exports_each_name_once_and_every_one_resolves():
     assert all(hasattr(powersdim, name) for name in names)
     namespace = {}
     exec("from powersdim import *", namespace)
-    assert set(names) <= namespace.keys()
+    assert set(names) == namespace.keys() - {"__builtins__"}
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +104,32 @@ def test_parse_product():
     (ElementaryAbelian, (4, 2)), (ElementaryAbelian, (2, 0)), (Abelian, ((),)),
     (Abelian, ((1, 2),)), (Abelian, ((4, 6),)), (Symmetric, (8,)), (Alternating, (0,)),
     (DirectProduct, ((),)), (CayleyFile, ("",)), (PermFile, ("",)),
+    # orders whose n x n table numpy cannot index; a huge p is never trial-divided,
+    # and p^k is not computed for k >= 32
+    (Cyclic, (99999999999999999999,)), (Dihedral, (99999999999999999998,)),
+    (GeneralizedQuaternion, (99999999999999999996,)), (Abelian, ((2, 99999999999999999998),)),
+    (ElementaryAbelian, (99999999999999999989, 1)), (ElementaryAbelian, (3, 99999999999)),
+    (ElementaryAbelian, (2, 99999999999)), (ElementaryAbelian, (2, 32)),
+    (DirectProduct, ((Cyclic(2),) * 33,)),
 ])
 def test_spec_objects_check_their_own_fields(cls, args):
     with pytest.raises(InvalidSpec):
         cls(*args)
+
+
+def test_an_order_above_the_indexable_bound_is_named_with_the_bound():
+    bound = math.isqrt(np.iinfo(np.intp).max)
+    Cyclic(bound)  # the bound itself passes: a spec builds no table
+    for text, order in [(f"Z{bound + 1}", bound + 1), ("E3^99999999999", "3^99999999999"),
+                        ("E99999999999999999989^1", "99999999999999999989^1"),
+                        ("Z2xD99999999999999999998", 99999999999999999998)]:
+        with pytest.raises(InvalidSpec, match=rf"^order {re.escape(str(order))} exceeds "
+                                              rf"{bound} .* in '{re.escape(text)}'$"):
+            parse_spec(text)
+    for text, message in [("E0^2", "0 is not prime"), ("E4^2", "4 is not prime"),
+                          ("E9^1", "9 is not prime"), ("E2^0", "exponent must be >= 1")]:
+        with pytest.raises(InvalidSpec, match=rf"^{message} in '{re.escape(text)}'$"):
+            parse_spec(text)
 
 
 def test_spec_field_errors_name_the_parsed_input():
