@@ -1,9 +1,11 @@
 """The dimension engine: definitional checks, both computation paths,
 group dispatch, constructive witnesses, and the n-2 classification."""
 
+import gc
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import event, given, settings
@@ -389,6 +391,27 @@ def test_diameter_before_the_oracle_sweeps_once(monkeypatch):
     assert diameter(cycle) == 3 and sweeps[0] == 1
     res = sdim_oracle(cycle)
     assert (res.value, res.verified, sweeps[0]) == (4, True, 1)
+
+
+def test_a_finished_computation_frees_its_graphs_without_the_cyclic_collector():
+    # a graph, its cache and its cached twin quotient form no reference cycle, so
+    # reference counting frees S6's arrays (about 1.3 MB) as soon as they are dropped
+    def compute():
+        g = build_group("S6")
+        sdim_group(g, oracle_cap=g.n)
+
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        compute()
+        held = tracemalloc.get_traced_memory()[0] - start
+        assert gc.collect() == 0
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 100_000, held
 
 
 # ---------------------------------------------------------------------------
