@@ -165,13 +165,11 @@ class ElementaryAbelian:
     k: int
 
     def __post_init__(self):
-        # p's size before is_prime, which trial-divides up to sqrt(p); since
-        # p >= 2, k >= 32 is too large without computing p^k
-        too_large = self.k >= 1 and (self.p > _MAX_ORDER or self.k >= 32)
-        if not too_large and not is_prime(self.p):
+        if self.p <= _MAX_ORDER and not is_prime(self.p):  # is_prime trial-divides to sqrt(p)
             raise InvalidSpec(f"{self.p} is not prime")
         if self.k < 1:
             raise InvalidSpec("exponent must be >= 1")
+        too_large = self.p > _MAX_ORDER or self.k >= 32  # p >= 2: p^k is not computed
         _check_order(f"{self.p}^{self.k}" if too_large else self.p ** self.k)
 
 

@@ -127,7 +127,9 @@ def test_an_order_above_the_indexable_bound_is_named_with_the_bound():
                                               rf"{bound} .* in '{re.escape(text)}'$"):
             parse_spec(text)
     for text, message in [("E0^2", "0 is not prime"), ("E4^2", "4 is not prime"),
-                          ("E9^1", "9 is not prime"), ("E2^0", "exponent must be >= 1")]:
+                          ("E9^1", "9 is not prime"), ("E4^32", "4 is not prime"),
+                          ("E2^0", "exponent must be >= 1"),
+                          ("E99999999999999999989^0", "exponent must be >= 1")]:
         with pytest.raises(InvalidSpec, match=rf"^{message} in '{re.escape(text)}'$"):
             parse_spec(text)
 
