@@ -1,4 +1,4 @@
-"""Simple undirected graphs with bitset adjacency rows.
+"""Simple undirected graphs, each stored as its bool adjacency matrix.
 
 Provides the power-graph construction, BFS metrics, the closed-twin
 reduction, and serialization to/from edge-list JSON dicts, graph6 strings,
@@ -34,44 +34,23 @@ def bit_rows(m: np.ndarray) -> list[int]:
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1; row v is the neighbor bitmask.
+    """Simple undirected graph on vertices 0..n-1, given by its adjacency.
 
-    matrix, a read-only n x n bool array, is the one stored adjacency; the
-    rows are derived from it on first read.  Graph(n, rows) checks each
-    row's range in order, builds the matrix and keeps the rows as derived;
-    Graph.from_matrix(m) keeps m.  Either way one check runs on the matrix:
-    no loop on the diagonal, then symmetry, as one comparison with its
-    transpose.  Instances are immutable after construction; derived data
-    (the rows, distances, sweep and twin quotient) is cached by _cached.
+    Graph(m) keeps m, a square bool array, made read-only rather than
+    copied: the one stored adjacency.  The one check runs here: no loop on
+    the diagonal, then symmetry, as one comparison with its transpose.
+    Graph.from_edges builds the matrix from an edge list.  Row v of rows,
+    the neighbour bitmask of v, is derived from the matrix on first read.
+    Instances are immutable after construction; derived data (the rows,
+    distances, sweep and twin quotient) is cached by _cached.
     """
 
     __slots__ = ("n", "matrix", "_cache")
 
-    def __init__(self, n: int, rows: list[int] | None = None):
-        if n < 0:
-            raise ValueError("vertex count must be >= 0")
-        if rows is None:
-            rows = [0] * n
-        if len(rows) != n:
-            raise ValueError("need one adjacency row per vertex")
-        for u, row in enumerate(rows):
-            if row >> n:
-                raise ValueError(f"row {u} references vertices >= {n}")
-        self._adopt(bit_matrix(rows, n))
-        self._cache["rows"] = list(rows)  # the rows property's entry, under its name
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Graph":
-        """Graph whose adjacency is the square bool matrix m, which it keeps
-        (made read-only) rather than copies."""
-        if m.dtype != bool or m.ndim != 2 or m.shape[0] != m.shape[1]:
+    def __init__(self, m: np.ndarray):
+        if not (isinstance(m, np.ndarray) and m.dtype == bool and m.ndim == 2
+                and m.shape[0] == m.shape[1]):
             raise ValueError("adjacency must be a square bool matrix")
-        graph = cls.__new__(cls)
-        graph._adopt(m)
-        return graph
-
-    def _adopt(self, m: np.ndarray) -> None:
-        """The one adjacency check, shared by both constructors."""
         loops = np.flatnonzero(m.diagonal())
         if len(loops):
             raise ValueError(f"loop at vertex {loops[0]}")
@@ -90,6 +69,9 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        """Graph on n vertices with the (u, v) edges given; duplicates collapse."""
+        if n < 0:
+            raise ValueError("vertex count must be >= 0")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -98,7 +80,9 @@ class Graph:
                 raise ValueError(f"loop at vertex {u} not allowed")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, rows)
+        graph = cls(bit_matrix(rows, n))
+        graph._cache["rows"] = rows  # the rows property's entry, under its name
+        return graph
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.rows[u] >> v) & 1 == 1
@@ -122,7 +106,7 @@ class Graph:
     def complement(self) -> "Graph":
         m = ~self.matrix
         np.fill_diagonal(m, False)
-        return Graph.from_matrix(m)
+        return Graph(m)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -147,7 +131,7 @@ def power_graph(g: Group) -> Graph:
     c = membership_matrix(g)
     m = c | c.T
     np.fill_diagonal(m, False)
-    return Graph.from_matrix(m)
+    return Graph(m)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +317,7 @@ def reduced_graph(graph: Graph) -> ReducedGraph:
         if cid == len(representatives):
             representatives.append(v)
         class_of.append(cid)
-    quotient = Graph.from_matrix(graph.matrix.take(representatives, 0)
-                                 .take(representatives, 1))
+    quotient = Graph(graph.matrix.take(representatives, 0).take(representatives, 1))
     return ReducedGraph(representatives, class_of, quotient)
 
 

@@ -512,7 +512,7 @@ def _product_table(tables) -> np.ndarray:
     return out
 
 
-def _perm_table(gens: list[tuple[int, ...]], cap: float = math.inf,
+def _perm_table(gens: list[tuple[int, ...]],
                 lexicographic: bool = False) -> tuple[np.ndarray, list[int]]:
     """Multiplication table of the group that the permutations gens of
     0..k-1 generate, row a, column b holding the index of a.b,
@@ -530,7 +530,7 @@ def _perm_table(gens: list[tuple[int, ...]], cap: float = math.inf,
     table is row g gathered by row s, which lists s.b for every b.  With
     lexicographic, the elements are numbered in the lexicographic order of
     their rows instead, through the edges and the generators' rows.  Raises
-    ClosureTooLarge when the group has more than cap elements.
+    ClosureTooLarge when the group has more than DEFAULT_CLOSURE_CAP elements.
     """
     k = len(gens[0]) if gens else 0
     s = np.empty((len(gens), k + 1), dtype=np.min_scalar_type(k))
@@ -552,9 +552,9 @@ def _perm_table(gens: list[tuple[int, ...]], cap: float = math.inf,
             new = []
             for r, b in enumerate(keys(products)):
                 if b not in index:
-                    if len(index) >= cap:
-                        raise ClosureTooLarge(
-                            f"permutation closure exceeds the cap of {cap} elements")
+                    if len(index) >= DEFAULT_CLOSURE_CAP:
+                        raise ClosureTooLarge("permutation closure exceeds the cap of "
+                                              f"{DEFAULT_CLOSURE_CAP} elements")
                     index[b] = len(index)
                     new.append(r)
             if new:
@@ -711,7 +711,7 @@ _ATOMS = {
 }
 
 
-def build_group(spec: GroupSpec | str, *, closure_cap: int = DEFAULT_CLOSURE_CAP) -> Group:
+def build_group(spec: GroupSpec | str) -> Group:
     """Construct the group described by a spec object or spec string.  Every
     table, built-in or from a file of any order, gets Group()'s full check."""
     if isinstance(spec, str):
@@ -719,7 +719,7 @@ def build_group(spec: GroupSpec | str, *, closure_cap: int = DEFAULT_CLOSURE_CAP
     if type(spec) in _ATOMS:
         return _ATOMS[type(spec)].build(spec)
     if isinstance(spec, DirectProduct):
-        factors = [build_group(p, closure_cap=closure_cap) for p in spec.parts]
+        factors = [build_group(p) for p in spec.parts]
         return Group(_product_table([f.array for f in factors]), spec)
     if isinstance(spec, CayleyFile):
         g = Group(_parse_cayley_file(spec.path), spec)
@@ -727,7 +727,7 @@ def build_group(spec: GroupSpec | str, *, closure_cap: int = DEFAULT_CLOSURE_CAP
             raise NotAGroup(f"Cayley file {spec.path!r}: element 0 must be the identity")
         return g
     if isinstance(spec, PermFile):
-        table, gens = _perm_table(_parse_perm_file(spec.path), closure_cap)
+        table, gens = _perm_table(_parse_perm_file(spec.path))
         return Group(table, spec, generators=gens)
     raise InvalidSpec(f"unsupported spec: {spec!r}")
 

@@ -126,7 +126,7 @@ def strong_resolving_graph(graph: Graph) -> Graph:
         far = sweep(graph)[1]
         srg = ~(far | far.T)
     np.fill_diagonal(srg, False)
-    return Graph.from_matrix(srg)
+    return Graph(srg)
 
 
 # ---------------------------------------------------------------------------
@@ -228,22 +228,23 @@ def sdim_group(g: gr.Group, *, oracle_cap: int = 0) -> SdimResult:
     theorem, the reduction on the power graph (which gives the witness), and
     the generic oracle when g.n <= oracle_cap.  Each step's (method, value,
     ms) is kept in rows; any disagreement raises InternalInconsistency."""
+    def timed(f, *args, **kwargs):
+        """f's result and the ms it took."""
+        t0 = time.perf_counter()
+        return f(*args, **kwargs), (time.perf_counter() - t0) * 1000.0  # f runs first
+
     graph = power_graph(g)
     rows: list[tuple[Method, int, float]] = []
-    t0 = time.perf_counter()
-    cf = _closed_form(g)
+    cf, ms = timed(_closed_form, g)
     if cf is not None:
-        rows.append((*cf, (time.perf_counter() - t0) * 1000.0))
-    t0 = time.perf_counter()
-    omega = omega_reduced_group(g)
-    rows.append((Method.GROUP_THEOREM, g.n - omega, (time.perf_counter() - t0) * 1000.0))
-    t0 = time.perf_counter()
-    red = sdim_via_reduction(graph)
-    rows.append((Method.DIAMETER2_REDUCTION, red.value, (time.perf_counter() - t0) * 1000.0))
+        rows.append((*cf, ms))
+    omega, ms = timed(omega_reduced_group, g)
+    rows.append((Method.GROUP_THEOREM, g.n - omega, ms))
+    red, ms = timed(sdim_via_reduction, graph)
+    rows.append((Method.DIAMETER2_REDUCTION, red.value, ms))
     if g.n <= oracle_cap:
-        t0 = time.perf_counter()
-        oracle = sdim_oracle(graph, oracle_cap=oracle_cap)
-        rows.append((Method.GENERIC_ORACLE, oracle.value, (time.perf_counter() - t0) * 1000.0))
+        oracle, ms = timed(sdim_oracle, graph, oracle_cap=oracle_cap)
+        rows.append((Method.GENERIC_ORACLE, oracle.value, ms))
     if len({value for _, value, _ in rows}) != 1:
         raise InternalInconsistency("methods disagree: " + ", ".join(
             f"{method.value} gives {value}" for method, value, _ in rows))

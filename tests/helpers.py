@@ -247,6 +247,11 @@ def ref_product_table(tables: list[list[list[int]]]) -> list[list[int]]:
     return out
 
 
+def graph_of_rows(rows: list[int]) -> Graph:
+    """The graph whose row v, the neighbour bitmask of v, is rows[v]."""
+    return Graph(bit_matrix(rows, len(rows)))
+
+
 def is_clique(graph: Graph, vertices) -> bool:
     vs = list(vertices)
     return all(graph.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
@@ -366,7 +371,7 @@ def ref_max_clique(graph: Graph) -> CliqueResult:
 
 def ref_min_vertex_cover(graph: Graph) -> list[int]:
     full = (1 << graph.n) - 1
-    complement = Graph(graph.n, [full & ~row & ~(1 << v) for v, row in enumerate(graph.rows)])
+    complement = graph_of_rows([full & ~row & ~(1 << v) for v, row in enumerate(graph.rows)])
     independent = set(ref_max_clique(complement).members)
     return [v for v in range(graph.n) if v not in independent]
 

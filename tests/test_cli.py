@@ -296,10 +296,14 @@ def test_table_json_is_one_array_of_the_csv_rows(capsys):
 
 
 def test_table_bad_range(capsys):
-    code, out, err = run(capsys, "table", "--family", "cyclic", "--range", "12..2")
-    assert code == 2 and err.startswith("ERROR:PARSE")
-    code, out, err = run(capsys, "table", "--family", "cyclic", "--range", "abc")
-    assert code == 2 and err.startswith("ERROR:PARSE")
+    for family, bounds, message in [
+        ("cyclic", "abc", "bad range 'abc', expected lo..hi"),
+        ("cyclic", "3..2", "empty range '3..2'"),
+        ("cyclic", "12..2", "empty range '12..2'"),
+        ("dihedral", "2..4", "family dihedral needs parameter >= 3"),
+    ]:
+        code, out, err = run(capsys, "table", "--family", family, "--range", bounds)
+        assert (code, out, err) == (2, "", f"ERROR:PARSE {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ import pytest
 from powersdim import CORPUS_SPECS, Graph, build_group, max_clique, min_vertex_cover, \
     power_graph, reduced_graph, sigma_of, strong_resolving_graph
 
-from helpers import (brute_force_clique_number, forward_brute_force_clique_number, is_clique,
-                     random_cycle_with_chords, random_graph, ref_max_clique,
-                     ref_min_vertex_cover)
+from helpers import (brute_force_clique_number, forward_brute_force_clique_number,
+                     graph_of_rows, is_clique, random_cycle_with_chords, random_graph,
+                     ref_max_clique, ref_min_vertex_cover)
 
 
 def complete_graph(n):
@@ -24,9 +24,9 @@ def cycle_graph(n):
 
 
 def test_max_clique_basics():
-    assert max_clique(Graph(0)) == max_clique(Graph(0))
-    assert max_clique(Graph(0)).size == 0
-    assert max_clique(Graph(3)).size == 1          # no edges: a single vertex
+    assert max_clique(Graph.from_edges(0, [])) == max_clique(Graph.from_edges(0, []))
+    assert max_clique(Graph.from_edges(0, [])).size == 0
+    assert max_clique(Graph.from_edges(3, [])).size == 1          # no edges: a single vertex
     assert max_clique(complete_graph(5)).size == 5
     assert max_clique(cycle_graph(5)).size == 2    # triangle-free
 
@@ -53,7 +53,7 @@ def test_max_clique_determinism():
     g = random_graph(rng, 14)
     first = max_clique(g)
     for _ in range(3):
-        again = max_clique(Graph(g.n, list(g.rows)))
+        again = max_clique(graph_of_rows(list(g.rows)))
         assert again == first
 
 
@@ -72,8 +72,8 @@ def test_max_clique_on_multi_byte_rows(n, p, planted, seed):
     # a planted clique on random vertices, one of them the last, in the highest byte
     g = random_cycle_with_chords(rng, n, p)
     members = rng.sample(range(n - 1), planted - 1) + [n - 1] if planted else []
-    g = Graph(n, [row | sum(1 << w for w in members if w != v) if v in members else row
-                  for v, row in enumerate(g.rows)])
+    g = graph_of_rows([row | sum(1 << w for w in members if w != v) if v in members else row
+                       for v, row in enumerate(g.rows)])
     res = max_clique(g)
     assert res.size == forward_brute_force_clique_number(g)
     assert list(res.members) == sorted(set(res.members)) and len(res.members) == res.size
@@ -85,14 +85,14 @@ def test_min_vertex_cover_examples():
     assert len(min_vertex_cover(cycle_graph(4))) == 2
     star = Graph.from_edges(7, [(0, i) for i in range(1, 7)])
     assert min_vertex_cover(star) == [0]
-    assert min_vertex_cover(Graph(4)) == []
+    assert min_vertex_cover(Graph.from_edges(4, [])) == []
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
     # a 1500-clique is found 1500 levels deep, beyond the default recursion limit
     n = 1500
     full = (1 << n) - 1
-    k = Graph(n, [full & ~(1 << v) for v in range(n)])
+    k = graph_of_rows([full & ~(1 << v) for v in range(n)])
     res = max_clique(k)
     assert res.size == n and res.members == tuple(range(n))
     assert min_vertex_cover(k.complement()) == []

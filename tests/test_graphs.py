@@ -16,7 +16,7 @@ from powersdim import (Disconnected, Graph, bfs_distances, build_group, chain_an
 import powersdim.graphs as graphs_module
 from powersdim.graphs import all_pairs, bit_matrix, bit_rows, sweep
 
-from helpers import (all_pairs_distances, brute_strong_resolving_graph, cone,
+from helpers import (all_pairs_distances, brute_strong_resolving_graph, cone, graph_of_rows,
                      random_cycle_with_chords, random_graph, with_closed_twins)
 
 
@@ -38,9 +38,9 @@ def path_graph(n):
 
 def test_graph_rejects_asymmetry_and_loops():
     with pytest.raises(ValueError):
-        Graph(2, [0b10, 0b00])
+        graph_of_rows([0b10, 0b00])
     with pytest.raises(ValueError):
-        Graph(1, [0b1])
+        graph_of_rows([0b1])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
@@ -71,17 +71,31 @@ def test_bit_matrix_round_trips_and_matches_the_bits(n, p, rng):
     assert bit_rows(m) == rows
 
 
-@pytest.mark.parametrize("rows, message", [
-    ([1 << 64] + [0] * 64, "adjacency is not symmetric"),     # one-way edge (0, 64)
-    ([0] * 64 + [1 << 64], "loop at vertex 64"),
-    ([1 << 65] + [0] * 64, "row 0 references vertices >= 65"),
-    ([-1] + [0] * 64, "row 0 references vertices >= 65"),
-    ([1 << 64] + [0] * 63 + [1 << 64], "loop at vertex 64"),  # rows are checked before symmetry
+@pytest.mark.parametrize("build, message", [
+    (lambda: graph_of_rows([1 << 64] + [0] * 64), "adjacency is not symmetric"),  # one-way (0, 64)
+    (lambda: graph_of_rows([0] * 64 + [1 << 64]), "loop at vertex 64"),
+    (lambda: Graph.from_edges(65, [(0, 65)]), "edge (0,65) out of range for n=65"),
+    (lambda: Graph.from_edges(65, [(-1, 0)]), "edge (-1,0) out of range for n=65"),
+    # the diagonal is checked before symmetry
+    (lambda: graph_of_rows([1 << 64] + [0] * 63 + [1 << 64]), "loop at vertex 64"),
 ], ids=["asymmetric-high-byte", "loop", "bit-n", "negative", "loop-before-asymmetry"])
-def test_graph_rejections_keep_their_messages(rows, message):
+def test_graph_rejections_keep_their_messages(build, message):
     with pytest.raises(ValueError) as exc:
-        Graph(65, rows)
+        build()
     assert str(exc.value) == message
+
+
+@given(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65]), st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_from_edges_keeps_the_rows_of_its_matrix(n, p, rng):
+    # both orientations and duplicates; the rows from_edges keeps are the one
+    # cache entry not derived from the matrix
+    edges = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+    g = Graph.from_edges(n, edges)
+    assert g.rows == bit_rows(g.matrix)
+    h = graph_of_rows(g.rows)
+    assert g == h and hash(g) == hash(h)
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +149,18 @@ def test_bfs_power_graph_z6_from_3():
 
 
 def test_bfs_unreachable_marker():
-    g = Graph(3, [0b010, 0b001, 0])
+    g = graph_of_rows([0b010, 0b001, 0])
     assert bfs_distances(g, 2) == [math.inf, math.inf, 0]
 
 
 def test_diameter():
     assert diameter(complete_graph(5)) == 1
     assert diameter(path_graph(4)) == 3
-    assert diameter(Graph(1)) == 0
+    assert diameter(Graph.from_edges(1, [])) == 0
     with pytest.raises(Disconnected):
-        diameter(Graph(2))
+        diameter(Graph.from_edges(2, []))
     with pytest.raises(ValueError):
-        diameter(Graph(0))
+        diameter(Graph.from_edges(0, []))
 
 
 @given(st.integers(0, 40), st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]), st.integers(0, 2**32))
@@ -177,7 +191,7 @@ def srg_of_sweep(g: Graph) -> Graph:
     far = sweep(g)[1]
     srg = ~(far | far.T)
     np.fill_diagonal(srg, False)
-    return Graph(g.n, bit_rows(srg))
+    return Graph(srg)
 
 
 @given(st.sampled_from([1, 2, 63, 64, 65, 128, 129]), st.sampled_from([0.0, 0.02, 0.1, 0.3]),
@@ -378,38 +392,41 @@ def test_edge_list_rejects_json_booleans(payload, message):
     assert str(exc.value) == message
 
 
-def test_from_matrix_keeps_the_matrix_and_checks_it_like_rows():
+def test_graph_keeps_the_matrix_and_checks_it():
     m = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], bool)
-    g = Graph.from_matrix(m)
-    assert g == Graph.from_edges(3, [(0, 1), (0, 2)]) and g.matrix is m
-    assert not m.flags.writeable and not Graph(3, g.rows).matrix.flags.writeable
+    g = Graph(m)
+    h = Graph.from_edges(3, [(0, 1), (0, 2)])
+    assert g == h and g.matrix is m
+    assert not m.flags.writeable and not h.matrix.flags.writeable
     for bad, message in [
         (np.eye(3, dtype=bool), "loop at vertex 0"),
         (np.triu(np.ones((3, 3), bool), 1), "adjacency is not symmetric"),
         (np.zeros((2, 3), bool), "adjacency must be a square bool matrix"),
         (np.zeros((2, 2), np.uint8), "adjacency must be a square bool matrix"),
+        ([[False, True], [True, False]], "adjacency must be a square bool matrix"),
+        (2, "adjacency must be a square bool matrix"),
     ]:
         with pytest.raises(ValueError) as exc:
-            Graph.from_matrix(bad)
+            Graph(bad)
         assert str(exc.value) == message
 
 
 def test_int_rows_are_built_only_when_read(monkeypatch):
     calls = []
     monkeypatch.setattr(graphs_module, "bit_rows", lambda m: calls.append(len(m)) or bit_rows(m))
-    g = Graph.from_matrix(np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], bool))
+    g = Graph(np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], bool))
     assert calls == []
     assert g.rows == [0b110, 0b001, 0b001] and calls == [3]
     assert g.rows is g.rows and calls == [3]  # built once, then kept
-    h = Graph(3, [0b110, 0b001, 0b001])  # the rows given are kept, not rebuilt
+    h = Graph.from_edges(3, [(0, 1), (0, 2)])  # the rows it builds are kept, not rebuilt
     assert h.rows == g.rows and calls == [3]
     reduced_graph(g)  # the twin classes read the rows, the quotient only the matrix
     assert calls == [3]
 
 
 def test_graph6_known_strings():
-    assert graph6_encode(Graph(0)) == "?"
-    assert graph6_encode(Graph(1)) == "@"
+    assert graph6_encode(Graph.from_edges(0, [])) == "?"
+    assert graph6_encode(Graph.from_edges(1, [])) == "@"
     assert graph6_encode(complete_graph(2)) == "A_"
     assert graph6_encode(complete_graph(3)) == "Bw"
     assert graph6_decode("Bw") == complete_graph(3)
@@ -425,7 +442,7 @@ def test_graph6_round_trip(n, rng):
 
 def test_graph6_limits():
     with pytest.raises(ValueError):
-        graph6_encode(Graph(63))
+        graph6_encode(Graph.from_edges(63, []))
     with pytest.raises(ValueError):
         graph6_decode("~??")
     with pytest.raises(ValueError):

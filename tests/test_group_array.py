@@ -93,7 +93,7 @@ def small_closures(draw):
 @given(small_closures())
 @settings(max_examples=25, deadline=None)
 def test_closures_in_s7_table_and_theorem_equals_reduction(gens):
-    table, generators = groups_module._perm_table(gens, 300)
+    table, generators = groups_module._perm_table(gens)
     g = Group(table, generators=generators)
     assert g.table == brute_perm_table(ref_close_permutations(gens))
     assert omega_reduced_group(g) == sdim_via_reduction(power_graph(g)).omega_reduced

@@ -288,15 +288,18 @@ def test_perm_file_identity_line(tmp_path):
     assert g.n == 1
 
 
-def test_perm_file_closure_cap(tmp_path):
+def test_perm_file_closure_cap(tmp_path, monkeypatch):
     path = tmp_path / "a4.txt"
     path.write_text("(1 2 3)\n(2 3 4)\n")
     assert build_group(f"perm:{path}").n == 12
-    assert build_group(f"perm:{path}", closure_cap=12).n == 12
+    monkeypatch.setattr(groups_module, "DEFAULT_CLOSURE_CAP", 12)
+    assert build_group(f"perm:{path}").n == 12
+    monkeypatch.setattr(groups_module, "DEFAULT_CLOSURE_CAP", 10)
     with pytest.raises(ClosureTooLarge):
-        build_group(f"perm:{path}", closure_cap=10)
+        build_group(f"perm:{path}")
+    monkeypatch.setattr(groups_module, "DEFAULT_CLOSURE_CAP", 11)
     with pytest.raises(ClosureTooLarge, match="exceeds the cap of 11 elements"):
-        build_group(f"perm:{path}", closure_cap=11)
+        build_group(f"perm:{path}")
 
 
 def test_perm_file_bad_cycles(tmp_path):
@@ -605,7 +608,7 @@ def test_perm_table_of_a_1000_cycle_in_bounded_memory():
     gen = tuple(range(1, 1000)) + (0,)
     tracemalloc.start()
     try:
-        table, gens = groups_module._perm_table([gen], 1000)
+        table, gens = groups_module._perm_table([gen])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -51,7 +51,7 @@ def test_srs_complete_graph():
 
 def test_srs_rejects_disconnected_and_bad_vertices():
     with pytest.raises(Disconnected):
-        is_strong_resolving_set(Graph(2), [0])
+        is_strong_resolving_set(Graph.from_edges(2, []), [0])
     with pytest.raises(ValueError):
         is_strong_resolving_set(complete_graph(3), [7])
 
@@ -181,7 +181,7 @@ def test_oracle_cap():
     with pytest.raises(OracleCapExceeded):
         sdim_oracle(complete_graph(12), oracle_cap=10)
     with pytest.raises(Disconnected):
-        sdim_oracle(Graph(3))
+        sdim_oracle(Graph.from_edges(3, []))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def test_reduction_complete_graph():
 
 
 def test_reduction_single_vertex():
-    res = sdim_via_reduction(Graph(1))
+    res = sdim_via_reduction(Graph.from_edges(1, []))
     assert res.value == 0 and res.witness == []
 
 
