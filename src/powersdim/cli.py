@@ -14,8 +14,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+
+# powersdim runs no matrix product, so OpenBLAS's thread pool only costs
+# start-up time; a caller's own count is kept.  numpy starts here, once,
+# before any layer: the layers import it on first use.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import numpy  # noqa: E402,F401
 
 from . import __version__
 from .graphs import (Disconnected, from_edge_list, graph6_decode, graph6_encode,

@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .groups import Group, _cached, bit_matrix, bits, membership_matrix
 
 __all__ = [
@@ -169,7 +168,7 @@ def has_universal_vertex(graph: Graph) -> bool:
     return any(row.bit_count() == graph.n - 1 for row in graph.rows)
 
 
-_WORD = np.dtype("<u8")
+_WORD = "<u8"  # a dtype string: np.dtype here would import numpy
 
 
 def _pack(m: np.ndarray) -> np.ndarray:

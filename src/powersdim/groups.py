@@ -17,12 +17,13 @@ import functools
 import itertools
 import math
 import re
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
+from ._numpy import np
 
 __all__ = [
     "Group", "GroupSpec", "Cyclic", "Dihedral", "GeneralizedQuaternion",
@@ -117,8 +118,9 @@ def sigma_of(n: int) -> int:
 # (InvalidSpec), so parse_spec, build_group and direct callers share one check.
 # Each family's grammar, order and builder are its row of _ATOMS, below.
 
-# the largest order n whose n x n table numpy can index (3037000499 on 64-bit builds)
-_MAX_ORDER = math.isqrt(np.iinfo(np.intp).max)
+# the largest order n whose n x n table numpy can index (3037000499 on 64-bit
+# builds): numpy's intp is ssize_t-sized, so read without importing numpy
+_MAX_ORDER = math.isqrt(sys.maxsize)
 
 
 def _check_order(order: int | str) -> None:

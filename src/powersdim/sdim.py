@@ -14,9 +14,8 @@ import enum
 import time
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import groups as gr
+from ._numpy import np
 from .groups import InternalInconsistency
 from .clique import max_clique, min_vertex_cover
 from .graphs import (Graph, all_pairs, diameter, has_universal_vertex, power_graph,

@@ -117,6 +117,10 @@ def test_spec_objects_check_their_own_fields(cls, args):
         cls(*args)
 
 
+def test_the_numpy_free_order_bound_is_numpys_own():
+    assert groups_module._MAX_ORDER == math.isqrt(np.iinfo(np.intp).max)
+
+
 def test_an_order_above_the_indexable_bound_is_named_with_the_bound():
     bound = math.isqrt(np.iinfo(np.intp).max)
     Cyclic(bound)  # the bound itself passes: a spec builds no table
