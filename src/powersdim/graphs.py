@@ -2,7 +2,9 @@
 
 Provides the power-graph construction, BFS metrics, the closed-twin
 reduction, and serialization to/from edge-list JSON dicts, graph6 strings,
-and DOT text.
+and DOT text.  Every function here but bfs_distances, the sweep's
+reference, reads and writes only the matrix; the int-bitset Graph.rows is
+a view for callers outside the package.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .groups import Group, _cached, bit_matrix, bits, membership_matrix
+from .groups import Group, _cached, bits, membership_matrix
 
 __all__ = [
     "Graph", "ReducedGraph", "power_graph", "bfs_distances", "diameter",
@@ -39,9 +41,11 @@ class Graph:
     copied: the one stored adjacency.  The one check runs here: no loop on
     the diagonal, then symmetry, as one comparison with its transpose.
     Graph.from_edges builds the matrix from an edge list.  Row v of rows,
-    the neighbour bitmask of v, is derived from the matrix on first read.
-    Instances are immutable after construction; derived data (the rows,
-    distances, sweep and twin quotient) is cached by _cached.
+    the neighbour bitmask of v, is derived from the matrix when first read,
+    for callers outside the package: only bfs_distances reads it here.
+    Equality and the hash compare matrices.  Instances are immutable after
+    construction; derived data (the rows, distances, sweep and twin
+    quotient) is cached by _cached.
     """
 
     __slots__ = ("n", "matrix", "_cache")
@@ -71,36 +75,24 @@ class Graph:
         """Graph on n vertices with the (u, v) edges given; duplicates collapse."""
         if n < 0:
             raise ValueError("vertex count must be >= 0")
-        rows = [0] * n
+        cells = []  # flat indices of both orientations of every edge
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        graph = cls(bit_matrix(rows, n))
-        graph._cache["rows"] = rows  # the rows property's entry, under its name
-        return graph
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (self.rows[u] >> v) & 1 == 1
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
-    def closed_mask(self, v: int) -> int:
-        return self.rows[v] | (1 << v)
+            cells.append(u * n + v)
+            cells.append(v * n + u)
+        m = np.zeros(n * n, bool)
+        m[np.array(cells, np.intp)] = True  # one scatter; faster than indexing by the list
+        return cls(m.reshape(n, n))
 
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.matrix)) // 2
 
     def edges(self):
         """Yield edges (u, v) with u < v, in ascending order."""
-        for u in range(self.n):
-            for v in bits(self.rows[u]):
-                if v > u:
-                    yield (u, v)
+        yield from map(tuple, np.argwhere(np.triu(self.matrix, 1)).tolist())
 
     def complement(self) -> "Graph":
         m = ~self.matrix
@@ -108,10 +100,10 @@ class Graph:
         return Graph(m)
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
+        return isinstance(other, Graph) and np.array_equal(self.matrix, other.matrix)
 
     def __hash__(self):
-        return hash((self.n, tuple(self.rows)))
+        return hash((self.n, self.matrix.tobytes()))
 
     def __repr__(self):
         return f"<Graph n={self.n} m={self.edge_count()}>"
@@ -163,9 +155,9 @@ def bfs_distances(graph: Graph, source: int) -> list:
 
 
 def has_universal_vertex(graph: Graph) -> bool:
-    """True iff some row has n - 1 bits.  Such a vertex makes the graph
+    """True iff some vertex has degree n - 1.  Such a vertex makes the graph
     connected with diameter <= 2; every power graph has one, the identity."""
-    return any(row.bit_count() == graph.n - 1 for row in graph.rows)
+    return bool((graph.matrix.sum(1) == graph.n - 1).any())
 
 
 _WORD = "<u8"  # a dtype string: np.dtype here would import numpy
@@ -306,12 +298,13 @@ class ReducedGraph:
 def reduced_graph(graph: Graph) -> ReducedGraph:
     """Closed-twin classes with the smallest vertex as representative, cached
     on the graph: vertices are grouped by their closed neighbourhood
-    row | 1 << v (a dict lookup gives hash-then-exact-equality).  The
-    quotient is the adjacency matrix restricted to the representatives."""
+    row | 1 << v, over int bitsets of the matrix rows built here (a dict
+    lookup gives hash-then-exact-equality).  The quotient is the adjacency
+    matrix restricted to the representatives."""
     class_ids: dict[int, int] = {}
     representatives: list[int] = []
     class_of = []
-    for v, row in enumerate(graph.rows):
+    for v, row in enumerate(bit_rows(graph.matrix)):
         cid = class_ids.setdefault(row | 1 << v, len(representatives))
         if cid == len(representatives):
             representatives.append(v)
@@ -342,29 +335,23 @@ def from_edge_list(data: dict) -> Graph:
         if not (isinstance(e, (list, tuple)) and len(e) == 2
                 and type(e[0]) is int and type(e[1]) is int):  # not bool either
             raise ValueError(f"bad edge entry: {e!r}")
-    return Graph.from_edges(n, edges)  # duplicates collapse in the bitmask
+    return Graph.from_edges(n, edges)  # duplicates collapse in the matrix
 
 
 GRAPH6_MAX = 62  # short form only; the long form is out of scope
 
 
 def graph6_encode(graph: Graph) -> str:
-    """Standard graph6 ASCII encoding for graphs with at most 62 vertices."""
+    """Standard graph6 ASCII encoding for graphs with at most 62 vertices:
+    the upper triangle column by column, cells (i, j) with i < j ordered by
+    j then i, six bits to a character, the last padded with zeros."""
     n = graph.n
     if n > GRAPH6_MAX:
         raise ValueError(f"graph6 short form only covers n <= {GRAPH6_MAX}, got {n}")
-    out = [chr(63 + n)]
-    buf, nbits = 0, 0
-    for j in range(1, n):
-        for i in range(j):
-            buf = (buf << 1) | (1 if graph.has_edge(i, j) else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + buf))
-                buf, nbits = 0, 0
-    if nbits:
-        out.append(chr(63 + (buf << (6 - nbits))))
-    return "".join(out)
+    triangle = graph.matrix[np.tril_indices(n, -1)[::-1]]
+    six = np.zeros((-(-len(triangle) // 6), 6), bool)
+    six.flat[:len(triangle)] = triangle
+    return chr(63 + n) + ((np.packbits(six, axis=1) >> 2) + 63).tobytes().decode()
 
 
 def graph6_decode(text: str) -> Graph:
@@ -382,20 +369,16 @@ def graph6_decode(text: str) -> Graph:
     body = s[1:]
     if len(body) != (nbits + 5) // 6:
         raise ValueError("graph6 string has the wrong length")
-    bitstream = []
+    codes = bytearray()
     for ch in body:
         v = ord(ch) - 63
         if not 0 <= v < 64:
             raise ValueError(f"bad graph6 character {ch!r}")
-        bitstream.extend((v >> k) & 1 for k in range(5, -1, -1))
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bitstream[pos]:
-                edges.append((i, j))
-            pos += 1
-    return Graph.from_edges(n, edges)
+        codes.append(v)
+    six = np.unpackbits(np.frombuffer(codes, np.uint8)[:, None], axis=1)[:, 2:]
+    m = np.zeros((n, n), bool)
+    m[np.tril_indices(n, -1)[::-1]] = six.ravel()[:nbits]  # the encoder's cells
+    return Graph(m | m.T)
 
 
 def to_dot(graph: Graph, labels: list[str] | None = None) -> str:

@@ -13,8 +13,8 @@ from random import Random
 
 from powersdim import (ChainAnalysis, CliqueResult, CyclicSubgroup, Graph,
                        MaximalCyclicFamily, NotAPrimeDivisor, bfs_distances, factorize)
-from powersdim.graphs import bit_matrix, bit_rows
-from powersdim.groups import bits, cyclic_masks, element_orders, is_prime
+from powersdim.graphs import bit_rows
+from powersdim.groups import bit_matrix, bits, cyclic_masks, element_orders, is_prime
 
 
 def brute_force_clique_number(graph: Graph) -> int:
@@ -42,14 +42,14 @@ def induced_subgraph(graph: Graph, vertices) -> Graph:
     """Subgraph on the given vertices, relabelled 0..k-1 in the given order."""
     vs = list(vertices)
     return Graph.from_edges(len(vs), [(i, j) for i, j in itertools.combinations(range(len(vs)), 2)
-                                      if graph.has_edge(vs[i], vs[j])])
+                                      if graph.matrix[vs[i], vs[j]]])
 
 
 def forward_brute_force_clique_number(graph: Graph) -> int:
     """Clique number as the largest 1 + omega(later neighbours of v), each
     omega by exhaustive subset scan: exact on any graph, and fast when no
     vertex has more than about 16 later neighbours."""
-    later = [[w for w in range(v + 1, graph.n) if graph.has_edge(v, w)] for v in range(graph.n)]
+    later = [[w for w in range(v + 1, graph.n) if graph.matrix[v, w]] for v in range(graph.n)]
     return max((1 + brute_force_clique_number(induced_subgraph(graph, ws)) for ws in later),
                default=0)
 
@@ -84,7 +84,7 @@ def brute_strong_resolving_graph(graph: Graph) -> Graph:
     n = graph.n
 
     def maximally_distant(u: int, v: int) -> bool:
-        return all(dist[u][w] <= dist[u][v] for w in range(n) if graph.has_edge(v, w))
+        return all(dist[u][w] <= dist[u][v] for w in range(n) if graph.matrix[v, w])
 
     return Graph.from_edges(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
                                 if maximally_distant(u, v) and maximally_distant(v, u)])
@@ -254,11 +254,11 @@ def graph_of_rows(rows: list[int]) -> Graph:
 
 def is_clique(graph: Graph, vertices) -> bool:
     vs = list(vertices)
-    return all(graph.has_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
+    return all(graph.matrix[u, v] for i, u in enumerate(vs) for v in vs[i + 1:])
 
 
 def pairwise_distinct_closed_neighborhoods(graph: Graph, vertices) -> bool:
-    masks = [graph.closed_mask(v) for v in vertices]
+    masks = [graph.rows[v] | 1 << v for v in vertices]
     return len(set(masks)) == len(masks)
 
 
@@ -287,7 +287,7 @@ def with_closed_twins(rng: Random, base: Graph, max_copies: int) -> Graph:
     rng.shuffle(owner)
     n = len(owner)
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                                if owner[u] == owner[v] or base.has_edge(owner[u], owner[v])])
+                                if owner[u] == owner[v] or base.matrix[owner[u], owner[v]]])
 
 
 def cone(rng: Random, base: Graph) -> Graph:
@@ -317,7 +317,7 @@ def ref_max_clique(graph: Graph) -> CliqueResult:
     n = graph.n
     if n == 0:
         return CliqueResult(0, ())
-    order = sorted(range(n), key=lambda v: (-graph.degree(v), v))
+    order = sorted(range(n), key=lambda v: (-int(graph.matrix[v].sum()), v))
     adj = bit_rows(bit_matrix(graph.rows, n).take(order, 0).take(order, 1))
 
     def greedy_coloring(cand: int) -> tuple[list[int], list[int]]:

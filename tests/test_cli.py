@@ -245,7 +245,7 @@ def test_compute_check_exits_3_when_the_witness_fails(capsys, monkeypatch):
         # same size, so every value still agrees, but the witness now leaves out
         # two non-adjacent classes: a mutually maximally distant pair
         u, v = next((u, v) for u in range(graph.n) for v in range(u + 1, graph.n)
-                    if not graph.has_edge(u, v))
+                    if not graph.matrix[u, v])
         return CliqueResult(real(graph).size, (u, v))
 
     monkeypatch.setattr(sdim_module, "max_clique", clique_with_a_non_edge)

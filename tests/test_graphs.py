@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 from powersdim import (Disconnected, Graph, bfs_distances, build_group, chain_analysis,
                        diameter, element_orders, factorize, from_edge_list,
                        graph6_decode, graph6_encode, power_graph,
-                       reduced_graph, to_dot, to_edge_list)
-import powersdim.graphs as graphs_module
-from powersdim.graphs import all_pairs, bit_matrix, bit_rows, sweep
+                       reduced_graph, sdim_group, sdim_oracle, to_dot, to_edge_list)
+from powersdim.graphs import all_pairs, bit_rows, has_universal_vertex, sweep
+from powersdim.groups import bit_matrix
 
 from helpers import (all_pairs_distances, brute_strong_resolving_graph, cone, graph_of_rows,
                      random_cycle_with_chords, random_graph, with_closed_twins)
@@ -89,11 +90,14 @@ def test_graph_rejections_keep_their_messages(build, message):
        st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_from_edges_keeps_the_rows_of_its_matrix(n, p, rng):
-    # both orientations and duplicates; the rows from_edges keeps are the one
-    # cache entry not derived from the matrix
+    # both orientations and duplicates, against a matrix set edge by edge
     edges = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
     g = Graph.from_edges(n, edges)
-    assert g.rows == bit_rows(g.matrix)
+    m = np.zeros((n, n), bool)
+    for u, v in edges:
+        m[u, v] = m[v, u] = True
+    assert g.matrix.tolist() == m.tolist()
+    assert g.rows == bit_rows(m)
     h = graph_of_rows(g.rows)
     assert g == h and hash(g) == hash(h)
 
@@ -117,17 +121,39 @@ def test_power_graph_z6_edges():
     g = power_graph(build_group("Z6"))
     # identity and both generators are universal; 2~4; 3 sees only 0, 1, 5
     for universal in (0, 1, 5):
-        assert g.degree(universal) == 5
-    assert g.has_edge(2, 4)
-    assert not g.has_edge(2, 3) and not g.has_edge(3, 4)
+        assert int(g.matrix[universal].sum()) == 5
+    assert g.matrix[2, 4]
+    assert not g.matrix[2, 3] and not g.matrix[3, 4]
 
 
 def test_power_graph_identity_universal_and_diameter_le_2():
     for spec in ["Z6", "Z12", "D12", "Q8", "A4", "S4", "Ab[2,6]"]:
         grp = build_group(spec)
         g = power_graph(grp)
-        assert g.degree(grp.identity) == g.n - 1
+        assert int(g.matrix[grp.identity].sum()) == g.n - 1
         assert diameter(g) <= 2
+
+
+@pytest.mark.parametrize("n, edges, expected", [
+    (0, [], False), (1, [], True), (2, [], False), (2, [(0, 1)], True),
+])
+def test_has_universal_vertex_on_the_smallest_graphs(n, edges, expected):
+    assert has_universal_vertex(Graph.from_edges(n, edges)) is expected
+
+
+@given(st.integers(0, 65), st.sampled_from([0.0, 0.3, 0.9, 1.0]), st.booleans(),
+       st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_has_universal_vertex_is_its_definition(n, p, plant, seed):
+    rng = random.Random(seed)
+    # a vertex joined to every other vertex: one in n - 1 of the distinct pairs given
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    if plant and n:
+        apex = rng.randrange(n)
+        edges |= {(min(apex, v), max(apex, v)) for v in range(n) if v != apex}
+    degree = Counter(v for e in edges for v in e)
+    expected = any(degree[v] == n - 1 for v in range(n))
+    assert has_universal_vertex(Graph.from_edges(n, sorted(edges))) is expected
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +291,7 @@ def test_reduced_power_graph_z6():
     assert red.class_members() == [[0, 1, 5], [2, 4], [3]]
     # quotient is a path: 2's class -- 0's class -- 3's class
     q = red.quotient
-    assert q.n == 3 and q.edge_count() == 2 and q.degree(0) == 2
+    assert q.n == 3 and q.edge_count() == 2 and int(q.matrix[0].sum()) == 2
 
 
 def test_reduced_star_has_singleton_leaf_classes():
@@ -283,17 +309,17 @@ def test_twin_classes_are_cliques_with_equal_outside_adjacency(n, rng):
     for u in range(n):
         for v in range(n):
             same = red.class_of[u] == red.class_of[v]
-            assert same == (g.closed_mask(u) == g.closed_mask(v))
+            assert same == ((g.rows[u] | 1 << u) == (g.rows[v] | 1 << v))
     for members in red.class_members():
-        assert all(g.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1:])
+        assert all(g.matrix[u, v] for i, u in enumerate(members) for v in members[i + 1:])
     # representatives are class minima and quotient matches base adjacency
     for c, members in enumerate(red.class_members()):
         assert red.representatives[c] == min(members)
     for a in range(red.quotient.n):
         for b in range(red.quotient.n):
             if a != b:
-                assert red.quotient.has_edge(a, b) == g.has_edge(
-                    red.representatives[a], red.representatives[b])
+                assert red.quotient.matrix[a, b] == g.matrix[
+                    red.representatives[a], red.representatives[b]]
 
 
 @given(st.integers(20, 40), st.sampled_from([0.0, 0.05, 0.2]), st.integers(0, 2**32))
@@ -303,13 +329,13 @@ def test_quotient_of_twin_blow_ups_joins_classes_iff_representatives_are_adjacen
     # 20..120 vertices, mostly 40..80, so rows span several bytes
     g = with_closed_twins(rng, random_cycle_with_chords(rng, m, p), 3)
     red = reduced_graph(g)
-    masks = [g.closed_mask(v) for v in range(g.n)]
+    masks = [g.rows[v] | 1 << v for v in range(g.n)]
     assert red.representatives == sorted({masks.index(mask) for mask in masks})
     assert all(red.representatives[red.class_of[v]] == masks.index(masks[v])
                for v in range(g.n))
     reps = red.representatives
     assert red.quotient.rows == [sum(1 << b for b in range(len(reps))
-                                     if b != a and g.has_edge(reps[a], reps[b]))
+                                     if b != a and g.matrix[reps[a], reps[b]])
                                  for a in range(len(reps))]
 
 
@@ -411,17 +437,33 @@ def test_graph_keeps_the_matrix_and_checks_it():
         assert str(exc.value) == message
 
 
-def test_int_rows_are_built_only_when_read(monkeypatch):
-    calls = []
-    monkeypatch.setattr(graphs_module, "bit_rows", lambda m: calls.append(len(m)) or bit_rows(m))
+def test_no_package_path_derives_or_seeds_rows(monkeypatch):
+    built = []
+    init = Graph.__init__
+
+    def recorded(self, m):
+        init(self, m)
+        built.append(self)
+
+    monkeypatch.setattr(Graph, "__init__", recorded)
+    path = from_edge_list({"n": 3, "edges": [[0, 1], [1, 2]]})
+    assert sdim_oracle(path).value == 1
+    for spec, sdim in [("S4", 22), ("Q16", 14)]:
+        grp = build_group(spec)
+        start = len(built)
+        assert sdim_group(grp, oracle_cap=grp.n).value == sdim
+        g = power_graph(grp)
+        quotient = reduced_graph(g).quotient
+        new = built[start:]
+        # the power graph, the quotient and the strong resolving graph
+        assert any(h is g for h in new) and any(h is quotient for h in new)
+        assert any(h.n == grp.n and h is not g for h in new)
+        graph6_encode(g)
+        assert from_edge_list(to_edge_list(g)) == g and hash(Graph(g.matrix.copy())) == hash(g)
+    assert all("rows" not in h._cache for h in built)
+    # rows are derived when first read, then kept
     g = Graph(np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], bool))
-    assert calls == []
-    assert g.rows == [0b110, 0b001, 0b001] and calls == [3]
-    assert g.rows is g.rows and calls == [3]  # built once, then kept
-    h = Graph.from_edges(3, [(0, 1), (0, 2)])  # the rows it builds are kept, not rebuilt
-    assert h.rows == g.rows and calls == [3]
-    reduced_graph(g)  # the twin classes read the rows, the quotient only the matrix
-    assert calls == [3]
+    assert g.rows == [0b110, 0b001, 0b001] and g.rows is g.rows
 
 
 def test_graph6_known_strings():
@@ -438,6 +480,21 @@ def test_graph6_known_strings():
 def test_graph6_round_trip(n, rng):
     g = random_graph(rng, n)
     assert graph6_decode(graph6_encode(g)) == g
+
+
+@pytest.mark.parametrize("n", range(63))
+def test_graph6_matches_networkx(n):
+    # n = 2 .. 62 give every bit count mod 6, so every padding of the last character
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(n)
+    for p in [0.0, 0.3, 0.7, 1.0]:
+        g = random_graph(rng, n, p)
+        G = nx.Graph()
+        G.add_nodes_from(range(n))
+        G.add_edges_from(g.edges())
+        text = nx.to_graph6_bytes(G, header=False).decode().rstrip("\n")
+        assert graph6_encode(g) == text
+        assert graph6_decode(text) == g
 
 
 def test_graph6_limits():
