@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .groups import Group, _cached, bits, membership_matrix
+from .groups import Group, _cached, bits, cyclic_masks
 
 __all__ = [
     "Graph", "ReducedGraph", "power_graph", "bfs_distances", "diameter",
@@ -24,6 +24,15 @@ __all__ = [
 
 class Disconnected(ValueError):
     """Raised by operations that require a connected graph."""
+
+
+def bit_matrix(rows: list[int], n: int) -> np.ndarray:
+    """len(rows) x n bool matrix whose entry [u, v] is bit v of rows[u];
+    every row must lie in 0 <= row < 2**n."""
+    width = (n + 7) // 8
+    data = b"".join([row.to_bytes(width, "little") for row in rows])
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 def bit_rows(m: np.ndarray) -> list[int]:
@@ -116,10 +125,11 @@ class Graph:
 @_cached
 def power_graph(g: Group) -> Graph:
     """Vertices are the group elements; x ~ y iff x != y and one generates
-    a cyclic subgroup containing the other.  With C = membership_matrix(g),
-    C[x, y] true iff y is in <x>, the adjacency is C | C.T without the
-    diagonal.  Cached on the group."""
-    c = membership_matrix(g)
+    a cyclic subgroup containing the other.  With C the cyclic masks
+    unpacked by bit_matrix, C[x, y] true iff y is in <x>, the adjacency is
+    C | C.T without the diagonal.  C is not kept; the graph is cached on
+    the group."""
+    c = bit_matrix(cyclic_masks(g), g.n)
     m = c | c.T
     np.fill_diagonal(m, False)
     return Graph(m)

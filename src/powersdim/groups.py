@@ -345,8 +345,8 @@ class Group:
     optional element indices in 0..n-1, are where the associativity check
     starts: any indices give the same verdict, and a small generating set
     the fastest check.  Instances are immutable after construction and safe
-    for concurrent reads; derived data (element orders, cyclic subgroups,
-    the chain data, the power graph) is cached lazily by _cached.
+    for concurrent reads; derived data (element orders, cyclic subgroups as
+    int masks, the chain data, the power graph) is cached lazily by _cached.
     """
 
     __slots__ = ("n", "array", "identity", "spec", "_cache")
@@ -807,15 +807,6 @@ def bits(mask: int):
         mask ^= low
 
 
-def bit_matrix(rows: list[int], n: int) -> np.ndarray:
-    """len(rows) x n bool matrix whose entry [u, v] is bit v of rows[u];
-    every row must lie in 0 <= row < 2**n."""
-    width = (n + 7) // 8
-    data = b"".join([row.to_bytes(width, "little") for row in rows])
-    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
-
-
 def _subgroup_from_mask(g: Group, mask: int) -> CyclicSubgroup:
     els = tuple(bits(mask))
     order = len(els)
@@ -839,34 +830,25 @@ class MaximalCyclicFamily:
 
 
 @_cached
-def membership_matrix(g: Group) -> np.ndarray:
-    """Read-only n x n bool matrix C with C[x, y] true iff y is in <x>: the
-    cyclic masks unpacked, cached on the group for power_graph and
-    maximal_cyclic_subgroups."""
-    c = bit_matrix(cyclic_masks(g), g.n)
-    c.flags.writeable = False
-    return c
-
-
-@_cached
 def maximal_cyclic_subgroups(g: Group) -> MaximalCyclicFamily:
     """The inclusion-maximal cyclic subgroups, each once, under its smallest
     generator; cached on the group.
 
-    <x> is maximal iff no y of larger order has x in <y>, that is, iff
-    column x of C & (ord(y) > ord(x)) is all false, C = membership_matrix(g)
-    with C[y, x] true iff x is in <y>.  The test reads C down its columns,
-    in memory order, where the same test as row x of C.T & ~C reads it
-    across."""
-    masks = cyclic_masks(g)
-    orders = np.array(element_orders(g))
-    first_gen: dict[int, int] = {}
-    for x in np.flatnonzero(~(membership_matrix(g) & (orders[:, None] > orders)).any(0)).tolist():
-        first_gen.setdefault(masks[x], x)
+    The cyclic masks are visited by order, from the largest down, each
+    under its first generator in ascending x, against larger, the union of
+    the masks already visited.  <x> is maximal iff no cyclic subgroup of
+    larger order contains x, that is, iff bit x of larger is clear: a
+    cyclic subgroup of equal order that contains <x> is <x> itself."""
+    by_order: dict[int, dict[int, int]] = {}
+    for x, (m, k) in enumerate(zip(cyclic_masks(g), element_orders(g))):
+        by_order.setdefault(k, {}).setdefault(m, x)
     subs = []
-    for m, gen in first_gen.items():
-        els = tuple(bits(m))
-        subs.append(CyclicSubgroup(gen, els, len(els)))
+    larger = 0
+    for k in sorted(by_order, reverse=True):
+        for m, gen in by_order[k].items():
+            if not larger >> gen & 1:
+                subs.append(CyclicSubgroup(gen, tuple(bits(m)), k))
+            larger |= m
     subs.sort(key=lambda s: (s.order, s.elements))
     factors = {k: factorize(k).factors for k in {s.order for s in subs}}
     by_prime: dict[int, list[CyclicSubgroup]] = {}

@@ -13,8 +13,8 @@ from random import Random
 
 from powersdim import (ChainAnalysis, CliqueResult, CyclicSubgroup, Graph,
                        MaximalCyclicFamily, NotAPrimeDivisor, bfs_distances, factorize)
-from powersdim.graphs import bit_rows
-from powersdim.groups import bit_matrix, bits, cyclic_masks, element_orders, is_prime
+from powersdim.graphs import bit_matrix, bit_rows, bits
+from powersdim.groups import cyclic_masks, element_orders, is_prime
 
 
 def brute_force_clique_number(graph: Graph) -> int:

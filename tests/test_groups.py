@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -15,8 +16,8 @@ from powersdim import (CORPUS_SPECS, Abelian, Alternating, CayleyFile, ClosureTo
                        InvalidSpec, NotAGroup, NotAPrimeDivisor, PermFile, Symmetric,
                        alpha_p, build_group, chain_analysis,
                        element_orders, factorize, is_cp_group,
-                       is_cyclic_group, maximal_cyclic_subgroups, parse_spec, sigma,
-                       sigma_of, spec_order, spec_string)
+                       is_cyclic_group, maximal_cyclic_subgroups, parse_spec, power_graph,
+                       sdim_group, sigma, sigma_of, spec_order, spec_string)
 import powersdim
 from powersdim import groups as groups_module
 from powersdim import sdim as sdim_module
@@ -641,10 +642,31 @@ def assert_matches_the_reference(g):
         assert chain_analysis(g, p) == ref_chain_analysis(g, p), p
 
 
-@pytest.mark.parametrize("spec", CORPUS_SPECS + ["S6", "A6", "D360", "Q64", "Z2xS4", "E3^3",
-                                                 "Z2xS3xQ8"])
+DATA = Path(__file__).parent / "data"
+
+
+def perm_file(name):
+    """A perm file under tests/data as a spec, with the file name as the test id."""
+    return pytest.param(f"perm:{DATA / name}", id=f"perm:{name}")
+
+
+# The perm files number their elements in closure order, so their smallest
+# generators differ from those of the built-in groups.
+@pytest.mark.parametrize("spec", CORPUS_SPECS + ["S6", "A6", "A7", "D360", "Q64", "Z2xS4", "E3^3",
+                                                 "Z2xS3xQ8", perm_file("blocks3.txt"),
+                                                 perm_file("s5.txt"), perm_file("d16.txt")])
 def test_maximal_family_and_chains_match_the_reference(spec):
     assert_matches_the_reference(build_group(spec))
+
+
+@pytest.mark.parametrize("spec", ["S4", "Q16", perm_file("blocks3.txt")])
+def test_a_group_caches_each_cyclic_subgroup_only_as_its_mask(spec):
+    # the cyclic masks are the one cached form of <x>: no n x n membership
+    # matrix is kept beside them, and the power graph keeps only its own
+    g = build_group(spec)
+    sdim_group(g, oracle_cap=g.n)
+    power_graph(g)
+    assert [k for k, v in g._cache.items() if isinstance(v, np.ndarray)] == []
 
 
 @given(group_specs(), group_specs())
