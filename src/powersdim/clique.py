@@ -17,15 +17,14 @@ identities are equalities, not bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, bit_rows
 
 __all__ = ["CliqueResult", "max_clique", "min_vertex_cover"]
 
 
-@dataclass(frozen=True)
-class CliqueResult:
+class CliqueResult(NamedTuple):
     size: int
     members: tuple[int, ...]  # sorted ascending
 

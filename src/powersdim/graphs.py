@@ -10,7 +10,7 @@ a view for callers outside the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._numpy import np
 from .groups import Group, _cached, bits, cyclic_masks
@@ -282,8 +282,7 @@ def diameter(graph: Graph) -> int:
 # Closed-twin reduction
 
 
-@dataclass
-class ReducedGraph:
+class ReducedGraph(NamedTuple):
     """Quotient of a graph by equality of closed neighborhoods.
 
     representatives[c] is the smallest vertex of class c; class_of maps each

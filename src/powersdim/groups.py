@@ -19,7 +19,6 @@ import math
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -66,8 +65,7 @@ class InternalInconsistency(RuntimeError):
 # Arithmetic helpers
 
 
-@dataclass(frozen=True)
-class PrimeFactorization:
+class PrimeFactorization(NamedTuple):
     """n = prod p_i^{r_i} with primes ascending and all r_i >= 1."""
 
     n: int
@@ -131,8 +129,49 @@ def _check_order(order: int | str) -> None:
                           " whose n x n table numpy can index)")
 
 
-@dataclass(frozen=True)
-class Cyclic:
+class _Spec:
+    """Base of the spec classes: a frozen record over the fields a subclass
+    annotates, given by position or keyword, then checked by the subclass's
+    __post_init__.  Two specs are equal only when of one class, so Cyclic(6)
+    is not Symmetric(6), as a NamedTuple's tuple equality would make it."""
+
+    __match_args__: tuple[str, ...] = ()  # the field names, in order
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = tuple(vars(cls).get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        values = {**dict(zip(names, args)), **kwargs}
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields"
+                            f" {', '.join(names)}, each given once")
+        self.__dict__.update(values)  # __setattr__ refuses every assignment
+        self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: a spec is frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: a spec is frozen")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Cyclic(_Spec):
     n: int
 
     def __post_init__(self):
@@ -141,8 +180,7 @@ class Cyclic:
         _check_order(self.n)
 
 
-@dataclass(frozen=True)
-class Dihedral:
+class Dihedral(_Spec):
     order: int  # 2n with n >= 3
 
     def __post_init__(self):
@@ -151,8 +189,7 @@ class Dihedral:
         _check_order(self.order)
 
 
-@dataclass(frozen=True)
-class GeneralizedQuaternion:
+class GeneralizedQuaternion(_Spec):
     order: int  # 4n with n >= 2
 
     def __post_init__(self):
@@ -161,8 +198,7 @@ class GeneralizedQuaternion:
         _check_order(self.order)
 
 
-@dataclass(frozen=True)
-class ElementaryAbelian:
+class ElementaryAbelian(_Spec):
     p: int
     k: int
 
@@ -175,8 +211,7 @@ class ElementaryAbelian:
         _check_order(f"{self.p}^{self.k}" if too_large else self.p ** self.k)
 
 
-@dataclass(frozen=True)
-class Abelian:
+class Abelian(_Spec):
     invariant_factors: tuple[int, ...]  # d_1 | d_2 | ... | d_k, all >= 2
 
     def __post_init__(self):
@@ -188,8 +223,7 @@ class Abelian:
         _check_order(math.prod(ds))
 
 
-@dataclass(frozen=True)
-class Symmetric:
+class Symmetric(_Spec):
     n: int
 
     def __post_init__(self):
@@ -197,8 +231,7 @@ class Symmetric:
             raise InvalidSpec("symmetric degree must be 1..7")
 
 
-@dataclass(frozen=True)
-class Alternating:
+class Alternating(_Spec):
     n: int
 
     def __post_init__(self):
@@ -206,8 +239,7 @@ class Alternating:
             raise InvalidSpec("alternating degree must be 1..7")
 
 
-@dataclass(frozen=True)
-class DirectProduct:
+class DirectProduct(_Spec):
     parts: tuple["GroupSpec", ...]
 
     def __post_init__(self):
@@ -218,8 +250,7 @@ class DirectProduct:
             _check_order(order)
 
 
-@dataclass(frozen=True)
-class CayleyFile:
+class CayleyFile(_Spec):
     path: str
 
     def __post_init__(self):
@@ -227,8 +258,7 @@ class CayleyFile:
             raise InvalidSpec("cayley: needs a file path")
 
 
-@dataclass(frozen=True)
-class PermFile:
+class PermFile(_Spec):
     path: str
 
     def __post_init__(self):
@@ -685,7 +715,7 @@ class _Atom(NamedTuple):
 
 
 # One row per family.  parse_spec, spec_string, spec_order and build_group
-# all read it, so a new family is one dataclass and one row.
+# all read it, so a new family is one spec class and one row.
 _ATOMS = {
     Cyclic: _Atom(
         re.compile(r"Z(\d+)"), int, lambda s: f"Z{s.n}", lambda s: s.n,
@@ -792,8 +822,7 @@ def is_cp_group(g: Group) -> bool:
     return all(len(factorize(k).factors) <= 1 for k in set(element_orders(g)))
 
 
-@dataclass(frozen=True)
-class CyclicSubgroup:
+class CyclicSubgroup(NamedTuple):
     generator: int
     elements: tuple[int, ...]  # sorted ascending
     order: int
@@ -815,8 +844,7 @@ def _subgroup_from_mask(g: Group, mask: int) -> CyclicSubgroup:
     return CyclicSubgroup(gen, els, order)
 
 
-@dataclass(frozen=True)
-class MaximalCyclicFamily:
+class MaximalCyclicFamily(NamedTuple):
     """All inclusion-maximal cyclic subgroups, split by order type.
 
     by_prime maps p to the members of p-power order; mixed holds the rest
@@ -869,8 +897,7 @@ def maximal_cyclic_subgroups(g: Group) -> MaximalCyclicFamily:
 # Intersection chains
 
 
-@dataclass(frozen=True)
-class ChainAnalysis:
+class ChainAnalysis(NamedTuple):
     """Intersection-chain data of one maximal cyclic p-subgroup M_i.
 
     chain lists the distinct intersections of M_i with the maximal cyclic

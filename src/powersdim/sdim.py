@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from typing import NamedTuple
 
 from . import groups as gr
 from ._numpy import np
@@ -57,8 +58,7 @@ class Method(str, enum.Enum):
     GENERIC_ORACLE = "GenericOracle"
 
 
-@dataclass
-class SdimResult:
+class SdimResult(NamedTuple):
     value: int
     method: Method
     omega_reduced: int | None = None
@@ -66,7 +66,7 @@ class SdimResult:
     witness: list[int] | None = None
     verified: bool = False
     # (method, value, milliseconds) for each step sdim_group ran, in order
-    rows: list[tuple[Method, int, float]] = field(default_factory=list)
+    rows: Sequence[tuple[Method, int, float]] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ def sdim_group(g: gr.Group, *, oracle_cap: int = 0) -> SdimResult:
         raise InternalInconsistency("methods disagree: " + ", ".join(
             f"{method.value} gives {value}" for method, value, _ in rows))
     if g.n == 1:  # sigma_1 = 1 is a convention only; credit the one vertex to the reduction
-        return replace(red, rows=rows)
+        return red._replace(rows=rows)
     return SdimResult(
         value=red.value,
         method=cf[0] if cf else Method.GROUP_THEOREM,

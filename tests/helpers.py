@@ -380,6 +380,8 @@ def ref_min_vertex_cover(graph: Graph) -> list[int]:
 # alpha_p as they were before the membership-matrix test and the chain data
 # from popcounts (an O(d^2) subset test over the distinct cyclic subgroups,
 # one CyclicSubgroup per chain element), uncached, kept to pin the values.
+# The chain helpers take the reference family, fam, which a caller builds
+# once per group.
 
 
 def ref_maximal_cyclic_subgroups(g) -> MaximalCyclicFamily:
@@ -429,10 +431,9 @@ def _ref_exact_log(base: int, value: int) -> int:
     return e
 
 
-def ref_chain_analysis(g, p: int) -> list[ChainAnalysis]:
+def ref_chain_analysis(g, p: int, fam: MaximalCyclicFamily) -> list[ChainAnalysis]:
     if not is_prime(p) or g.n % p != 0:
         raise NotAPrimeDivisor(f"{p} is not a prime divisor of the group order {g.n}")
-    fam = ref_maximal_cyclic_subgroups(g)
     mp = fam.by_prime.get(p, ())
     if not mp:
         return []
@@ -470,12 +471,12 @@ def ref_chain_analysis(g, p: int) -> list[ChainAnalysis]:
     return out
 
 
-def ref_alpha_p(g, p: int) -> int:
+def ref_alpha_p(g, p: int, fam: MaximalCyclicFamily) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if g.n % p != 0:
         return 0
-    analyses = ref_chain_analysis(g, p)
+    analyses = ref_chain_analysis(g, p, fam)
     if not analyses:
         return 0
     return max(a.s_i - a.s_prime + a.lambda_exp + 2 for a in analyses)

@@ -1,7 +1,6 @@
 """CLI behavior: outputs, exit codes, error prefixes, and determinism."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -230,7 +229,7 @@ def test_a_family_that_is_not_a_chain_exits_3_without_a_traceback(capsys, monkey
         sub = [groups_module._subgroup_from_mask(g, groups_module.cyclic_masks(g)[y])
                for y in (x, g.table[x2][x], x2)]
         fam = maximal_cyclic_subgroups(g)
-        return replace(fam, by_prime={**fam.by_prime, 2: tuple(sub)})
+        return fam._replace(by_prime={**fam.by_prime, 2: tuple(sub)})
 
     monkeypatch.setattr(groups_module, "maximal_cyclic_subgroups", with_a_non_chain)
     code, out, err = run(capsys, "compare", "Z2xS3", "--no-timing")

@@ -1,6 +1,8 @@
 """Group construction, orders, maximal cyclic subgroups, and chain data."""
 
+import copy
 import math
+import pickle
 import re
 import tracemalloc
 from pathlib import Path
@@ -116,6 +118,43 @@ def test_parse_product():
 def test_spec_objects_check_their_own_fields(cls, args):
     with pytest.raises(InvalidSpec):
         cls(*args)
+    with pytest.raises(InvalidSpec):
+        cls(**dict(zip(cls.__match_args__, args)))
+
+
+SPECS = [Cyclic(6), Symmetric(6), Alternating(6), Dihedral(8), GeneralizedQuaternion(8),
+         ElementaryAbelian(2, 3), Abelian((2, 4)), DirectProduct((Cyclic(2), Dihedral(8))),
+         CayleyFile("t.txt"), PermFile("p.txt")]
+
+
+def test_specs_are_frozen_values_equal_only_within_their_class():
+    for a in SPECS:
+        for b in SPECS:
+            assert (a == b) is (a is b)
+        assert a != tuple(getattr(a, name) for name in a.__match_args__)
+        first = a.__match_args__[0]
+        with pytest.raises(AttributeError):
+            setattr(a, first, None)
+        with pytest.raises(AttributeError):
+            delattr(a, first)
+        for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            assert type(twin) is type(a) and twin == a and hash(twin) == hash(a)
+    assert Cyclic(6) == Cyclic(n=6) and hash(Cyclic(6)) == hash(Cyclic(n=6))
+    assert {Cyclic(6): "Z6", Symmetric(6): "S6"}[Cyclic(n=6)] == "Z6"
+    assert repr(Cyclic(6)) == "Cyclic(n=6)"
+    assert repr(SPECS[7]) == "DirectProduct(parts=(Cyclic(n=2), Dihedral(order=8)))"
+    match SPECS[7]:
+        case DirectProduct((Cyclic(n), Dihedral(order))):
+            assert (n, order) == (2, 8)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Cyclic(), lambda: Cyclic(6, 7), lambda: Cyclic(m=6), lambda: Cyclic(6, n=6),
+    lambda: ElementaryAbelian(2), lambda: ElementaryAbelian(p=2, k=3, n=8),
+])
+def test_a_spec_takes_each_of_its_fields_once(make):
+    with pytest.raises(TypeError):
+        make()
 
 
 def test_the_numpy_free_order_bound_is_numpys_own():
@@ -636,10 +675,11 @@ def test_degree_8_perm_table_matches_composition(tmp_path):
 
 def assert_matches_the_reference(g):
     primes = [p for p, _ in factorize(g.n).factors]
-    assert [alpha_p(g, p) for p in primes] == [ref_alpha_p(g, p) for p in primes]
-    assert maximal_cyclic_subgroups(g) == ref_maximal_cyclic_subgroups(g)
+    fam = ref_maximal_cyclic_subgroups(g)  # the reference family, built once
+    assert [alpha_p(g, p) for p in primes] == [ref_alpha_p(g, p, fam) for p in primes]
+    assert maximal_cyclic_subgroups(g) == fam
     for p in primes:
-        assert chain_analysis(g, p) == ref_chain_analysis(g, p), p
+        assert chain_analysis(g, p) == ref_chain_analysis(g, p, fam), p
 
 
 DATA = Path(__file__).parent / "data"

@@ -32,6 +32,16 @@ def test_the_package_binds_every_name_without_numpy():
     assert out.split() == ["67", "False", "True"]
 
 
+def test_import_powersdim_loads_no_dataclasses_inspect_or_numpy():
+    # what the import adds: a module some site hook loads first is not counted
+    out = fresh("import sys\n"
+                "before = set(sys.modules)\n"
+                "import powersdim\n"
+                "added = set(sys.modules) - before\n"
+                "print('powersdim' in added, *sorted({'dataclasses', 'inspect', 'numpy'} & added))\n")
+    assert out.split() == ["True"]
+
+
 @pytest.mark.parametrize("preset, threads", [(None, "1"), ("3", "3")])
 def test_the_cli_starts_numpy_with_one_blas_thread_unless_told(preset, threads):
     env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
