@@ -161,15 +161,12 @@ def cmd_table(args) -> int:
         lo_s, hi_s = args.range.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
-        _err("PARSE", f"bad range {args.range!r}, expected lo..hi")
-        return EXIT_PARSE
+        raise InvalidSpec(f"bad range {args.range!r}, expected lo..hi") from None
     if lo > hi:
-        _err("PARSE", f"empty range {args.range!r}")
-        return EXIT_PARSE
+        raise InvalidSpec(f"empty range {args.range!r}")
     make_spec, minimum = _FAMILY_BUILDERS[args.family]
     if lo < minimum:
-        _err("PARSE", f"family {args.family} needs parameter >= {minimum}")
-        return EXIT_PARSE
+        raise InvalidSpec(f"family {args.family} needs parameter >= {minimum}")
     rows = []
     for k in range(lo, hi + 1):
         g = build_group(make_spec(k))

@@ -836,14 +836,6 @@ def bits(mask: int):
         mask ^= low
 
 
-def _subgroup_from_mask(g: Group, mask: int) -> CyclicSubgroup:
-    els = tuple(bits(mask))
-    order = len(els)
-    orders = element_orders(g)
-    gen = min(e for e in els if orders[e] == order)
-    return CyclicSubgroup(gen, els, order)
-
-
 class MaximalCyclicFamily(NamedTuple):
     """All inclusion-maximal cyclic subgroups, split by order type.
 
@@ -901,25 +893,16 @@ class ChainAnalysis(NamedTuple):
     """Intersection-chain data of one maximal cyclic p-subgroup M_i.
 
     chain lists the distinct intersections of M_i with the maximal cyclic
-    p-subgroups, strictly increasing, ending at M_i itself.  lambda_exp is
-    the largest e with p^e the order of an intersection of M_i with a
-    maximal cyclic subgroup of non-p-power order, or -1 when no such
-    subgroup exists.  s_prime is the first chain position whose order
+    p-subgroups as int masks, strictly increasing, ending at M_i itself;
+    bits(m) gives a subgroup's elements and m.bit_count() its order.
+    lambda_exp is the largest e with p^e the order of an intersection of
+    M_i with a maximal cyclic subgroup of non-p-power order, or -1 when no
+    such subgroup exists.  s_prime is the first chain position whose order
     exceeds p^lambda_exp, and f_i the exponent with p^{f_i} = |M_i|.
     """
 
     subgroup_index: int
-    chain: tuple[CyclicSubgroup, ...]
-    s_i: int
-    lambda_exp: int
-    s_prime: int
-    f_i: int
-
-
-class _Chain(NamedTuple):
-    """ChainAnalysis without the subgroup objects: the chain as masks."""
-
-    masks: tuple[int, ...]
+    chain: tuple[int, ...]
     s_i: int
     lambda_exp: int
     s_prime: int
@@ -937,15 +920,17 @@ def _exact_log(base: int, value: int) -> int:
 
 
 @_cached
-def _chain_stats(g: Group, p: int) -> tuple[_Chain, ...]:
-    """The chain data of every maximal cyclic p-subgroup, in family order,
-    from masks and popcounts alone; cached on the group per prime p, which
-    the caller has checked is a prime divisor of the order.
+def chain_analysis(g: Group, p: int) -> tuple[ChainAnalysis, ...]:
+    """One analysis per maximal cyclic p-subgroup, in family order; empty if
+    there are none.  Computed from masks and popcounts alone and cached on
+    the group per prime p.
 
     An intersection of M_i with a maximal cyclic subgroup O is a subgroup
     of the cyclic p-group M_i, and those form a chain, so the largest
     |M_i & O| over the O of non-p-power order is |M_i & U|, U the union of
     those O."""
+    if not is_prime(p) or g.n % p != 0:
+        raise NotAPrimeDivisor(f"{p} is not a prime divisor of the group order {g.n}")
     fam = maximal_cyclic_subgroups(g)
     masks = cyclic_masks(g)
     mp_masks = [masks[s.generator] for s in fam.by_prime.get(p, ())]
@@ -955,7 +940,7 @@ def _chain_stats(g: Group, p: int) -> tuple[_Chain, ...]:
     for m in others:
         union |= m
     out = []
-    for mi in mp_masks:
+    for i, mi in enumerate(mp_masks):
         inter = sorted({mi & mj for mj in mp_masks}, key=int.bit_count)
         for a, b in zip(inter, inter[1:]):
             if a & ~b:  # subgroups of a cyclic p-group are totally ordered
@@ -963,32 +948,17 @@ def _chain_stats(g: Group, p: int) -> tuple[_Chain, ...]:
         lambda_exp = _exact_log(p, (mi & union).bit_count()) if others else -1
         threshold = p ** lambda_exp if lambda_exp >= 0 else 0
         s_prime = next(u for u, c in enumerate(inter, 1) if c.bit_count() > threshold)
-        out.append(_Chain(tuple(inter), len(inter), lambda_exp, s_prime,
-                          _exact_log(p, mi.bit_count())))
+        out.append(ChainAnalysis(i, tuple(inter), len(inter), lambda_exp, s_prime,
+                                 _exact_log(p, mi.bit_count())))
     return tuple(out)
-
-
-def chain_analysis(g: Group, p: int) -> list[ChainAnalysis]:
-    """One analysis per maximal cyclic p-subgroup; empty list if there are none."""
-    if not is_prime(p) or g.n % p != 0:
-        raise NotAPrimeDivisor(f"{p} is not a prime divisor of the group order {g.n}")
-    out = []
-    for i, c in enumerate(_chain_stats(g, p)):
-        out.append(ChainAnalysis(
-            subgroup_index=i,
-            chain=tuple(_subgroup_from_mask(g, m) for m in c.masks),
-            s_i=c.s_i,
-            lambda_exp=c.lambda_exp,
-            s_prime=c.s_prime,
-            f_i=c.f_i,
-        ))
-    return out
 
 
 def alpha_p(g: Group, p: int) -> int:
     """max over the p-chains of s_i - s_i' + lambda_i + 2; 0 with no p-chains."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if g.n % p != 0:
+    try:
+        analyses = chain_analysis(g, p)  # checks p once per group, on a cache miss
+    except NotAPrimeDivisor:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime") from None
         return 0
-    return max((c.s_i - c.s_prime + c.lambda_exp + 2 for c in _chain_stats(g, p)), default=0)
+    return max((c.s_i - c.s_prime + c.lambda_exp + 2 for c in analyses), default=0)

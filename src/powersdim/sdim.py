@@ -214,7 +214,7 @@ def _closed_form(g: gr.Group) -> tuple[Method, int] | None:
         p = fac.factors[0][0]
         if all(k in (1, p) for k in gr.element_orders(g)):
             return Method.CLOSED_FORM_ELEMENTARY_ABELIAN, n - 2
-        s_max = max(c.s_i for c in gr._chain_stats(g, p))
+        s_max = max(c.s_i for c in gr.chain_analysis(g, p))
         return Method.CLOSED_FORM_P_GROUP, n - s_max
     if gr.is_abelian_group(g):
         d_k = gr.group_exponent(g)  # largest invariant factor
@@ -243,6 +243,10 @@ def sdim_group(g: gr.Group, *, oracle_cap: int = 0) -> SdimResult:
     rows.append((Method.DIAMETER2_REDUCTION, red.value, ms))
     if g.n <= oracle_cap:
         oracle, ms = timed(sdim_oracle, graph, oracle_cap=oracle_cap)
+        if not oracle.verified:
+            raise InternalInconsistency(
+                f"{Method.GENERIC_ORACLE.value} cover of {oracle.value} vertices "
+                "is not a strong resolving set")
         rows.append((Method.GENERIC_ORACLE, oracle.value, ms))
     if len({value for _, value, _ in rows}) != 1:
         raise InternalInconsistency("methods disagree: " + ", ".join(
@@ -302,13 +306,15 @@ def clique_witness_alpha_p(g: gr.Group, p: int) -> list[int]:
     if not analyses:
         raise EmptyFamily(f"no maximal cyclic subgroup of {p}-power order")
     best = max(analyses, key=lambda a: a.s_i - a.s_prime + a.lambda_exp + 2)
-    witness = [best.chain[u - 1].generator for u in range(best.s_prime, best.s_i + 1)]
+    orders = gr.element_orders(g)
+
+    def smallest_of_order(mask: int, k: int) -> int:
+        return min(e for e in gr.bits(mask) if orders[e] == k)
+
+    witness = [smallest_of_order(m, m.bit_count()) for m in best.chain[best.s_prime - 1:]]
     if best.lambda_exp >= 0:
         sub = best.chain[best.s_prime - 1]
-        orders = gr.element_orders(g)
-        for j in range(best.lambda_exp + 1):
-            target = p ** j
-            witness.append(min(e for e in sub.elements if orders[e] == target))
+        witness += [smallest_of_order(sub, p ** j) for j in range(best.lambda_exp + 1)]
     result = sorted(set(witness))
     expected = best.s_i - best.s_prime + best.lambda_exp + 2
     if len(result) != expected:

@@ -431,12 +431,12 @@ def _ref_exact_log(base: int, value: int) -> int:
     return e
 
 
-def ref_chain_analysis(g, p: int, fam: MaximalCyclicFamily) -> list[ChainAnalysis]:
+def ref_chain_analysis(g, p: int, fam: MaximalCyclicFamily) -> tuple[ChainAnalysis, ...]:
     if not is_prime(p) or g.n % p != 0:
         raise NotAPrimeDivisor(f"{p} is not a prime divisor of the group order {g.n}")
     mp = fam.by_prime.get(p, ())
     if not mp:
-        return []
+        return ()
     masks = cyclic_masks(g)
     mp_gens = {s.generator for s in mp}
     mp_masks = [masks[s.generator] for s in mp]
@@ -462,13 +462,13 @@ def ref_chain_analysis(g, p: int, fam: MaximalCyclicFamily) -> list[ChainAnalysi
         f_i = _ref_exact_log(p, chain[-1].order)
         out.append(ChainAnalysis(
             subgroup_index=i,
-            chain=chain,
+            chain=tuple(sum(1 << e for e in s.elements) for s in chain),
             s_i=s_i,
             lambda_exp=lambda_exp,
             s_prime=s_prime,
             f_i=f_i,
         ))
-    return out
+    return tuple(out)
 
 
 def ref_alpha_p(g, p: int, fam: MaximalCyclicFamily) -> int:

@@ -7,9 +7,9 @@ import pytest
 import powersdim.cli as cli_module
 import powersdim.groups as groups_module
 import powersdim.sdim as sdim_module
-from powersdim import CORPUS_SPECS, CliqueResult, build_group, element_orders, \
-    from_edge_list, graph6_decode, maximal_cyclic_subgroups, power_graph, sigma_of, \
-    to_edge_list
+from powersdim import CORPUS_SPECS, CliqueResult, CyclicSubgroup, build_group, \
+    element_orders, from_edge_list, graph6_decode, maximal_cyclic_subgroups, power_graph, \
+    sigma_of, to_edge_list
 from powersdim.cli import main
 
 from helpers import ref_cyclic_table, write_cayley_file
@@ -226,7 +226,8 @@ def test_a_family_that_is_not_a_chain_exits_3_without_a_traceback(capsys, monkey
         # whose intersections with <x>, of orders 2 and 3, are not nested
         x = element_orders(g).index(6)
         x2 = g.table[x][x]
-        sub = [groups_module._subgroup_from_mask(g, groups_module.cyclic_masks(g)[y])
+        masks = groups_module.cyclic_masks(g)
+        sub = [CyclicSubgroup(y, tuple(groups_module.bits(masks[y])), masks[y].bit_count())
                for y in (x, g.table[x2][x], x2)]
         fam = maximal_cyclic_subgroups(g)
         return fam._replace(by_prime={**fam.by_prime, 2: tuple(sub)})
@@ -253,6 +254,27 @@ def test_compute_check_exits_3_when_the_witness_fails(capsys, monkeypatch):
     assert "verified: false" in out
     code, out, err = run(capsys, "compute", "Z12", "--no-timing")
     assert code == 0 and "verified: false" in out and not err
+
+
+def test_compare_exits_3_when_the_oracle_cover_does_not_resolve(capsys, monkeypatch):
+    real = sdim_module.min_vertex_cover
+
+    def cover_with_an_uncovered_edge(srg):
+        # same size, so every value still agrees, but a cover vertex v is swapped
+        # for a vertex w off its edge v-x: that mutually maximally distant pair
+        # is left unresolved
+        cover = real(srg)
+        v, x = next((v, x) for v in cover for x in range(srg.n)
+                    if srg.matrix[v, x] and x not in cover)
+        w = next(w for w in range(srg.n) if w not in cover and w != x)
+        return sorted({*cover, w} - {v})
+
+    monkeypatch.setattr(sdim_module, "min_vertex_cover", cover_with_an_uncovered_edge)
+    for spec in ["S3", "Z6", "Q8", "S4"]:
+        code, out, err = run(capsys, "compare", spec, "--json")
+        assert (code, out) == (3, ""), spec
+        assert err.startswith("ERROR:MISMATCH GenericOracle cover of "), (spec, err)
+        assert err.endswith(" vertices is not a strong resolving set\n"), (spec, err)
 
 
 # ---------------------------------------------------------------------------

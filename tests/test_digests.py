@@ -20,7 +20,8 @@ import pytest
 
 from powersdim import (CORPUS_SPECS, DEFAULT_ORACLE_CAP, alpha_p, build_group,
                        chain_analysis, classify_n_minus_2, clique_witness_alpha_p,
-                       factorize, maximal_cyclic_subgroups, sdim_group)
+                       element_orders, factorize, maximal_cyclic_subgroups, sdim_group)
+from powersdim.groups import bits
 from powersdim.sdim import EmptyFamily
 
 DATA = Path(__file__).parent / "data"
@@ -43,6 +44,20 @@ def _sub(s) -> list:
     return [s.generator, list(s.elements), s.order]
 
 
+def _mask_sub(orders, m: int) -> list:
+    """[generator, elements, order] of the cyclic subgroup with mask m, under
+    its smallest generator, as _sub gives a CyclicSubgroup."""
+    elements = list(bits(m))
+    order = len(elements)
+    return [min(e for e in elements if orders[e] == order), elements, order]
+
+
+def _chain_analysis(orders, a) -> list:
+    subs = [_mask_sub(orders, m) for m in a.chain]
+    return [a.subgroup_index, subs, [s[0] for s in subs], a.s_i, a.lambda_exp,
+            a.s_prime, a.f_i]
+
+
 def _witness_alpha_p(g, p: int):
     try:
         return clique_witness_alpha_p(g, p)
@@ -57,6 +72,7 @@ def dump(spec: str) -> str:
     g = build_group(spec)
     res = sdim_group(g, oracle_cap=DEFAULT_ORACLE_CAP)
     fam = maximal_cyclic_subgroups(g)
+    orders = element_orders(g)
     primes = [p for p, _ in factorize(g.n).factors]
     out = {
         "n": g.n,
@@ -79,9 +95,7 @@ def dump(spec: str) -> str:
         "primes": {str(p): {
             "alpha_p": alpha_p(g, p),
             "clique_witness_alpha_p": _witness_alpha_p(g, p),
-            "chain_analysis": [[a.subgroup_index, [_sub(s) for s in a.chain],
-                                [s.generator for s in a.chain], a.s_i, a.lambda_exp,
-                                a.s_prime, a.f_i] for a in chain_analysis(g, p)],
+            "chain_analysis": [_chain_analysis(orders, a) for a in chain_analysis(g, p)],
         } for p in primes},
         "classify_n_minus_2": list(classify_n_minus_2(g)),
     }

@@ -23,6 +23,7 @@ from powersdim import (CORPUS_SPECS, Abelian, Alternating, CayleyFile, ClosureTo
 import powersdim
 from powersdim import groups as groups_module
 from powersdim import sdim as sdim_module
+from powersdim.groups import bits
 
 from helpers import (brute_perm_table, is_associative, lex_perms, random_loop, ref_alpha_p,
                      ref_chain_analysis, ref_close_permutations, ref_cyclic_table,
@@ -441,7 +442,7 @@ def test_chain_analysis_q8():
     analyses = chain_analysis(build_group("Q8"), 2)
     assert len(analyses) == 3
     for a in analyses:
-        assert [c.order for c in a.chain] == [2, 4]
+        assert [m.bit_count() for m in a.chain] == [2, 4]
         assert (a.s_i, a.lambda_exp, a.s_prime, a.f_i) == (2, -1, 1, 2)
 
 
@@ -451,12 +452,12 @@ def test_chain_analysis_a4():
         analyses = chain_analysis(g, p)
         assert len(analyses) == count
         for a in analyses:
-            assert [c.order for c in a.chain] == [1, p ** a.f_i]
+            assert [m.bit_count() for m in a.chain] == [1, p ** a.f_i]
             assert (a.s_i, a.lambda_exp, a.s_prime) == (2, 0, 2)
 
 
 def test_chain_analysis_empty_family():
-    assert chain_analysis(build_group("Z12"), 2) == []
+    assert chain_analysis(build_group("Z12"), 2) == ()
 
 
 def test_chain_analysis_rejects_non_divisor():
@@ -472,14 +473,25 @@ def test_chains_are_totally_ordered_and_end_at_mi():
         g = build_group(spec)
         for p, _ in factorize(g.n).factors:
             for a in chain_analysis(g, p):
-                orders = [c.order for c in a.chain]
+                orders = [m.bit_count() for m in a.chain]
                 assert orders == sorted(orders) and len(set(orders)) == len(orders)
-                sets = [set(c.elements) for c in a.chain]
+                sets = [set(bits(m)) for m in a.chain]
                 assert all(sets[i] < sets[i + 1] for i in range(len(sets) - 1))
                 # last entry is the maximal subgroup itself
                 mp = maximal_cyclic_subgroups(g).by_prime[p]
-                assert a.chain[-1].elements == mp[a.subgroup_index].elements
+                assert tuple(bits(a.chain[-1])) == mp[a.subgroup_index].elements
                 assert a.s_i <= a.f_i + 1
+
+
+def test_the_ladder_caches_one_chain_analysis_per_prime():
+    for spec in ["Q16", "E3^3", "Z2xS4"]:
+        g = build_group(spec)
+        sdim_group(g)
+        primes = [p for p, _ in factorize(g.n).factors]
+        cached = {k: v for k, v in g._cache.items()
+                  if isinstance(k, tuple) and k[0] == "chain_analysis"}
+        assert sorted(cached) == [("chain_analysis", p) for p in primes], spec
+        assert all(chain_analysis(g, p) is cached["chain_analysis", p] for p in primes), spec
 
 
 def test_alpha_p_values():
