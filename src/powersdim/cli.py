@@ -18,12 +18,6 @@ import os
 import sys
 import time
 
-# powersdim runs no matrix product, so OpenBLAS's thread pool only costs
-# start-up time; a caller's own count is kept.  numpy starts here, once,
-# before any layer: the layers import it on first use.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-import numpy  # noqa: E402,F401
-
 from . import __version__
 from .graphs import (Disconnected, from_edge_list, graph6_decode, graph6_encode,
                      power_graph, reduced_graph, to_dot, to_edge_list)
@@ -32,6 +26,13 @@ from .groups import (InvalidSpec, NotAGroup, ClosureTooLarge, build_group,
 from .sdim import (DEFAULT_ORACLE_CAP, InternalInconsistency, OracleCapExceeded,
                    SdimResult, check_oracle_cap, classify_n_minus_2, sdim_group,
                    sdim_oracle)
+
+# powersdim runs no matrix product, so OpenBLAS's thread pool only costs
+# start-up time; a caller's own count is kept.  numpy starts here, once,
+# before any computation, and after the layers above have run (they load
+# none of it), so that their compile does not peak on top of numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import numpy  # noqa: E402,F401
 
 EXIT_OK = 0
 EXIT_PARSE = 2

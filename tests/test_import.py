@@ -58,3 +58,78 @@ def test_the_numpy_stand_in_keeps_each_name_it_serves():
     assert vars(np)["packbits"] is numpy.packbits  # later reads skip __getattr__
     with pytest.raises(AttributeError):
         np.no_such_name
+
+
+# run(): the layers whose source has run, read through vars(), which runs none
+RUN = ("import sys, powersdim\n"
+       "LAYERS = ('groups', 'graphs', 'clique', 'sdim', 'corpus')\n"
+       "def run():\n"
+       "    return [n for n in LAYERS if '__all__' in vars(sys.modules['powersdim.' + n])]\n")
+
+
+def test_import_powersdim_registers_every_layer_and_runs_none():
+    out = fresh(RUN + "print(*(getattr(powersdim, n) is sys.modules['powersdim.' + n]\n"
+                      "        for n in LAYERS), run() == [])\n")
+    assert out.split() == ["True"] * 6
+
+
+def test_a_name_runs_only_the_layers_up_to_its_own_and_is_bound():
+    out = fresh(RUN + "print(powersdim.build_group.__module__, *run())\n"
+                      "print('build_group' in vars(powersdim), 'sdim_group' in vars(powersdim))\n"
+                      "powersdim.sdim_group\n"
+                      "print(*run())\n")
+    assert out.splitlines() == ["powersdim.groups groups", "True False",
+                                "groups graphs clique sdim"]
+
+
+def test_a_missing_name_raises_and_a_dunder_probe_runs_nothing():
+    out = fresh(RUN + "print(hasattr(powersdim, '__wrapped__'), len(run()))\n"
+                      "print(hasattr(powersdim, 'no_such_name'), len(run()))\n")
+    assert out.split() == ["False", "0", "False", "5"]
+
+
+def test_the_cli_runs_its_layers_before_numpy():
+    out = fresh("import sys, powersdim.cli\n"
+                "order = list(sys.modules)\n"
+                "print(order.index('powersdim._numpy') < order.index('numpy'))\n")
+    assert out.split() == ["True"]
+
+
+def test_dir_lists_every_public_name():
+    out = fresh("import powersdim\n"
+                "names = dir(powersdim)\n"
+                "print(names == sorted(names), set(powersdim.__all__) <= set(names))\n")
+    assert out.split() == ["True", "True"]
+
+
+# eight threads, released at once, each first-read a name of some layer
+THREADED = """
+import sys, threading
+sys.setswitchinterval(1e-6)
+import powersdim
+names = [("groups", "build_group"), ("graphs", "power_graph"), ("clique", "max_clique"),
+         ("sdim", "sdim_group"), ("corpus", "CORPUS_SPECS"), ("sdim", "SdimResult"),
+         ("graphs", "Graph"), ("groups", "Group")]
+barrier = threading.Barrier(len(names), timeout=60)
+errors = []
+def read(layer, name):
+    barrier.wait()
+    try:
+        {read}
+    except BaseException as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=read, args=pair) for pair in names]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+print(errors, any(t.is_alive() for t in threads), powersdim.graphs.Group is powersdim.groups.Group)
+"""
+
+
+@pytest.mark.parametrize("read", [
+    "getattr(powersdim, name)",
+    "exec(f'from powersdim.{layer} import {name}', {})",
+], ids=["package", "from-layer"])
+def test_first_reads_from_many_threads_wait_for_the_layer(read):
+    assert fresh(THREADED.replace("{read}", read)).split() == ["[]", "False", "True"]
