@@ -27,11 +27,11 @@ from ._numpy import np
 __all__ = [
     "Group", "GroupSpec", "Cyclic", "Dihedral", "GeneralizedQuaternion",
     "ElementaryAbelian", "Abelian", "Symmetric", "Alternating", "DirectProduct",
-    "CayleyFile", "PermFile", "PrimeFactorization", "CyclicSubgroup",
-    "MaximalCyclicFamily", "ChainAnalysis", "build_group", "parse_spec",
-    "spec_string", "spec_order", "element_orders", "maximal_cyclic_subgroups",
-    "chain_analysis", "alpha_p", "sigma", "sigma_of", "factorize", "is_cp_group",
-    "is_cyclic_group", "is_abelian_group",
+    "CayleyFile", "PermFile", "PrimeFactorization", "MaximalCyclicFamily",
+    "ChainAnalysis", "build_group", "parse_spec", "spec_string", "spec_order",
+    "element_orders", "maximal_cyclic_subgroups", "chain_analysis", "alpha_p",
+    "sigma", "sigma_of", "factorize", "is_cp_group", "is_cyclic_group",
+    "is_abelian_group",
     "InvalidSpec", "NotAGroup", "ClosureTooLarge", "NotAPrimeDivisor",
     "InternalInconsistency",
 ]
@@ -129,7 +129,7 @@ def _check_order(order: int | str) -> None:
                           " whose n x n table numpy can index)")
 
 
-class _Spec:
+class GroupSpec:
     """Base of the spec classes: a frozen record over the fields a subclass
     annotates, given by position or keyword, then checked by the subclass's
     __post_init__.  Two specs are equal only when of one class, so Cyclic(6)
@@ -171,7 +171,7 @@ class _Spec:
         return f"{type(self).__name__}({fields})"
 
 
-class Cyclic(_Spec):
+class Cyclic(GroupSpec):
     n: int
 
     def __post_init__(self):
@@ -180,7 +180,7 @@ class Cyclic(_Spec):
         _check_order(self.n)
 
 
-class Dihedral(_Spec):
+class Dihedral(GroupSpec):
     order: int  # 2n with n >= 3
 
     def __post_init__(self):
@@ -189,7 +189,7 @@ class Dihedral(_Spec):
         _check_order(self.order)
 
 
-class GeneralizedQuaternion(_Spec):
+class GeneralizedQuaternion(GroupSpec):
     order: int  # 4n with n >= 2
 
     def __post_init__(self):
@@ -198,7 +198,7 @@ class GeneralizedQuaternion(_Spec):
         _check_order(self.order)
 
 
-class ElementaryAbelian(_Spec):
+class ElementaryAbelian(GroupSpec):
     p: int
     k: int
 
@@ -211,7 +211,7 @@ class ElementaryAbelian(_Spec):
         _check_order(f"{self.p}^{self.k}" if too_large else self.p ** self.k)
 
 
-class Abelian(_Spec):
+class Abelian(GroupSpec):
     invariant_factors: tuple[int, ...]  # d_1 | d_2 | ... | d_k, all >= 2
 
     def __post_init__(self):
@@ -223,7 +223,7 @@ class Abelian(_Spec):
         _check_order(math.prod(ds))
 
 
-class Symmetric(_Spec):
+class Symmetric(GroupSpec):
     n: int
 
     def __post_init__(self):
@@ -231,7 +231,7 @@ class Symmetric(_Spec):
             raise InvalidSpec("symmetric degree must be 1..7")
 
 
-class Alternating(_Spec):
+class Alternating(GroupSpec):
     n: int
 
     def __post_init__(self):
@@ -239,8 +239,8 @@ class Alternating(_Spec):
             raise InvalidSpec("alternating degree must be 1..7")
 
 
-class DirectProduct(_Spec):
-    parts: tuple["GroupSpec", ...]
+class DirectProduct(GroupSpec):
+    parts: tuple[GroupSpec, ...]
 
     def __post_init__(self):
         if not self.parts:
@@ -250,7 +250,7 @@ class DirectProduct(_Spec):
             _check_order(order)
 
 
-class CayleyFile(_Spec):
+class CayleyFile(GroupSpec):
     path: str
 
     def __post_init__(self):
@@ -258,26 +258,12 @@ class CayleyFile(_Spec):
             raise InvalidSpec("cayley: needs a file path")
 
 
-class PermFile(_Spec):
+class PermFile(GroupSpec):
     path: str
 
     def __post_init__(self):
         if not self.path:
             raise InvalidSpec("perm: needs a file path")
-
-
-GroupSpec = (
-    Cyclic
-    | Dihedral
-    | GeneralizedQuaternion
-    | ElementaryAbelian
-    | Abelian
-    | Symmetric
-    | Alternating
-    | DirectProduct
-    | CayleyFile
-    | PermFile
-)
 
 
 def spec_string(spec: GroupSpec) -> str:
@@ -822,12 +808,6 @@ def is_cp_group(g: Group) -> bool:
     return all(len(factorize(k).factors) <= 1 for k in set(element_orders(g)))
 
 
-class CyclicSubgroup(NamedTuple):
-    generator: int
-    elements: tuple[int, ...]  # sorted ascending
-    order: int
-
-
 def bits(mask: int):
     """Yield the set bit positions of mask in ascending order."""
     while mask:
@@ -837,22 +817,24 @@ def bits(mask: int):
 
 
 class MaximalCyclicFamily(NamedTuple):
-    """All inclusion-maximal cyclic subgroups, split by order type.
+    """All inclusion-maximal cyclic subgroups as int masks, split by order
+    type; bits(m) gives a member's elements and m.bit_count() its order.
 
     by_prime maps p to the members of p-power order; mixed holds the rest
     (orders with at least two prime divisors, plus the trivial subgroup of
-    the one-element group).
+    the one-element group).  Each tuple is sorted by order, then by the
+    ascending element list.
     """
 
-    all: tuple[CyclicSubgroup, ...]
-    by_prime: dict[int, tuple[CyclicSubgroup, ...]]
-    mixed: tuple[CyclicSubgroup, ...]
+    all: tuple[int, ...]
+    by_prime: dict[int, tuple[int, ...]]
+    mixed: tuple[int, ...]
 
 
 @_cached
 def maximal_cyclic_subgroups(g: Group) -> MaximalCyclicFamily:
-    """The inclusion-maximal cyclic subgroups, each once, under its smallest
-    generator; cached on the group.
+    """The inclusion-maximal cyclic subgroups, each once, as its mask;
+    cached on the group.
 
     The cyclic masks are visited by order, from the largest down, each
     under its first generator in ascending x, against larger, the union of
@@ -867,17 +849,18 @@ def maximal_cyclic_subgroups(g: Group) -> MaximalCyclicFamily:
     for k in sorted(by_order, reverse=True):
         for m, gen in by_order[k].items():
             if not larger >> gen & 1:
-                subs.append(CyclicSubgroup(gen, tuple(bits(m)), k))
+                subs.append(m)
             larger |= m
-    subs.sort(key=lambda s: (s.order, s.elements))
-    factors = {k: factorize(k).factors for k in {s.order for s in subs}}
-    by_prime: dict[int, list[CyclicSubgroup]] = {}
+    subs.sort(key=lambda m: (m.bit_count(), tuple(bits(m))))
+    factors = {k: factorize(k).factors for k in by_order}
+    by_prime: dict[int, list[int]] = {}
     mixed = []
-    for s in subs:
-        if len(factors[s.order]) == 1:
-            by_prime.setdefault(factors[s.order][0][0], []).append(s)
+    for m in subs:
+        f = factors[m.bit_count()]
+        if len(f) == 1:
+            by_prime.setdefault(f[0][0], []).append(m)
         else:
-            mixed.append(s)
+            mixed.append(m)
     return MaximalCyclicFamily(
         all=tuple(subs),
         by_prime={p: tuple(v) for p, v in sorted(by_prime.items())},
@@ -932,10 +915,8 @@ def chain_analysis(g: Group, p: int) -> tuple[ChainAnalysis, ...]:
     if not is_prime(p) or g.n % p != 0:
         raise NotAPrimeDivisor(f"{p} is not a prime divisor of the group order {g.n}")
     fam = maximal_cyclic_subgroups(g)
-    masks = cyclic_masks(g)
-    mp_masks = [masks[s.generator] for s in fam.by_prime.get(p, ())]
-    others = [masks[s.generator] for q, subs in fam.by_prime.items() if q != p for s in subs]
-    others += [masks[s.generator] for s in fam.mixed]
+    mp_masks = fam.by_prime.get(p, ())
+    others = [m for q, subs in fam.by_prime.items() if q != p for m in subs] + list(fam.mixed)
     union = 0
     for m in others:
         union |= m

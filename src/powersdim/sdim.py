@@ -141,15 +141,19 @@ def check_oracle_cap(n: int, oracle_cap: int) -> None:
 
 def sdim_oracle(graph: Graph, *, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SdimResult:
     """Generic path for any connected graph: minimum vertex cover of the
-    mutually-maximally-distant graph.  Exponential-time exact, hence capped."""
+    mutually-maximally-distant graph.  Exponential-time exact, hence capped.
+    A cover that fails the definitional check raises InternalInconsistency."""
     check_oracle_cap(graph.n, oracle_cap)
     srg = strong_resolving_graph(graph)
     cover = min_vertex_cover(srg)
+    if not is_strong_resolving_set(graph, cover):
+        raise InternalInconsistency(f"{Method.GENERIC_ORACLE.value} cover of {len(cover)}"
+                                    " vertices is not a strong resolving set")
     return SdimResult(
         value=len(cover),
         method=Method.GENERIC_ORACLE,
         witness=cover,
-        verified=is_strong_resolving_set(graph, cover),
+        verified=True,
     )
 
 
@@ -181,15 +185,13 @@ def omega_reduced_group(g: gr.Group) -> int:
     sigma_n for cyclic groups, the alpha_p maximum for noncyclic CP-groups,
     and additionally sigma_{|M|}+1 over the mixed-order maximal cyclic
     subgroups otherwise."""
-    if g.n == 1:
-        return 1  # single-vertex reduced graph
     if gr.is_cyclic_group(g):
         return gr.sigma_of(g.n)
     primes = [p for p, _ in gr.factorize(g.n).factors]
     best = max(gr.alpha_p(g, p) for p in primes)
     if not gr.is_cp_group(g):
         fam = gr.maximal_cyclic_subgroups(g)
-        best = max(best, max(gr.sigma_of(m.order) + 1 for m in fam.mixed))
+        best = max(best, max(gr.sigma_of(m.bit_count()) + 1 for m in fam.mixed))
     return best
 
 
@@ -243,10 +245,6 @@ def sdim_group(g: gr.Group, *, oracle_cap: int = 0) -> SdimResult:
     rows.append((Method.DIAMETER2_REDUCTION, red.value, ms))
     if g.n <= oracle_cap:
         oracle, ms = timed(sdim_oracle, graph, oracle_cap=oracle_cap)
-        if not oracle.verified:
-            raise InternalInconsistency(
-                f"{Method.GENERIC_ORACLE.value} cover of {oracle.value} vertices "
-                "is not a strong resolving set")
         rows.append((Method.GENERIC_ORACLE, oracle.value, ms))
     if len({value for _, value, _ in rows}) != 1:
         raise InternalInconsistency("methods disagree: " + ", ".join(
@@ -342,9 +340,7 @@ def classify_n_minus_2(g: gr.Group) -> tuple[bool, str | None]:
         if involutions == 1:  # noncyclic 2-group with a unique involution
             return True, "generalized-quaternion-2-group"
     if gr.is_cp_group(g):
-        fam = gr.maximal_cyclic_subgroups(g)
-        cyclic = gr.cyclic_masks(g)
-        masks = [cyclic[s.generator] for s in fam.all]
+        masks = gr.maximal_cyclic_subgroups(g).all
         if all((masks[i] & masks[j]).bit_count() == 1
                for i in range(len(masks)) for j in range(i + 1, len(masks))):
             return True, "cp-group-trivial-intersections"

@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 from random import Random
+from typing import NamedTuple
 
-from powersdim import (ChainAnalysis, CliqueResult, CyclicSubgroup, Graph,
-                       MaximalCyclicFamily, NotAPrimeDivisor, bfs_distances, factorize)
+from powersdim import (ChainAnalysis, CliqueResult, Graph, MaximalCyclicFamily,
+                       NotAPrimeDivisor, bfs_distances, factorize)
 from powersdim.graphs import bit_matrix, bit_rows, bits
 from powersdim.groups import cyclic_masks, element_orders, is_prime
 
@@ -379,9 +380,16 @@ def ref_min_vertex_cover(graph: Graph) -> list[int]:
 # Reference group theory: maximal_cyclic_subgroups, chain_analysis and
 # alpha_p as they were before the membership-matrix test and the chain data
 # from popcounts (an O(d^2) subset test over the distinct cyclic subgroups,
-# one CyclicSubgroup per chain element), uncached, kept to pin the values.
-# The chain helpers take the reference family, fam, which a caller builds
-# once per group.
+# one RefSubgroup per family member and chain element), uncached, kept to
+# pin the values.  The chain helpers take the reference family, fam, which
+# a caller builds once per group; ref_family_masks gives it in the library's
+# form, masks.
+
+
+class RefSubgroup(NamedTuple):
+    generator: int  # the smallest
+    elements: tuple[int, ...]  # sorted ascending
+    order: int
 
 
 def ref_maximal_cyclic_subgroups(g) -> MaximalCyclicFamily:
@@ -396,9 +404,9 @@ def ref_maximal_cyclic_subgroups(g) -> MaximalCyclicFamily:
         if any(m != m2 and m & ~m2 == 0 for m2, _ in distinct):
             continue
         els = tuple(bits(m))
-        subs.append(CyclicSubgroup(gen, els, len(els)))
+        subs.append(RefSubgroup(gen, els, len(els)))
     subs.sort(key=lambda s: (s.order, s.elements))
-    by_prime: dict[int, list[CyclicSubgroup]] = {}
+    by_prime: dict[int, list[RefSubgroup]] = {}
     mixed = []
     for s in subs:
         fac = factorize(s.order)
@@ -413,12 +421,21 @@ def ref_maximal_cyclic_subgroups(g) -> MaximalCyclicFamily:
     )
 
 
-def _ref_subgroup_from_mask(g, mask: int) -> CyclicSubgroup:
+def ref_family_masks(fam: MaximalCyclicFamily) -> MaximalCyclicFamily:
+    """The reference family with each member as its int mask."""
+    def masks(subs):
+        return tuple(sum(1 << e for e in s.elements) for s in subs)
+
+    return MaximalCyclicFamily(masks(fam.all), {p: masks(v) for p, v in fam.by_prime.items()},
+                               masks(fam.mixed))
+
+
+def _ref_subgroup_from_mask(g, mask: int) -> RefSubgroup:
     els = tuple(bits(mask))
     order = len(els)
     orders = element_orders(g)
     gen = min(e for e in els if orders[e] == order)
-    return CyclicSubgroup(gen, els, order)
+    return RefSubgroup(gen, els, order)
 
 
 def _ref_exact_log(base: int, value: int) -> int:

@@ -7,7 +7,7 @@ import pytest
 import powersdim.cli as cli_module
 import powersdim.groups as groups_module
 import powersdim.sdim as sdim_module
-from powersdim import CORPUS_SPECS, CliqueResult, CyclicSubgroup, build_group, \
+from powersdim import CORPUS_SPECS, CliqueResult, build_group, \
     element_orders, from_edge_list, graph6_decode, maximal_cyclic_subgroups, power_graph, \
     sigma_of, to_edge_list
 from powersdim.cli import main
@@ -227,8 +227,7 @@ def test_a_family_that_is_not_a_chain_exits_3_without_a_traceback(capsys, monkey
         x = element_orders(g).index(6)
         x2 = g.table[x][x]
         masks = groups_module.cyclic_masks(g)
-        sub = [CyclicSubgroup(y, tuple(groups_module.bits(masks[y])), masks[y].bit_count())
-               for y in (x, g.table[x2][x], x2)]
+        sub = [masks[y] for y in (x, g.table[x2][x], x2)]
         fam = maximal_cyclic_subgroups(g)
         return fam._replace(by_prime={**fam.by_prime, 2: tuple(sub)})
 
@@ -271,10 +270,11 @@ def test_compare_exits_3_when_the_oracle_cover_does_not_resolve(capsys, monkeypa
 
     monkeypatch.setattr(sdim_module, "min_vertex_cover", cover_with_an_uncovered_edge)
     for spec in ["S3", "Z6", "Q8", "S4"]:
-        code, out, err = run(capsys, "compare", spec, "--json")
-        assert (code, out) == (3, ""), spec
-        assert err.startswith("ERROR:MISMATCH GenericOracle cover of "), (spec, err)
-        assert err.endswith(" vertices is not a strong resolving set\n"), (spec, err)
+        for command in ["compare", "oracle"]:
+            code, out, err = run(capsys, command, spec, "--json")
+            assert (code, out) == (3, ""), (command, spec)
+            assert err.startswith("ERROR:MISMATCH GenericOracle cover of "), (command, spec, err)
+            assert err.endswith(" vertices is not a strong resolving set\n"), (command, spec, err)
 
 
 # ---------------------------------------------------------------------------

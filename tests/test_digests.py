@@ -40,13 +40,9 @@ DIGEST_SPECS = list(dict.fromkeys([
 ]))
 
 
-def _sub(s) -> list:
-    return [s.generator, list(s.elements), s.order]
-
-
 def _mask_sub(orders, m: int) -> list:
     """[generator, elements, order] of the cyclic subgroup with mask m, under
-    its smallest generator, as _sub gives a CyclicSubgroup."""
+    its smallest generator."""
     elements = list(bits(m))
     order = len(elements)
     return [min(e for e in elements if orders[e] == order), elements, order]
@@ -88,9 +84,10 @@ def dump(spec: str) -> str:
             "rows": [[m.value, v] for m, v, _ in res.rows],
         },
         "family": {
-            "all": [_sub(s) for s in fam.all],
-            "by_prime": {str(p): [_sub(s) for s in subs] for p, subs in fam.by_prime.items()},
-            "mixed": [_sub(s) for s in fam.mixed],
+            "all": [_mask_sub(orders, m) for m in fam.all],
+            "by_prime": {str(p): [_mask_sub(orders, m) for m in subs]
+                         for p, subs in fam.by_prime.items()},
+            "mixed": [_mask_sub(orders, m) for m in fam.mixed],
         },
         "primes": {str(p): {
             "alpha_p": alpha_p(g, p),

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from powersdim import (CORPUS_SPECS, Abelian, Alternating, CayleyFile, ClosureTooLarge,
                        Cyclic, Dihedral, DirectProduct, ElementaryAbelian, GeneralizedQuaternion,
-                       InvalidSpec, NotAGroup, NotAPrimeDivisor, PermFile, Symmetric,
+                       GroupSpec, InvalidSpec, NotAGroup, NotAPrimeDivisor, PermFile, Symmetric,
                        alpha_p, build_group, chain_analysis,
                        element_orders, factorize, is_cp_group,
                        is_cyclic_group, maximal_cyclic_subgroups, parse_spec, power_graph,
@@ -27,8 +27,8 @@ from powersdim.groups import bits
 
 from helpers import (brute_perm_table, is_associative, lex_perms, random_loop, ref_alpha_p,
                      ref_chain_analysis, ref_close_permutations, ref_cyclic_table,
-                     ref_dihedral_table, ref_maximal_cyclic_subgroups, ref_product_table,
-                     ref_quaternion_table, write_cayley_file)
+                     ref_dihedral_table, ref_family_masks, ref_maximal_cyclic_subgroups,
+                     ref_product_table, ref_quaternion_table, write_cayley_file)
 from powersdim import Group
 
 
@@ -130,6 +130,7 @@ SPECS = [Cyclic(6), Symmetric(6), Alternating(6), Dihedral(8), GeneralizedQuater
 
 def test_specs_are_frozen_values_equal_only_within_their_class():
     for a in SPECS:
+        assert isinstance(a, GroupSpec)
         for b in SPECS:
             assert (a == b) is (a is b)
         assert a != tuple(getattr(a, name) for name in a.__match_args__)
@@ -147,6 +148,10 @@ def test_specs_are_frozen_values_equal_only_within_their_class():
     match SPECS[7]:
         case DirectProduct((Cyclic(n), Dihedral(order))):
             assert (n, order) == (2, 8)
+    for not_a_spec in ("Z6", (6,), None):
+        assert not isinstance(not_a_spec, GroupSpec)
+        with pytest.raises(TypeError, match="not a GroupSpec"):
+            spec_string(not_a_spec)
 
 
 @pytest.mark.parametrize("make", [
@@ -388,20 +393,20 @@ def test_a_perm_file_of_the_standard_generators_relabelled_is_the_built_in_table
 
 def test_maximal_cyclic_cyclic_group():
     fam = maximal_cyclic_subgroups(build_group("Z12"))
-    assert len(fam.all) == 1 and fam.all[0].order == 12
+    assert len(fam.all) == 1 and fam.all[0].bit_count() == 12
     assert fam.by_prime == {} and len(fam.mixed) == 1
 
 
 def test_maximal_cyclic_dihedral():
     # the rotation subgroup plus six reflections
     fam = maximal_cyclic_subgroups(build_group("D12"))
-    assert sorted(s.order for s in fam.all) == [2, 2, 2, 2, 2, 2, 6]
+    assert sorted(m.bit_count() for m in fam.all) == [2, 2, 2, 2, 2, 2, 6]
 
 
 def test_maximal_cyclic_quaternion():
     fam = maximal_cyclic_subgroups(build_group("Q8"))
-    assert [s.order for s in fam.all] == [4, 4, 4]
-    masks = [sum(1 << e for e in s.elements) for s in fam.all]
+    assert [m.bit_count() for m in fam.all] == [4, 4, 4]
+    masks = fam.all
     for i in range(3):
         for j in range(i + 1, 3):
             assert (masks[i] & masks[j]).bit_count() == 2  # common center
@@ -412,13 +417,13 @@ def test_family_covers_and_partitions(spec):
     g = build_group(spec)
     fam = maximal_cyclic_subgroups(g)
     covered = set()
-    for s in fam.all:
-        covered.update(s.elements)
+    for m in fam.all:
+        covered.update(bits(m))
     assert covered == set(range(g.n))
-    split = [s for subs in fam.by_prime.values() for s in subs] + list(fam.mixed)
-    assert sorted(split, key=lambda s: (s.order, s.elements)) == list(fam.all)
+    split = [m for subs in fam.by_prime.values() for m in subs] + list(fam.mixed)
+    assert sorted(split, key=lambda m: (m.bit_count(), tuple(bits(m)))) == list(fam.all)
     # no member contains another
-    masks = [sum(1 << e for e in s.elements) for s in fam.all]
+    masks = fam.all
     assert not any(i != j and masks[i] & ~masks[j] == 0
                    for i in range(len(masks)) for j in range(len(masks)))
 
@@ -479,7 +484,7 @@ def test_chains_are_totally_ordered_and_end_at_mi():
                 assert all(sets[i] < sets[i + 1] for i in range(len(sets) - 1))
                 # last entry is the maximal subgroup itself
                 mp = maximal_cyclic_subgroups(g).by_prime[p]
-                assert tuple(bits(a.chain[-1])) == mp[a.subgroup_index].elements
+                assert a.chain[-1] == mp[a.subgroup_index]
                 assert a.s_i <= a.f_i + 1
 
 
@@ -557,7 +562,7 @@ def test_random_specs_build_valid_groups(spec):
     assert g.table[e] == list(range(g.n))
     assert all(g.n % element_orders(g)[x] == 0 for x in range(g.n))
     fam = maximal_cyclic_subgroups(g)
-    assert set().union(*(set(s.elements) for s in fam.all)) == set(range(g.n))
+    assert set().union(*(set(bits(m)) for m in fam.all)) == set(range(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +694,7 @@ def assert_matches_the_reference(g):
     primes = [p for p, _ in factorize(g.n).factors]
     fam = ref_maximal_cyclic_subgroups(g)  # the reference family, built once
     assert [alpha_p(g, p) for p in primes] == [ref_alpha_p(g, p, fam) for p in primes]
-    assert maximal_cyclic_subgroups(g) == fam
+    assert maximal_cyclic_subgroups(g) == ref_family_masks(fam)
     for p in primes:
         assert chain_analysis(g, p) == ref_chain_analysis(g, p, fam), p
 
@@ -719,6 +724,12 @@ def test_a_group_caches_each_cyclic_subgroup_only_as_its_mask(spec):
     sdim_group(g, oracle_cap=g.n)
     power_graph(g)
     assert [k for k, v in g._cache.items() if isinstance(v, np.ndarray)] == []
+    # the maximal family holds those masks, each that of its smallest generator
+    fam = maximal_cyclic_subgroups(g)
+    masks, orders = groups_module.cyclic_masks(g), element_orders(g)
+    for m in [*fam.all, *(m for subs in fam.by_prime.values() for m in subs), *fam.mixed]:
+        x = min(e for e in bits(m) if orders[e] == m.bit_count())
+        assert type(m) is int and m == masks[x]
 
 
 @given(group_specs(), group_specs())
