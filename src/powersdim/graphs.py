@@ -103,11 +103,6 @@ class Graph:
         """Yield edges (u, v) with u < v, in ascending order."""
         yield from map(tuple, np.argwhere(np.triu(self.matrix, 1)).tolist())
 
-    def complement(self) -> "Graph":
-        m = ~self.matrix
-        np.fill_diagonal(m, False)
-        return Graph(m)
-
     def __eq__(self, other):
         return isinstance(other, Graph) and np.array_equal(self.matrix, other.matrix)
 

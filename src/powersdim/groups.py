@@ -4,7 +4,8 @@ Groups are built from parametric families (cyclic, dihedral, generalized
 quaternion, abelian products), from Cayley-table files, or by one closure
 of permutation generators, which serves both perm files and the small
 symmetric and alternating groups.  Elements are the indices 0..n-1, and
-every table passes one check, associativity by Light's test included.
+every table passes one check: a two-sided identity, associativity by
+Light's test, and the identity in every row, which makes it a group.
 Everything downstream (element orders, maximal cyclic subgroups, the
 intersection-chain data behind the dimension formulas) is computed
 directly from the table, so file-loaded groups behave exactly like
@@ -353,14 +354,15 @@ def _cached(f):
 class Group:
     """Finite group on elements 0..n-1 with an explicit multiplication table.
 
-    The table (rows or an array) is checked, NotAGroup on failure, and kept
-    as one read-only numpy array, array[a, b] = a*b, of the narrowest
+    The table (rows or an array) is checked for a two-sided identity,
+    associativity and the identity in every row, NotAGroup on failure, and
+    kept as one read-only numpy array, array[a, b] = a*b, of the narrowest
     unsigned dtype that holds 0..n-1; an array already of that dtype is
     kept rather than copied.  Everything derived reads that array; table
-    (lists of ints) and inverse are built on first read.  generators,
-    optional element indices in 0..n-1, are where the associativity check
-    starts: any indices give the same verdict, and a small generating set
-    the fastest check.  Instances are immutable after construction and safe
+    (lists of ints) is built on first read.  generators, optional element
+    indices in 0..n-1, are where the associativity check starts: any
+    indices give the same verdict, and a small generating set the fastest
+    check.  Instances are immutable after construction and safe
     for concurrent reads; derived data (element orders, cyclic subgroups as
     int masks, the chain data, the power graph) is cached lazily by _cached.
     """
@@ -388,12 +390,6 @@ class Group:
         """The table as lists of ints, table[a][b] = a*b."""
         return self.array.tolist()
 
-    @property
-    @_cached
-    def inverse(self) -> list[int]:
-        """inverse[x] is the y with x*y = identity, one per row of a Latin square."""
-        return np.nonzero(self.array == self.identity)[1].tolist()
-
     def __repr__(self):
         name = spec_string(self.spec) if self.spec is not None else "table"
         return f"<Group {name} order={self.n}>"
@@ -407,51 +403,56 @@ def _block_rows(n: int) -> int:
 
 
 def _validate_table(t: np.ndarray, generators=()) -> tuple[np.ndarray, int]:
-    """Check Latin square + identity, then associativity by Light's test.
+    """Check the range, a two-sided identity e, associativity by Light's
+    test, then that every row holds e.
 
     Returns the table narrowed to the smallest unsigned dtype that holds
     0..n-1, made read-only, and the identity index.  An entry outside int64
     makes t an object (or float) array, refused as out of range.
 
-    The Latin square goes _block_rows(n) rows and as many columns at a
-    time, by two scatters into one flat bool buffer: every (row, entry)
-    pair set, which fills the buffer exactly when no row repeats an entry,
-    then every (entry, column) pair cleared, which empties it exactly when
-    no column does.  Light's test: the a with (x*a)*y == x*(a*y) for all
-    x, y are closed under the product, so checking the generators that
-    _spanning_tree picks (starting from generators) proves associativity.
+    Light's test: the a with (x*a)*y == x*(a*y) for all x, y are closed
+    under the product, so checking the generators that _spanning_tree
+    picks (starting from generators) proves associativity.  It compares
+    _block_rows(n) rows at a time in one pair of buffers, reused: a fresh
+    pair per block is mapped and faulted in anew, which doubled S7's check
+    in a new process.  With e, the table is then a finite monoid.  If row
+    x holds e, at column y, then z -> x*z is onto, since z = x*(y*z), so it
+    is one-to-one, and x*(y*x) = (x*y)*x = x*e gives y*x = e.  So when every
+    row holds e, every element has an inverse: the table is a group, and a
+    Latin square.  Only a table that fails is sorted for the Latin square,
+    so that one that is not is reported as such, whichever check failed.
     """
     n = len(t)
     if t.dtype.kind not in "iu" or t.min() < 0 or t.max() >= n:
         raise NotAGroup("table entries must be element indices 0..n-1")
-    t = t.astype(np.min_scalar_type(n), copy=False)  # narrow entries: cheaper scatters and gathers
-    step = _block_rows(n)
-    hit = np.zeros(min(n, step) * n, dtype=bool)
-    for lo in range(0, n, step):
-        r = min(step, n - lo)
-        rows = t[lo:lo + step] + np.arange(0, r * n, n)[:, None]  # (row i, entry c) at i*n + c
-        cols = t[:, lo:lo + step].astype(np.intp)
-        cols *= r
-        cols += np.arange(r)  # (entry c, column j) at c*r + j
-        hit[rows] = True
-        if not hit[:r * n].all():
-            raise NotAGroup("table is not a Latin square")
-        hit[cols] = False
-        if hit.any():
-            raise NotAGroup("table is not a Latin square")
+    t = t.astype(np.min_scalar_type(n), copy=False)  # narrow entries: cheaper gathers
     ar = np.arange(n)
-    identity = int(np.flatnonzero(t[:, 0] == 0)[0])  # the one row with e*0 = 0, as a left identity has
-    if not ((t[identity] == ar).all() and (t[:, identity] == ar).all()):
-        raise NotAGroup("table has no two-sided identity")
+    step = _block_rows(n)
+    left, right = np.empty((2, min(step, n), n), t.dtype)
 
     def column(a: int) -> list[int]:
         col, row = t[:, a], t[a]
-        for lo in range(0, n, step):
-            if t[col[lo:lo + step]].tobytes() != t[lo:lo + step].take(row, axis=1).tobytes():
+        for lo in range(0, n, step):  # entries are in range: "clip" takes straight into out
+            r = min(step, n - lo)
+            t.take(col[lo:lo + step], axis=0, out=left[:r], mode="clip")  # (x*a)*y
+            t[lo:lo + step].take(row, axis=1, out=right[:r], mode="clip")  # x*(a*y)
+            if (left[:r] != right[:r]).any():
                 raise NotAGroup("table is not associative")
         return col.tolist()
 
-    _spanning_tree(n, identity, column, generators)
+    try:
+        # the first row with x*0 = 0, as a left identity has; with none,
+        # argmax gives row 0, which then fails, since 0*0 != 0
+        identity = int(np.argmax(t[:, 0] == 0))
+        if not ((t[identity] == ar).all() and (t[:, identity] == ar).all()):
+            raise NotAGroup("table has no two-sided identity")
+        _spanning_tree(n, identity, column, generators)
+        if not all((t[lo:lo + step] == identity).any(1).all() for lo in range(0, n, step)):
+            raise NotAGroup("table is not a Latin square")
+    except NotAGroup:
+        if not ((np.sort(t, 1) == ar).all() and (np.sort(t, 0) == ar[:, None]).all()):
+            raise NotAGroup("table is not a Latin square") from None
+        raise
     t.flags.writeable = False
     return t, identity
 

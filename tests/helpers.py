@@ -12,6 +12,8 @@ import math
 from random import Random
 from typing import NamedTuple
 
+import numpy as np
+
 from powersdim import (ChainAnalysis, CliqueResult, Graph, MaximalCyclicFamily,
                        NotAPrimeDivisor, bfs_distances, factorize)
 from powersdim.graphs import bit_matrix, bit_rows, bits
@@ -159,6 +161,29 @@ def is_associative(table) -> bool:
                for a in range(n) for b in range(n) for c in range(n))
 
 
+def ref_table_verdict(table) -> str | None:
+    """The NotAGroup message a square table of ints earns, or None for a
+    group, from the definitions, checked in the order: entries in 0..n-1,
+    every row and column a permutation of them, a two-sided identity, then
+    the triple check for associativity."""
+    n = len(table)
+    if any(not 0 <= c < n for row in table for c in row):
+        return "table entries must be element indices 0..n-1"
+    symbols = list(range(n))
+    if any(sorted(line) != symbols for line in [*table, *zip(*table)]):
+        return "table is not a Latin square"
+    if not any(all(table[e][x] == x == table[x][e] for x in range(n)) for e in range(n)):
+        return "table has no two-sided identity"
+    if not is_associative(table):
+        return "table is not associative"
+    return None
+
+
+def inverses(g) -> list[int]:
+    """inverses[x] is the y with x*y = identity: where row x holds it."""
+    return np.nonzero(g.array == g.identity)[1].tolist()
+
+
 def random_loop(rng: Random, n: int) -> list[list[int]]:
     """Random Latin square on 0..n-1 whose row and column 0 are the identity
     (a loop with identity 0), filled cell by cell, each cell trying the
@@ -246,6 +271,13 @@ def ref_product_table(tables: list[list[list[int]]]) -> list[list[int]]:
             row.append(idx)
         out.append(row)
     return out
+
+
+def complement(graph: Graph) -> Graph:
+    """The graph on the same vertices whose edges are graph's non-edges."""
+    m = ~graph.matrix
+    np.fill_diagonal(m, False)
+    return Graph(m)
 
 
 def graph_of_rows(rows: list[int]) -> Graph:

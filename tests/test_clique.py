@@ -10,7 +10,7 @@ import pytest
 from powersdim import CORPUS_SPECS, Graph, build_group, max_clique, min_vertex_cover, \
     power_graph, reduced_graph, sigma_of, strong_resolving_graph
 
-from helpers import (brute_force_clique_number, forward_brute_force_clique_number,
+from helpers import (brute_force_clique_number, complement, forward_brute_force_clique_number,
                      graph_of_rows, is_clique, random_cycle_with_chords, random_graph,
                      ref_max_clique, ref_min_vertex_cover)
 
@@ -96,7 +96,7 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     k = graph_of_rows([full & ~(1 << v) for v in range(n)])
     res = max_clique(k)
     assert res.size == n and res.members == tuple(range(n))
-    assert min_vertex_cover(k.complement()) == []
+    assert min_vertex_cover(complement(k)) == []
 
 
 @given(st.integers(0, 12), st.integers(0, 2**32))
@@ -109,7 +109,7 @@ def test_cover_valid_and_complementary_to_mis(n, seed):
     for u, v in g.edges():
         assert u in in_cover or v in in_cover
     # |cover| + max independent set = n
-    mis = max_clique(g.complement()).size
+    mis = max_clique(complement(g)).size
     assert len(cover) + mis == g.n
 
 
@@ -120,7 +120,7 @@ def test_cover_valid_and_complementary_to_mis(n, seed):
 
 def assert_same_search(g: Graph) -> None:
     assert max_clique(g) == ref_max_clique(g)
-    assert max_clique(g.complement()) == ref_max_clique(g.complement())
+    assert max_clique(complement(g)) == ref_max_clique(complement(g))
     assert min_vertex_cover(g) == ref_min_vertex_cover(g)
 
 
@@ -143,7 +143,7 @@ def test_search_equals_the_reference_on_corpus_quotients_and_srgs(spec):
     quotient = reduced_graph(graph).quotient
     assert max_clique(quotient) == ref_max_clique(quotient)
     srg = strong_resolving_graph(graph)
-    assert max_clique(srg.complement()) == ref_max_clique(srg.complement())
+    assert max_clique(complement(srg)) == ref_max_clique(complement(srg))
     assert min_vertex_cover(srg) == ref_min_vertex_cover(srg)
 
 
@@ -169,6 +169,6 @@ def test_clique_number_equals_networkx_on_corpus_quotients():
 def test_cover_equals_networkx_on_srgs_of_cycles_with_chords(n):
     nx = pytest.importorskip("networkx")
     srg = strong_resolving_graph(random_cycle_with_chords(random.Random(n), n, 3 / n))
-    omega = _networkx_clique_number(nx, srg.complement())
-    assert max_clique(srg.complement()).size == omega
+    omega = _networkx_clique_number(nx, complement(srg))
+    assert max_clique(complement(srg)).size == omega
     assert len(min_vertex_cover(srg)) == n - omega

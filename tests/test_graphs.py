@@ -17,8 +17,8 @@ from powersdim import (Disconnected, Graph, bfs_distances, build_group, chain_an
 from powersdim.graphs import all_pairs, bit_matrix, bit_rows, has_universal_vertex, sweep
 from powersdim.groups import bits
 
-from helpers import (all_pairs_distances, brute_strong_resolving_graph, cone, graph_of_rows,
-                     random_cycle_with_chords, random_graph, with_closed_twins)
+from helpers import (all_pairs_distances, brute_strong_resolving_graph, complement, cone,
+                     graph_of_rows, random_cycle_with_chords, random_graph, with_closed_twins)
 
 
 def complete_graph(n):
@@ -52,9 +52,9 @@ def test_graph_edges_and_complement():
     g = Graph.from_edges(4, [(0, 1), (2, 3), (0, 1)])  # duplicate collapses
     assert list(g.edges()) == [(0, 1), (2, 3)]
     assert g.edge_count() == 2
-    comp = g.complement()
+    comp = complement(g)
     assert set(comp.edges()) == {(0, 2), (0, 3), (1, 2), (1, 3)}
-    assert comp.complement() == g
+    assert complement(comp) == g
 
 
 # ---------------------------------------------------------------------------

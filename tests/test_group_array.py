@@ -15,8 +15,8 @@ from powersdim import (CORPUS_SPECS, Group, NotAGroup, build_group, is_abelian_g
                        omega_reduced_group, power_graph, sdim_via_reduction)
 from powersdim import groups as groups_module
 
-from helpers import (brute_perm_table, lex_perms, ref_close_permutations, ref_cyclic_masks,
-                     ref_is_abelian)
+from helpers import (brute_perm_table, inverses, lex_perms, ref_close_permutations,
+                     ref_cyclic_masks, ref_is_abelian)
 
 LARGER = ["Z720", "S6", "A6", "D360", "Q64", "Ab[12,60]"]
 
@@ -37,7 +37,7 @@ def test_the_table_is_one_read_only_array_with_list_views():
     g = build_group("S4")
     assert g.array.dtype == np.uint8 and not g.array.flags.writeable
     assert g.table == g.array.tolist() and g.table is g.table
-    assert all(g.table[x][y] == g.identity for x, y in enumerate(g.inverse))
+    assert all(g.table[x][y] == g.identity for x, y in enumerate(inverses(g)))
     with pytest.raises(ValueError, match="generators"):
         Group(g.array, generators=[24])
 
@@ -63,6 +63,17 @@ def test_a_row_latin_table_with_a_repeat_down_a_later_column_is_refused(monkeypa
     t[5][4], t[5][5] = t[5][5], t[5][4]  # rows stay permutations; columns 4 and 5 repeat
     with pytest.raises(NotAGroup, match="Latin square"):
         Group(t)
+
+
+def test_only_a_table_that_fails_is_sorted_for_the_latin_square(monkeypatch):
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted")
+
+    monkeypatch.setattr(groups_module.np, "sort", no_sort)
+    for spec in CORPUS_SPECS + LARGER:
+        build_group(spec)
+    with pytest.raises(AssertionError, match="sorted"):
+        Group([[0, 1], [1, 1]])
 
 
 @pytest.mark.parametrize("spec", ["S6", "A6"])

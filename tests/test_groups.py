@@ -25,10 +25,11 @@ from powersdim import groups as groups_module
 from powersdim import sdim as sdim_module
 from powersdim.groups import bits
 
-from helpers import (brute_perm_table, is_associative, lex_perms, random_loop, ref_alpha_p,
-                     ref_chain_analysis, ref_close_permutations, ref_cyclic_table,
+from helpers import (brute_perm_table, inverses, is_associative, lex_perms, random_loop,
+                     ref_alpha_p, ref_chain_analysis, ref_close_permutations, ref_cyclic_table,
                      ref_dihedral_table, ref_family_masks, ref_maximal_cyclic_subgroups,
-                     ref_product_table, ref_quaternion_table, write_cayley_file)
+                     ref_product_table, ref_quaternion_table, ref_table_verdict,
+                     write_cayley_file)
 from powersdim import Group
 
 
@@ -265,15 +266,17 @@ def test_group_axioms_hold_for_builtins_up_to_128():
         assert g.n <= 128
         e = g.identity
         assert all(g.table[e][x] == x and g.table[x][e] == x for x in range(g.n))
-        assert all(g.table[x][g.inverse[x]] == e for x in range(g.n))
+        inverse = inverses(g)
+        assert all(g.table[x][inverse[x]] == e for x in range(g.n))
 
 
 @pytest.mark.parametrize("spec", list(CORPUS_SPECS) + ["Z720", "S6"])
 def test_inverses_multiply_to_the_identity(spec):
     g = build_group(spec)
     e = g.identity
-    assert all(type(y) is int for y in g.inverse)
-    assert all(g.table[x][g.inverse[x]] == e for x in range(g.n))
+    inverse = inverses(g)
+    assert all(type(y) is int for y in inverse)
+    assert all(g.table[x][inverse[x]] == e for x in range(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +590,64 @@ def test_light_test_checks_every_generator():
     table = ref_product_table([loop5, ref_cyclic_table(2)])
     assert not is_associative(table)
     with pytest.raises(NotAGroup, match="not associative"):
+        Group(table)
+
+
+SMALL_TABLES = [ref_cyclic_table(n) for n in range(1, 7)] + [
+    ref_product_table([ref_cyclic_table(2)] * 2), ref_dihedral_table(6), ref_dihedral_table(8),
+    ref_quaternion_table(8)]
+
+
+@st.composite
+def small_tables(draw):
+    """A small group table or a random loop (often not associative),
+    relabelled, then kept whole or given a broken cell, row or column, or two
+    rows swapped, which breaks the identity; with up to 3 generators."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(SMALL_TABLES))
+    else:
+        base = random_loop(Random(draw(st.integers(0, 2 ** 32))), draw(st.integers(1, 6)))
+    n = len(base)
+    perm = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[base[a][b]]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    line = st.one_of(st.permutations(range(n)), st.lists(st.integers(0, n - 1), min_size=n,
+                                                         max_size=n))
+    kind = draw(st.sampled_from(["whole", "cell", "row", "column", "identity"]))
+    if kind == "cell":
+        table[i][j] = draw(st.integers(-1, n))
+    elif kind == "row":
+        table[i] = list(draw(line))
+    elif kind == "column":
+        for row, c in zip(table, draw(line)):
+            row[j] = c
+    elif kind == "identity":
+        table[i], table[j] = table[j], table[i]
+    return table, draw(st.lists(st.integers(0, n - 1), max_size=3))
+
+
+@given(small_tables())
+@settings(max_examples=600, deadline=None)
+def test_group_verdicts_and_messages_match_the_definitions(case):
+    table, generators = case
+    expected = ref_table_verdict(table)
+    if expected is None:
+        assert Group(table, generators=generators).table == table
+    else:
+        with pytest.raises(NotAGroup) as caught:
+            Group(table, generators=generators)
+        assert str(caught.value) == expected
+
+
+def test_a_monoid_with_a_row_that_lacks_the_identity_is_not_a_latin_square():
+    # associative with the two-sided identity 0, so the identity and Light's
+    # test pass: only the check that every row holds the identity refuses it
+    table = [[0, 1], [1, 1]]
+    assert is_associative(table)
+    with pytest.raises(NotAGroup, match="^table is not a Latin square$"):
         Group(table)
 
 
