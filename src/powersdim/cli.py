@@ -111,8 +111,7 @@ def cmd_compute(args) -> int:
     t0 = time.perf_counter()
     res = sdim_group(g, oracle_cap=args.oracle_cap if args.check else 0)
     _print_result(name, g.n, res, args, (time.perf_counter() - t0) * 1000.0)
-    checked = args.check or args.command == "witness"  # witness prints a verified set
-    if checked and not (res.verified and len(res.witness) == res.value):
+    if (args.check or args.witness) and not (res.verified and len(res.witness) == res.value):
         _err("MISMATCH", f"witness check failed for {name}")
         return EXIT_MISMATCH
     return EXIT_OK
@@ -283,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="print a verified minimum witness set")
     p.add_argument("spec")
     _add_common(p)
-    p.set_defaults(func=cmd_compute, witness=True, check=False)  # compute --witness, checked
+    p.set_defaults(func=cmd_compute, witness=True, check=False)  # compute --witness
 
     p = sub.add_parser("classify", help="test whether sdim equals n-2, with the class")
     p.add_argument("spec")

@@ -412,15 +412,13 @@ def _validate_table(t: np.ndarray, generators=()) -> tuple[np.ndarray, int]:
 
     Light's test: the a with (x*a)*y == x*(a*y) for all x, y are closed
     under the product, so checking the generators that _spanning_tree
-    picks (starting from generators) proves associativity.  It compares
-    _block_rows(n) rows at a time in one pair of buffers, reused: a fresh
-    pair per block is mapped and faulted in anew, which doubled S7's check
-    in a new process.  With e, the table is then a finite monoid.  If row
-    x holds e, at column y, then z -> x*z is onto, since z = x*(y*z), so it
-    is one-to-one, and x*(y*x) = (x*y)*x = x*e gives y*x = e.  So when every
-    row holds e, every element has an inverse: the table is a group, and a
-    Latin square.  Only a table that fails is sorted for the Latin square,
-    so that one that is not is reported as such, whichever check failed.
+    picks (starting from generators) proves associativity.  With e, the
+    table is then a finite monoid.  If row x holds e, at column y, then
+    z -> x*z is onto, since z = x*(y*z), so it is one-to-one, and
+    x*(y*x) = (x*y)*x = x*e gives y*x = e.  So when every row holds e,
+    every element has an inverse: the table is a group, and a Latin square.
+    Only a table that fails is sorted for the Latin square, so that one
+    that is not is reported as such, whichever check failed.
     """
     n = len(t)
     if t.dtype.kind not in "iu" or t.min() < 0 or t.max() >= n:
@@ -428,15 +426,11 @@ def _validate_table(t: np.ndarray, generators=()) -> tuple[np.ndarray, int]:
     t = t.astype(np.min_scalar_type(n), copy=False)  # narrow entries: cheaper gathers
     ar = np.arange(n)
     step = _block_rows(n)
-    left, right = np.empty((2, min(step, n), n), t.dtype)
 
     def column(a: int) -> list[int]:
         col, row = t[:, a], t[a]
-        for lo in range(0, n, step):  # entries are in range: "clip" takes straight into out
-            r = min(step, n - lo)
-            t.take(col[lo:lo + step], axis=0, out=left[:r], mode="clip")  # (x*a)*y
-            t[lo:lo + step].take(row, axis=1, out=right[:r], mode="clip")  # x*(a*y)
-            if (left[:r] != right[:r]).any():
+        for lo in range(0, n, step):
+            if t[col[lo:lo + step]].tobytes() != t[lo:lo + step].take(row, axis=1).tobytes():
                 raise NotAGroup("table is not associative")
         return col.tolist()
 

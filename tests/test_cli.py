@@ -253,9 +253,10 @@ def test_compute_check_exits_3_when_the_witness_fails(capsys, monkeypatch):
     assert "verified: false" in out
     code, out, err = run(capsys, "compute", "Z12", "--no-timing")
     assert code == 0 and "verified: false" in out and not err
-    code, out, err = run(capsys, "witness", "Z12", "--no-timing")  # promises a verified set
-    assert code == 3 and err.startswith("ERROR:MISMATCH")
-    assert "verified: false" in out
+    for argv in [("witness", "Z12"), ("compute", "Z12", "--witness")]:  # a printed witness is checked
+        code, out, err = run(capsys, *argv, "--no-timing")
+        assert code == 3 and err.startswith("ERROR:MISMATCH"), argv
+        assert "verified: false" in out, argv
 
 
 def test_compare_exits_3_when_the_oracle_cover_does_not_resolve(capsys, monkeypatch):
