@@ -4,7 +4,8 @@ Provides the power-graph construction, BFS metrics, the closed-twin
 reduction, and serialization to/from edge-list JSON dicts, graph6 strings,
 and DOT text.  Every function here but bfs_distances, the sweep's
 reference, reads and writes only the matrix; the int-bitset Graph.rows is
-a view for callers outside the package.
+a view for callers outside the package.  A graph with a universal vertex
+keeps no distance matrix: its distances are 2 - A, read from the matrix.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class Graph:
     the neighbour bitmask of v, is derived from the matrix when first read,
     for callers outside the package: only bfs_distances reads it here.
     Equality and the hash compare matrices.  Instances are immutable after
-    construction; derived data (the rows, distances, sweep and twin
-    quotient) is cached by _cached.
+    construction; derived data (the rows, the universal-vertex test, the
+    sweep and the twin quotient) is cached by _cached.
     """
 
     __slots__ = ("n", "matrix", "_cache")
@@ -159,9 +160,9 @@ def bfs_distances(graph: Graph, source: int) -> list:
     return dist
 
 
+@_cached
 def has_universal_vertex(graph: Graph) -> bool:
-    """True iff some vertex has degree n - 1.  Such a vertex makes the graph
-    connected with diameter <= 2; every power graph has one, the identity."""
+    """True iff some vertex has degree n - 1, cached; every power graph has one."""
     return bool((graph.matrix.sum(1) == graph.n - 1).any())
 
 
@@ -187,7 +188,7 @@ def sweep(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Breadth-first search from every source at once: (dist, far), cached.
 
     dist is the n x n distance matrix in the smallest unsigned dtype that
-    holds n - 1, which all_pairs reads off diameter 2.  far[v, s] is true
+    holds n - 1, read only without a universal vertex.  far[v, s] is true
     iff v has a neighbour one layer farther from s than v is, that is, iff
     v is not maximally distant from s; it is read-only, for the strong
     resolving graph.
@@ -252,25 +253,25 @@ def sweep(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     return dist, far
 
 
-@_cached
-def all_pairs(graph: Graph) -> np.ndarray:
-    """n x n distance matrix, cached on the graph.  With a universal vertex
-    d(u, v) = 2 - A[u, v] for u != v and no search runs; the diameter is at
-    most 2, so the matrix is uint8.  Other graphs take the distances of the
-    one sweep, in the smallest unsigned dtype that holds n - 1, so any
-    diameter fits.  Raises Disconnected when unreachable pairs exist."""
+def _distances_to(graph: Graph, targets: list[int]) -> np.ndarray:
+    """n x len(targets) distances d(x, targets[i]): with a universal vertex
+    2 - A[:, targets] in uint8, zero at (targets[i], i), else the sweep's
+    columns.  Raises Disconnected when unreachable pairs exist."""
     if not has_universal_vertex(graph):
-        return sweep(graph)[0]
-    dist = 2 - graph.matrix.astype(np.uint8)
-    np.fill_diagonal(dist, 0)
+        return sweep(graph)[0][:, targets]
+    dist = 2 - graph.matrix.take(targets, 1).view(np.uint8)
+    dist[targets, np.arange(len(targets))] = 0
     return dist
 
 
 def diameter(graph: Graph) -> int:
     """Greatest pairwise distance; raises Disconnected when unreachable pairs exist."""
-    if graph.n == 0:
+    n = graph.n
+    if n == 0:
         raise ValueError("empty graph has no diameter")
-    return int(all_pairs(graph).max())
+    if not has_universal_vertex(graph):
+        return int(sweep(graph)[0].max())
+    return 0 if n == 1 else 1 if graph.edge_count() == n * (n - 1) // 2 else 2
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from . import groups as gr
 from ._numpy import np
 from .groups import InternalInconsistency
 from .clique import max_clique, min_vertex_cover
-from .graphs import (Graph, all_pairs, diameter, has_universal_vertex, power_graph,
+from .graphs import (Graph, _distances_to, diameter, has_universal_vertex, power_graph,
                      reduced_graph, sweep)
 
 __all__ = [
@@ -86,13 +86,11 @@ def is_strong_resolving_set(graph: Graph, candidate) -> bool:
     d(w,u) = d(w,v) + d(v,u) or d(w,v) = d(w,u) + d(u,v).
 
     A pair with an endpoint in the set is resolved by that endpoint, so only
-    the pairs inside R = V minus the set are tested.  The distances to R are
-    read once as Python ints, so the sums cannot wrap in the matrix dtype."""
+    the pairs inside R = V minus the set are tested.  The n x |R| distances
+    to R are read once as Python ints, so the sums cannot wrap in a dtype."""
     members = _normalize_vertex_set(graph, candidate)
-    dist = all_pairs(graph)
-    inside = set(members)
-    rest = [v for v in range(graph.n) if v not in inside]
-    to_rest = dist[:, rest].tolist()  # to_rest[x][i] = d(x, rest[i])
+    rest = sorted(set(range(graph.n)).difference(members))
+    to_rest = _distances_to(graph, rest).tolist()  # to_rest[x][i] = d(x, rest[i])
     from_members = [to_rest[w] for w in members]
     for i, u in enumerate(rest):
         du = to_rest[u]
@@ -112,13 +110,13 @@ def strong_resolving_graph(graph: Graph) -> Graph:
 
     With a universal vertex the diameter is at most 2: a pair at distance 2
     is always joined, and adjacent u, v are joined iff N[u] = N[v], so the
-    edges are read from the cached 2 - A and the cached closed-twin classes
-    of reduced_graph.  Any other graph reads the far matrix of its one
+    edges are the matrix's non-edges and the cached closed-twin classes of
+    reduced_graph.  Any other graph reads the far matrix of its one
     sweep (which a diameter call may already have run): far[v, u] says
     that v is not maximally distant from u, and u and v are joined iff
     neither far[u, v] nor far[v, u]."""
     if has_universal_vertex(graph):
-        srg = all_pairs(graph) == 2
+        srg = ~graph.matrix
         class_of = np.array(reduced_graph(graph).class_of)
         srg |= class_of[:, None] == class_of
     else:

@@ -1,8 +1,8 @@
 """One SHA-256 per graph over everything the graph layer and the cover return.
 
 tests/data/graph_digests.json maps each graph in GRAPH_INPUTS to the digest
-of a canonical JSON dump (dump()) of: the graph's edges, its distance
-matrix with the matrix's dtype, the strong resolving graph, the
+of a canonical JSON dump (dump()) of: the graph's edges, its sweep's
+distance matrix with the matrix's dtype, the strong resolving graph, the
 min_vertex_cover of that graph, and the closed-twin quotient
 (representatives, classes, edges) with its max_clique.  The graphs are
 seeded random_cycle_with_chords graphs at n = 40, 50 and 60, with chord
@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from powersdim import max_clique, min_vertex_cover, reduced_graph, strong_resolving_graph
-from powersdim.graphs import all_pairs
+from powersdim.graphs import sweep
 
 from helpers import random_cycle_with_chords
 
@@ -46,7 +46,7 @@ def _edges(graph) -> list:
 def dump(name: str) -> str:
     """Canonical JSON of every checked output for one graph."""
     g = build(name)
-    dist = all_pairs(g)
+    dist = sweep(g)[0]
     srg = strong_resolving_graph(g)
     red = reduced_graph(g)
     clique = max_clique(red.quotient)

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 
 from powersdim import (Disconnected, Graph, bfs_distances, build_group, chain_analysis,
                        diameter, element_orders, factorize, from_edge_list,
-                       graph6_decode, graph6_encode, power_graph,
+                       graph6_decode, graph6_encode, is_strong_resolving_set, power_graph,
                        reduced_graph, sdim_group, sdim_oracle, to_dot, to_edge_list)
-from powersdim.graphs import all_pairs, bit_matrix, bit_rows, has_universal_vertex, sweep
+from powersdim.graphs import _distances_to, bit_matrix, bit_rows, has_universal_vertex, sweep
 from powersdim.groups import bits
 
-from helpers import (all_pairs_distances, brute_strong_resolving_graph, complement, cone,
+from helpers import (all_pairs_distances, brute_is_strong_resolving,
+                     brute_strong_resolving_graph, complement, cone,
                      graph_of_rows, random_cycle_with_chords, random_graph, with_closed_twins)
 
 
@@ -199,20 +200,28 @@ def test_distances_of_a_cone_are_two_minus_adjacency(n, p, seed):
     # the cone is connected either way, with diameter <= 2
     rng = random.Random(seed)
     g = cone(rng, random_graph(rng, n, p))
-    dist = all_pairs(g)
-    assert dist.dtype == np.uint8
-    assert dist.tolist() == all_pairs_distances(g)
+    ref = all_pairs_distances(g)
+    targets = rng.sample(range(g.n), rng.randint(0, g.n))  # in any order
+    for cols in (list(range(g.n)), targets):
+        dist = _distances_to(g, cols)
+        assert dist.dtype == np.uint8
+        assert dist.tolist() == [[row[t] for t in cols] for row in ref]
+    assert diameter(g) == max(map(max, ref))
+    assert "sweep" not in g._cache  # read from the adjacency: no search ran
 
 
 @given(st.integers(1, 60), st.sampled_from([0.0, 0.02, 0.1, 0.3]), st.integers(0, 2**32))
 @example(n=520, p=0.0, seed=0)  # a 520-cycle: diameter 260, beyond uint8
 @settings(max_examples=40, deadline=None)
 def test_distances_without_a_universal_vertex_are_bfs(n, p, seed):
-    g = random_cycle_with_chords(random.Random(seed), n, p)
-    dist, ref = all_pairs(g), all_pairs_distances(g)
+    rng = random.Random(seed)
+    g = random_cycle_with_chords(rng, n, p)
+    dist, ref = sweep(g)[0], all_pairs_distances(g)
     assert dist.dtype == np.min_scalar_type(n - 1)
     assert dist.tolist() == ref
     assert diameter(g) == max(map(max, ref))
+    targets = rng.sample(range(n), rng.randint(0, n))
+    assert _distances_to(g, targets).tolist() == [[row[t] for t in targets] for row in ref]
 
 
 def srg_of_sweep(g: Graph) -> Graph:
@@ -246,8 +255,9 @@ def test_sweep_in_several_gather_blocks():
 @pytest.mark.parametrize("kind, n", [("chords", n) for n in range(20, 61, 4)]
                          + [("path", 50), ("cycle", 45)])
 def test_all_pairs_equals_networkx_shortest_paths(kind, n):
-    """The seeded cycle-plus-chords graphs of the networkx cover test, a path
-    and a cycle, against networkx's own breadth-first search."""
+    """The sweep's distances on the seeded cycle-plus-chords graphs of the
+    networkx cover test, a path and a cycle (none has a universal vertex),
+    against networkx's own breadth-first search."""
     nx = pytest.importorskip("networkx")
     g = {"chords": lambda: random_cycle_with_chords(random.Random(n), n, 3 / n),
          "path": lambda: path_graph(n),
@@ -257,7 +267,52 @@ def test_all_pairs_equals_networkx_shortest_paths(kind, n):
     G.add_edges_from(g.edges())
     expected = [[lengths[v] for v in range(n)]
                 for _, lengths in sorted(nx.all_pairs_shortest_path_length(G))]
-    assert all_pairs(g).tolist() == expected
+    assert not has_universal_vertex(g)
+    assert sweep(g)[0].tolist() == expected
+    assert diameter(g) == nx.diameter(G)
+
+
+UNIVERSAL_GRAPHS = {
+    "K1": lambda: complete_graph(1),
+    "K2": lambda: complete_graph(2),
+    "K7": lambda: complete_graph(7),
+    "star": lambda: star(5),
+    "cone-empty": lambda: cone(random.Random(1), Graph.from_edges(6, [])),
+    "cone-chords": lambda: cone(random.Random(2),
+                                random_cycle_with_chords(random.Random(2), 30, 0.1)),
+    **{f"power-{spec}": lambda spec=spec: power_graph(build_group(spec))
+       for spec in ["Z1", "Z2", "Z6", "S3", "Q8", "E2^3", "A4", "S4"]},
+}
+
+
+@pytest.mark.parametrize("name", UNIVERSAL_GRAPHS)
+def test_diameter_with_a_universal_vertex_equals_networkx(name):
+    nx = pytest.importorskip("networkx")
+    g = UNIVERSAL_GRAPHS[name]()
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    assert has_universal_vertex(g)
+    assert diameter(g) == nx.diameter(G)
+    assert "sweep" not in g._cache
+
+
+@given(st.sampled_from(["cone", *UNIVERSAL_GRAPHS]), st.integers(0, 9),
+       st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.integers(0, 2**32), st.data())
+@settings(max_examples=80, deadline=None)
+def test_strong_resolving_check_with_a_universal_vertex_is_its_definition(name, n, p, seed,
+                                                                          data):
+    # a named graph, or a cone over a random base of n vertices; each is
+    # checked on four candidates, whose outside sets R are drawn, hold a
+    # universal vertex, are empty and hold one vertex
+    rng = random.Random(seed)
+    g = cone(rng, random_graph(rng, n, p)) if name == "cone" else UNIVERSAL_GRAPHS[name]()
+    apex = rng.choice(np.flatnonzero(g.matrix.sum(1) == g.n - 1).tolist())
+    vertices = set(range(g.n))
+    drawn = data.draw(st.sets(st.sampled_from(sorted(vertices))), label="candidate")
+    lone = data.draw(st.sampled_from(sorted(vertices)), label="R")
+    for candidate in (drawn, drawn - {apex}, vertices, vertices - {lone}):
+        assert is_strong_resolving_set(g, candidate) == brute_is_strong_resolving(g, candidate)
 
 
 @pytest.mark.parametrize("n, edges", [
@@ -271,11 +326,14 @@ def test_sweep_raises_disconnected(n, edges):
     with pytest.raises(Disconnected):
         sweep(g)
     with pytest.raises(Disconnected):
-        all_pairs(g)
+        _distances_to(g, [0])
+    with pytest.raises(Disconnected):
+        is_strong_resolving_set(g, range(n))  # an empty R still needs the search
     with pytest.raises(Disconnected):
         diameter(g)
     with pytest.raises(Disconnected):  # a failed search leaves nothing cached
-        all_pairs(g)
+        sweep(g)
+    assert "sweep" not in g._cache
 
 
 # ---------------------------------------------------------------------------

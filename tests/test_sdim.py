@@ -7,6 +7,7 @@ import random
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import powersdim.graphs as graphs_module
 import powersdim.sdim as sdim_module
 from powersdim import (CORPUS_SPECS, DiameterTooLarge, Disconnected, EmptyFamily, Graph,
-                       InternalInconsistency, Method, OracleCapExceeded, alpha_p,
+                       Group, InternalInconsistency, Method, OracleCapExceeded, alpha_p,
                        build_group, classify_n_minus_2, clique_witness_alpha_p,
                        clique_witness_cyclic, diameter, element_orders, factorize,
                        from_edge_list, is_cp_group, is_strong_resolving_set,
@@ -306,6 +307,29 @@ def test_cayley_file_input_dispatches_structurally(tmp_path):
     assert res.value == 4
 
 
+RELABELLED_SPECS = [*CORPUS_SPECS, "S6", "A6", "Z720", "D200", "Q64", "E2^8", "Z2xS4",
+                    "Ab[2,4,8]", "S3xS3", "Z1"]
+
+
+@pytest.mark.parametrize("spec", RELABELLED_SPECS)
+def test_a_relabelled_bare_table_gives_the_same_answer(spec):
+    # element x becomes perm[x], the identity included, and the table is
+    # loaded with no spec: the power graph's universal vertex is then not 0
+    g = build_group(spec)
+    rng = random.Random(spec)
+    perm = rng.sample(range(g.n), g.n)
+    e = g.identity
+    if g.n > 1 and perm[e] == e:
+        perm[e], perm[e - 1] = perm[e - 1], perm[e]
+    p = np.array(perm)
+    inv = np.argsort(p)
+    bare = Group(p[g.array[inv][:, inv]])  # bare[perm[a], perm[b]] = perm[a * b]
+    assert bare.identity == perm[e] and (g.n == 1 or bare.identity != e)
+    want, got = sdim_group(g), sdim_group(bare)
+    assert (got.value, got.omega_reduced) == (want.value, want.omega_reduced)
+    assert got.verified and len(got.witness) == got.value
+
+
 def test_sdim_group_rows_follow_the_ladder_and_the_oracle_cap():
     g = build_group("Z30")
     assert [m for m, _, _ in sdim_group(g).rows] == [
@@ -353,17 +377,24 @@ def count_sweeps(monkeypatch) -> list[int]:
     return count_computations(monkeypatch, "sweep")
 
 
-def count_distance_builds(monkeypatch) -> list[int]:
-    return count_computations(monkeypatch, "all_pairs")
-
-
 @pytest.mark.parametrize("spec", ["Z12", "S4", "Q16"])
 def test_ladder_and_oracle_share_one_distance_matrix(monkeypatch, spec):
-    builds, sweeps = count_distance_builds(monkeypatch), count_sweeps(monkeypatch)
+    # the identity is a universal vertex, so distances are 2 - A: the one
+    # matrix the ladder and the oracle share is the adjacency itself
+    sweeps = count_sweeps(monkeypatch)
     g = build_group(spec)
-    assert sdim_group(g).value == sdim_oracle(power_graph(g)).value
-    assert builds[0] == 1
-    assert sweeps[0] == 0  # the identity is a universal vertex: distances are 2 - A
+    assert sdim_group(g, oracle_cap=g.n).rows[-1][0] is Method.GENERIC_ORACLE
+    cached = [a for v in power_graph(g)._cache.values()
+              for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+    assert sweeps[0] == 0
+    assert not [a for a in cached if a.shape == (g.n, g.n) and a.dtype.kind in "iu"]
+
+
+def test_diameter_and_the_oracle_sweep_a_chords_graph_once(monkeypatch):
+    sweeps = count_sweeps(monkeypatch)
+    g = random_cycle_with_chords(random.Random(40), 40, 3 / 40)
+    assert diameter(g) >= 3 and sweeps[0] == 1
+    assert sdim_oracle(g).verified and sweeps[0] == 1
 
 
 @pytest.mark.parametrize("spec", ["S4", "Z12"])
