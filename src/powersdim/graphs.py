@@ -1,11 +1,11 @@
 """Simple undirected graphs, each stored as its bool adjacency matrix.
 
 Provides the power-graph construction, BFS metrics, the closed-twin
-reduction, and serialization to/from edge-list JSON dicts, graph6 strings,
-and DOT text.  Every function here but bfs_distances, the sweep's
-reference, reads and writes only the matrix; the int-bitset Graph.rows is
-a view for callers outside the package.  A graph with a universal vertex
-keeps no distance matrix: its distances are 2 - A, read from the matrix.
+reduction, the strong-resolving definitions and serialization to/from
+edge-list JSON, graph6 and DOT.  Every function here but bfs_distances,
+the sweep's reference, reads and writes only the matrix; Graph.rows is an
+int-bitset view for callers outside the package.  Only this module reads
+distances: with a universal vertex they are 2 - A and no matrix is kept.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from ._numpy import np
 from .groups import Group, _cached, bits, cyclic_masks
 
 __all__ = [
-    "Graph", "ReducedGraph", "power_graph", "bfs_distances", "diameter",
-    "reduced_graph", "to_edge_list", "from_edge_list",
+    "Graph", "ReducedGraph", "power_graph", "bfs_distances", "diameter", "reduced_graph",
+    "is_strong_resolving_set", "strong_resolving_graph", "to_edge_list", "from_edge_list",
     "graph6_encode", "graph6_decode", "to_dot", "Disconnected",
 ]
 
@@ -188,10 +188,10 @@ def sweep(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Breadth-first search from every source at once: (dist, far), cached.
 
     dist is the n x n distance matrix in the smallest unsigned dtype that
-    holds n - 1, read only without a universal vertex.  far[v, s] is true
-    iff v has a neighbour one layer farther from s than v is, that is, iff
-    v is not maximally distant from s; it is read-only, for the strong
-    resolving graph.
+    holds n - 1, consulted only on a graph without a universal vertex.
+    far[v, s] is true iff v has a neighbour one layer farther from s than v
+    is, that is, iff v is not maximally distant from s, for the strong
+    resolving graph.  Both arrays are read-only.
 
     Row v of each working array is a set of sources, packed as uint64
     words.  A layer is one gather of the frontier over the neighbour lists
@@ -249,7 +249,7 @@ def sweep(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     for k, plane in enumerate(planes):
         dist |= _unpack(plane, n).astype(dist.dtype) << k
     far = _unpack(far, n)
-    far.flags.writeable = False
+    dist.flags.writeable = far.flags.writeable = False  # cached: no caller may edit them
     return dist, far
 
 
@@ -316,6 +316,63 @@ def reduced_graph(graph: Graph) -> ReducedGraph:
         class_of.append(cid)
     quotient = Graph(graph.matrix.take(representatives, 0).take(representatives, 1))
     return ReducedGraph(representatives, class_of, quotient)
+
+
+# ---------------------------------------------------------------------------
+# Strong resolution: the definitional check and the strong resolving graph
+
+
+def _normalize_vertex_set(graph: Graph, vertices) -> list[int]:
+    out = sorted(set(vertices))
+    for v in out:
+        if not 0 <= v < graph.n:
+            raise ValueError(f"vertex {v} out of range")
+    return out
+
+
+def is_strong_resolving_set(graph: Graph, candidate) -> bool:
+    """True iff every vertex pair u, v has some w in the set with
+    d(w,u) = d(w,v) + d(v,u) or d(w,v) = d(w,u) + d(u,v).
+
+    A pair with an endpoint in the set is resolved by that endpoint, so only
+    the pairs inside R = V minus the set are tested.  The n x |R| distances
+    to R are read once as Python ints, so the sums cannot wrap in a dtype."""
+    members = _normalize_vertex_set(graph, candidate)
+    rest = sorted(set(range(graph.n)).difference(members))
+    to_rest = _distances_to(graph, rest).tolist()  # to_rest[x][i] = d(x, rest[i])
+    from_members = [to_rest[w] for w in members]
+    for i, u in enumerate(rest):
+        du = to_rest[u]
+        for j in range(i + 1, len(rest)):
+            duv = du[j]
+            for dw in from_members:
+                if dw[i] == dw[j] + duv or dw[j] == dw[i] + duv:
+                    break
+            else:
+                return False
+    return True
+
+
+def strong_resolving_graph(graph: Graph) -> Graph:
+    """Graph on the same vertices whose edges are exactly the mutually
+    maximally distant pairs.
+
+    With a universal vertex the diameter is at most 2: a pair at distance 2
+    is always joined, and adjacent u, v are joined iff N[u] = N[v], so the
+    edges are the matrix's non-edges and the cached closed-twin classes of
+    reduced_graph.  Any other graph reads the far matrix of its one
+    sweep (which a diameter call may already have run): far[v, u] says
+    that v is not maximally distant from u, and u and v are joined iff
+    neither far[u, v] nor far[v, u]."""
+    if has_universal_vertex(graph):
+        srg = ~graph.matrix
+        class_of = np.array(reduced_graph(graph).class_of)
+        srg |= class_of[:, None] == class_of
+    else:
+        far = sweep(graph)[1]
+        srg = ~(far | far.T)
+    np.fill_diagonal(srg, False)
+    return Graph(srg)
 
 
 # ---------------------------------------------------------------------------

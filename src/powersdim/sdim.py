@@ -4,8 +4,8 @@ Computes sdim of power graphs by a ladder of methods that must all agree:
 family closed forms, the group-theoretic clique-number dispatch, the
 diameter-2 twin reduction, and a generic oracle (minimum vertex cover of
 the mutually-maximally-distant graph) that works on any connected graph.
-Also builds and verifies minimum strong-resolving-set witnesses and the
-constructive clique witnesses behind the formulas.
+Also builds minimum strong-resolving-set witnesses (graphs holds their
+definitional check) and the constructive clique witnesses behind the formulas.
 """
 
 from __future__ import annotations
@@ -16,16 +16,14 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from . import groups as gr
-from ._numpy import np
 from .groups import InternalInconsistency
 from .clique import max_clique, min_vertex_cover
-from .graphs import (Graph, _distances_to, diameter, has_universal_vertex, power_graph,
-                     reduced_graph, sweep)
+from .graphs import (Graph, diameter, is_strong_resolving_set, power_graph, reduced_graph,
+                     strong_resolving_graph)
 
 __all__ = [
-    "Method", "SdimResult", "is_strong_resolving_set", "strong_resolving_graph",
-    "sdim_oracle", "sdim_via_reduction", "omega_reduced_group", "sdim_group",
-    "clique_witness_cyclic", "clique_witness_alpha_p", "classify_n_minus_2",
+    "Method", "SdimResult", "sdim_oracle", "sdim_via_reduction", "omega_reduced_group",
+    "sdim_group", "clique_witness_cyclic", "clique_witness_alpha_p", "classify_n_minus_2",
     "DiameterTooLarge", "OracleCapExceeded", "EmptyFamily",
     "DEFAULT_ORACLE_CAP",
 ]
@@ -67,63 +65,6 @@ class SdimResult(NamedTuple):
     verified: bool = False
     # (method, value, milliseconds) for each step sdim_group ran, in order
     rows: Sequence[tuple[Method, int, float]] = ()
-
-
-# ---------------------------------------------------------------------------
-# Definitional checks
-
-
-def _normalize_vertex_set(graph: Graph, vertices) -> list[int]:
-    out = sorted(set(vertices))
-    for v in out:
-        if not 0 <= v < graph.n:
-            raise ValueError(f"vertex {v} out of range")
-    return out
-
-
-def is_strong_resolving_set(graph: Graph, candidate) -> bool:
-    """True iff every vertex pair u, v has some w in the set with
-    d(w,u) = d(w,v) + d(v,u) or d(w,v) = d(w,u) + d(u,v).
-
-    A pair with an endpoint in the set is resolved by that endpoint, so only
-    the pairs inside R = V minus the set are tested.  The n x |R| distances
-    to R are read once as Python ints, so the sums cannot wrap in a dtype."""
-    members = _normalize_vertex_set(graph, candidate)
-    rest = sorted(set(range(graph.n)).difference(members))
-    to_rest = _distances_to(graph, rest).tolist()  # to_rest[x][i] = d(x, rest[i])
-    from_members = [to_rest[w] for w in members]
-    for i, u in enumerate(rest):
-        du = to_rest[u]
-        for j in range(i + 1, len(rest)):
-            duv = du[j]
-            for dw in from_members:
-                if dw[i] == dw[j] + duv or dw[j] == dw[i] + duv:
-                    break
-            else:
-                return False
-    return True
-
-
-def strong_resolving_graph(graph: Graph) -> Graph:
-    """Graph on the same vertices whose edges are exactly the mutually
-    maximally distant pairs.
-
-    With a universal vertex the diameter is at most 2: a pair at distance 2
-    is always joined, and adjacent u, v are joined iff N[u] = N[v], so the
-    edges are the matrix's non-edges and the cached closed-twin classes of
-    reduced_graph.  Any other graph reads the far matrix of its one
-    sweep (which a diameter call may already have run): far[v, u] says
-    that v is not maximally distant from u, and u and v are joined iff
-    neither far[u, v] nor far[v, u]."""
-    if has_universal_vertex(graph):
-        srg = ~graph.matrix
-        class_of = np.array(reduced_graph(graph).class_of)
-        srg |= class_of[:, None] == class_of
-    else:
-        far = sweep(graph)[1]
-        srg = ~(far | far.T)
-    np.fill_diagonal(srg, False)
-    return Graph(srg)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,33 @@ def test_compute_bad_cayley_file(capsys, tmp_path):
     assert code == 2 and err.startswith("ERROR:PARSE")
 
 
+NO_FILE = None
+ENOENT = "[Errno 2] No such file or directory: {path!r}"
+
+
+@pytest.mark.parametrize("kind, content, message", [
+    ("cayley", NO_FILE, "cannot read Cayley file {path!r}: " + ENOENT),
+    ("cayley", "", "Cayley file {path!r} is empty"),
+    ("cayley", "2\n0 x\n1 0\n",
+     "Cayley file {path!r} has a non-integer token: invalid literal for int() with base 10: 'x'"),
+    ("cayley", "0\n", "Cayley file {path!r} declares order 0"),
+    ("perm", NO_FILE, "cannot read perm file {path!r}: " + ENOENT),
+    ("perm", "(1 2) (3 4) x\n", "{path}:1: not disjoint-cycle notation: '(1 2) (3 4) x'"),
+    ("perm", "(1 2)\n(1 a)\n", "{path}:2: bad point in '(1 a)'"),
+    ("perm", "\n  \n", "perm file {path!r} has no permutations"),
+    ("edgelist", '{"n": 2, "edges": {"0": 1}}', '"edges" must be an array of [u, v] pairs'),
+    ("graph6", "!\n", "bad graph6 size byte '!'"),
+    ("graph6", "B!\n", "bad graph6 character '!'"),
+])
+def test_a_bad_input_file_is_one_parse_error_line(capsys, tmp_path, kind, content, message):
+    path = tmp_path / f"input.{kind}"
+    if content is not NO_FILE:
+        path.write_text(content)
+    command = "oracle" if kind in ("edgelist", "graph6") else "compute"
+    code, out, err = run(capsys, command, f"{kind}:{path}")
+    assert (code, out, err) == (2, "", f"ERROR:PARSE {message.format(path=str(path))}\n")
+
+
 @pytest.mark.parametrize("big", [99999999999999999999999, -99999999999999999999999])
 def test_compute_cayley_entry_outside_int64_is_a_parse_error(capsys, tmp_path, big):
     path = tmp_path / "big.txt"
@@ -295,6 +322,17 @@ def test_table_cyclic(capsys):
     assert row12[:4] == ["12", "12", "9", "3"]
 
 
+def test_table_text(capsys):
+    code, out, err = run(capsys, "table", "--family", "cyclic", "--range", "2..4")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "param  order   sdim  omega  method",
+        "    2      2      1      1  ClosedFormCyclicPrimePower",
+        "    3      3      2      1  ClosedFormCyclicPrimePower",
+        "    4      4      3      1  ClosedFormCyclicPrimePower",
+    ]
+
+
 def test_table_quaternion(capsys):
     code, out, err = run(capsys, "table", "--family", "quaternion", "--range", "2..6", "--csv")
     assert code == 0
@@ -366,6 +404,14 @@ def test_classify_command(capsys):
     assert payload["n_minus_2"] is True and payload["class"] == "cyclic-of-order-pq"
     code, out, err = run(capsys, "classify", "Z12", "--json")
     assert json.loads(out)["n_minus_2"] is False
+
+
+@pytest.mark.parametrize("spec, text", [
+    ("Q8", "group: Q8  order: 8  sdim: 6\nsdim = n-2: yes (generalized-quaternion-2-group)\n"),
+    ("Z12", "group: Z12  order: 12  sdim: 9\nsdim = n-2: no\n"),
+])
+def test_classify_text(capsys, spec, text):
+    assert run(capsys, "classify", spec) == (0, text, "")
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,8 @@ def test_graph_rejects_asymmetry_and_loops():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+    with pytest.raises(ValueError, match="^vertex count must be >= 0$"):
+        Graph.from_edges(-1, [])
 
 
 def test_graph_edges_and_complement():
@@ -250,6 +252,16 @@ def test_sweep_in_several_gather_blocks():
     g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if v != u ^ 1])
     assert sweep(g)[0].tolist() == all_pairs_distances(g)
     assert srg_of_sweep(g) == Graph.from_edges(n, [(u, u + 1) for u in range(0, n, 2)])
+
+
+def test_sweep_results_are_read_only():
+    # both arrays are cached on the graph, so a caller's write would change
+    # what every later reader sees
+    g = path_graph(5)
+    for a in sweep(g):  # dist, then far
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 4] = 99
+    assert diameter(g) == 4 and sweep(g)[0][0, 4] == 4
 
 
 @pytest.mark.parametrize("kind, n", [("chords", n) for n in range(20, 61, 4)]

@@ -65,6 +65,28 @@ def test_a_row_latin_table_with_a_repeat_down_a_later_column_is_refused(monkeypa
         Group(t)
 
 
+@pytest.mark.parametrize("n", [8, 2000])
+def test_a_monoid_reads_at_most_log2_n_columns_in_lights_test(monkeypatch, n):
+    # max on 0..n-1 is associative with the identity 0, so every column
+    # passes; only the bound on the generator count stops the tree, whose
+    # generators each reach just one more element, after log2(n) of them
+    real, reads = groups_module._spanning_tree, []
+
+    def counted_tree(order, identity, column, gens=()):
+        def counted(a):
+            reads.append(a)
+            # fail at once: without the bound all n columns would be read
+            assert len(reads) <= n.bit_length() - 1, "more than log2(n) columns read"
+            return column(a)
+        return real(order, identity, counted, gens)
+
+    monkeypatch.setattr(groups_module, "_spanning_tree", counted_tree)
+    ar = np.arange(n)
+    with pytest.raises(NotAGroup, match="^table is not a Latin square$"):
+        Group(np.maximum.outer(ar, ar))
+    assert reads == list(range(1, n.bit_length()))
+
+
 def test_only_a_table_that_fails_is_sorted_for_the_latin_square(monkeypatch):
     def no_sort(*args, **kwargs):
         raise AssertionError("sorted")

@@ -341,6 +341,15 @@ def test_perm_file_identity_line(tmp_path):
     assert g.n == 1
 
 
+def test_identity_lines_in_a_perm_file_change_nothing(tmp_path):
+    # "()" is the identity: as a generator it adds no element and moves none
+    plain, padded = tmp_path / "plain.txt", tmp_path / "padded.txt"
+    plain.write_text("(1 2 3 4)\n(1 2)\n")
+    padded.write_text("()\n(1 2 3 4)\n() ()\n(1 2)\n()\n")
+    g, h = build_group(f"perm:{plain}"), build_group(f"perm:{padded}")
+    assert (h.n, h.identity, h.table) == (24, g.identity, g.table)
+
+
 def test_perm_file_closure_cap(tmp_path, monkeypatch):
     path = tmp_path / "a4.txt"
     path.write_text("(1 2 3)\n(2 3 4)\n")
