@@ -8,11 +8,16 @@ edgelist:<path> (edge-list JSON) and graph6:<path> graph files.
 Errors go to stderr with greppable prefixes: ERROR:PARSE (exit 2),
 ERROR:MISMATCH (exit 3), ERROR:CAP (exit 2: an oracle or permutation
 closure cap, or memory running out).
+
+The process entry, of `python -m powersdim.cli` and of the `powersdim`
+console script, is run(): main(), then gc.freeze(), then sys.exit.  main()
+is the in-process call for tests and library callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -56,6 +61,11 @@ def _result_dict(group_name: str, order: int, res: SdimResult,
         "witness": witness,
         "verified": res.verified,
     }
+
+
+def _witness_failed(res: SdimResult) -> bool:
+    """The witness is not a strong resolving set of size sdim."""
+    return not (res.verified and len(res.witness) == res.value)
 
 
 def _print_result(group_name: str, order: int, res: SdimResult, args, ms: float) -> None:
@@ -111,7 +121,7 @@ def cmd_compute(args) -> int:
     t0 = time.perf_counter()
     res = sdim_group(g, oracle_cap=args.oracle_cap if args.check else 0)
     _print_result(name, g.n, res, args, (time.perf_counter() - t0) * 1000.0)
-    if (args.check or args.witness) and not (res.verified and len(res.witness) == res.value):
+    if (args.check or args.witness) and _witness_failed(res):
         _err("MISMATCH", f"witness check failed for {name}")
         return EXIT_MISMATCH
     return EXIT_OK
@@ -129,6 +139,9 @@ def cmd_compare(args) -> int:
     g = build_group(args.spec)
     name = spec_string(g.spec)
     res = sdim_group(g, oracle_cap=args.oracle_cap)  # raises on any disagreement
+    if _witness_failed(res):
+        _err("MISMATCH", f"witness check failed for {name}")
+        return EXIT_MISMATCH
     if args.json:
         payload = {
             "group": name,
@@ -322,5 +335,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
 
 
+def run() -> None:
+    """Process entry: main(), then exit with its code.  gc.freeze() first
+    moves every object still tracked into the permanent generation, so the
+    interpreter's shutdown collections skip what the OS frees anyway;
+    atexit handlers and stream flushing still run.  Never called in-process:
+    a frozen object stays frozen for the rest of the interpreter."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,9 +1,16 @@
-"""CLI behavior: outputs, exit codes, error prefixes, and determinism."""
+"""CLI behavior: outputs, exit codes, error prefixes, determinism, and the
+process entry."""
 
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import powersdim
 import powersdim.cli as cli_module
 import powersdim.groups as groups_module
 import powersdim.sdim as sdim_module
@@ -264,7 +271,8 @@ def test_a_family_that_is_not_a_chain_exits_3_without_a_traceback(capsys, monkey
     assert "Traceback" not in out + err
 
 
-def test_compute_check_exits_3_when_the_witness_fails(capsys, monkeypatch):
+@pytest.fixture
+def failing_witness(monkeypatch):
     real = sdim_module.max_clique
 
     def clique_with_a_non_edge(graph):
@@ -275,6 +283,9 @@ def test_compute_check_exits_3_when_the_witness_fails(capsys, monkeypatch):
         return CliqueResult(real(graph).size, (u, v))
 
     monkeypatch.setattr(sdim_module, "max_clique", clique_with_a_non_edge)
+
+
+def test_compute_check_exits_3_when_the_witness_fails(capsys, failing_witness):
     code, out, err = run(capsys, "compute", "Z12", "--check", "--no-timing")
     assert code == 3 and err.startswith("ERROR:MISMATCH")
     assert "verified: false" in out
@@ -284,6 +295,12 @@ def test_compute_check_exits_3_when_the_witness_fails(capsys, monkeypatch):
         code, out, err = run(capsys, *argv, "--no-timing")
         assert code == 3 and err.startswith("ERROR:MISMATCH"), argv
         assert "verified: false" in out, argv
+
+
+@pytest.mark.parametrize("flag", ["--json", "--no-timing"])
+def test_compare_exits_3_when_the_reduction_witness_fails(capsys, failing_witness, flag):
+    code, out, err = run(capsys, "compare", "Z12", flag)
+    assert (code, out, err) == (3, "", "ERROR:MISMATCH witness check failed for Z12\n")
 
 
 def test_compare_exits_3_when_the_oracle_cover_does_not_resolve(capsys, monkeypatch):
@@ -480,3 +497,49 @@ def test_byte_identical_reruns(capsys, argv):
     code1, out1, err1 = run(capsys, *argv)
     code2, out2, err2 = run(capsys, *argv)
     assert (code1, out1, err1) == (code2, out2, err2)
+
+
+# ---------------------------------------------------------------------------
+# the process entry
+
+
+def process(*args):
+    """A new interpreter run with args, finding this powersdim first."""
+    src = str(Path(powersdim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_prints_what_main_prints(capsys):
+    code, out, err = run(capsys, "compare", "Z12", "--json")
+    proc = process("-m", "powersdim.cli", "compare", "Z12", "--json")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err) == (0, out, "")
+
+
+def test_the_process_entry_freezes_before_atexit_handlers_run(capsys):
+    # runs the module as __main__, as python -m does, after registering a hook
+    proc = process("-c", "import atexit, gc, runpy, sys\n"
+                         "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                         "sys.argv = ['powersdim', 'compare', 'Z12', '--json']\n"
+                         "runpy.run_module('powersdim.cli', run_name='__main__')\n")
+    code, out, err = run(capsys, "compare", "Z12", "--json")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out + "frozen True\n", "")
+
+
+def test_python_m_over_the_oracle_cap_exits_2_with_one_cap_line():
+    proc = process("-m", "powersdim.cli", "oracle", "Z1000")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "ERROR:CAP oracle cap is 200 vertices, graph has 1000\n"
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    assert gc.get_freeze_count() == 0
+    run(capsys, "compare", "Z12", "--json")
+    assert gc.get_freeze_count() == 0
+
+
+def test_the_console_script_is_the_process_entry():
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    assert scripts == 'powersdim = "powersdim.cli:run"'
