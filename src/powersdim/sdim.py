@@ -62,6 +62,7 @@ class SdimResult(NamedTuple):
     omega_reduced: int | None = None
     closed_form: Method | None = None
     witness: list[int] | None = None
+    # true on every returned result: a witness failing the check raises instead
     verified: bool = False
     # (method, value, milliseconds) for each step sdim_group ran, in order
     rows: Sequence[tuple[Method, int, float]] = ()
@@ -78,6 +79,13 @@ def check_oracle_cap(n: int, oracle_cap: int) -> None:
         raise OracleCapExceeded(f"oracle cap is {oracle_cap} vertices, graph has {n}")
 
 
+def _check_witness(graph: Graph, witness: list[int], method: Method, noun: str) -> None:
+    """Raise InternalInconsistency unless witness strongly resolves graph."""
+    if not is_strong_resolving_set(graph, witness):
+        raise InternalInconsistency(f"{method.value} {noun} of {len(witness)} vertices"
+                                    " is not a strong resolving set")
+
+
 def sdim_oracle(graph: Graph, *, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SdimResult:
     """Generic path for any connected graph: minimum vertex cover of the
     mutually-maximally-distant graph.  Exponential-time exact, hence capped.
@@ -85,9 +93,7 @@ def sdim_oracle(graph: Graph, *, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SdimRe
     check_oracle_cap(graph.n, oracle_cap)
     srg = strong_resolving_graph(graph)
     cover = min_vertex_cover(srg)
-    if not is_strong_resolving_set(graph, cover):
-        raise InternalInconsistency(f"{Method.GENERIC_ORACLE.value} cover of {len(cover)}"
-                                    " vertices is not a strong resolving set")
+    _check_witness(graph, cover, Method.GENERIC_ORACLE, "cover")
     return SdimResult(
         value=len(cover),
         method=Method.GENERIC_ORACLE,
@@ -98,7 +104,8 @@ def sdim_oracle(graph: Graph, *, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SdimRe
 
 def sdim_via_reduction(graph: Graph) -> SdimResult:
     """Diameter-<=2 path: n minus the clique number of the closed-twin
-    quotient; the witness is the complement of the clique's representatives."""
+    quotient; the witness is the complement of the clique's representatives.
+    A witness that fails the definitional check raises InternalInconsistency."""
     d = diameter(graph)
     if d > 2:
         raise DiameterTooLarge(f"reduction requires diameter <= 2, got {d}")
@@ -106,12 +113,13 @@ def sdim_via_reduction(graph: Graph) -> SdimResult:
     cq = max_clique(red.quotient)
     keep = {red.representatives[c] for c in cq.members}
     witness = [v for v in range(graph.n) if v not in keep]
+    _check_witness(graph, witness, Method.DIAMETER2_REDUCTION, "witness")
     return SdimResult(
         value=graph.n - cq.size,
         method=Method.DIAMETER2_REDUCTION,
         omega_reduced=cq.size,
         witness=witness,
-        verified=is_strong_resolving_set(graph, witness),
+        verified=True,
     )
 
 

@@ -290,6 +290,19 @@ def is_clique(graph: Graph, vertices) -> bool:
     return all(graph.matrix[u, v] for i, u in enumerate(vs) for v in vs[i + 1:])
 
 
+def clique_with_a_non_edge(real):
+    """A stand-in for max_clique: real's size, so every value still agrees, but
+    members that hold a non-adjacent pair, so the reduction's witness leaves
+    out two mutually maximally distant classes and fails the check."""
+    def clique(graph: Graph) -> CliqueResult:
+        size = real(graph).size
+        u, v = next((u, v) for u in range(graph.n) for v in range(u + 1, graph.n)
+                    if not graph.matrix[u, v])
+        rest = [w for w in range(graph.n) if w not in (u, v)][:size - 2]
+        return CliqueResult(size, (u, v, *rest))
+    return clique
+
+
 def pairwise_distinct_closed_neighborhoods(graph: Graph, vertices) -> bool:
     masks = [graph.rows[v] | 1 << v for v in vertices]
     return len(set(masks)) == len(masks)

@@ -14,12 +14,12 @@ import powersdim
 import powersdim.cli as cli_module
 import powersdim.groups as groups_module
 import powersdim.sdim as sdim_module
-from powersdim import CORPUS_SPECS, CliqueResult, build_group, \
+from powersdim import CORPUS_SPECS, build_group, \
     element_orders, from_edge_list, graph6_decode, maximal_cyclic_subgroups, power_graph, \
     sigma_of, to_edge_list
 from powersdim.cli import main
 
-from helpers import ref_cyclic_table, write_cayley_file
+from helpers import clique_with_a_non_edge, ref_cyclic_table, write_cayley_file
 
 
 def run(capsys, *argv):
@@ -273,34 +273,31 @@ def test_a_family_that_is_not_a_chain_exits_3_without_a_traceback(capsys, monkey
 
 @pytest.fixture
 def failing_witness(monkeypatch):
-    real = sdim_module.max_clique
+    monkeypatch.setattr(sdim_module, "max_clique", clique_with_a_non_edge(sdim_module.max_clique))
 
-    def clique_with_a_non_edge(graph):
-        # same size, so every value still agrees, but the witness now leaves out
-        # two non-adjacent classes: a mutually maximally distant pair
-        u, v = next((u, v) for u in range(graph.n) for v in range(u + 1, graph.n)
-                    if not graph.matrix[u, v])
-        return CliqueResult(real(graph).size, (u, v))
 
-    monkeypatch.setattr(sdim_module, "max_clique", clique_with_a_non_edge)
+WITNESS_MISMATCH = (3, "", "ERROR:MISMATCH Diameter2Reduction witness of 9 vertices"
+                           " is not a strong resolving set\n")
 
 
 def test_compute_check_exits_3_when_the_witness_fails(capsys, failing_witness):
-    code, out, err = run(capsys, "compute", "Z12", "--check", "--no-timing")
-    assert code == 3 and err.startswith("ERROR:MISMATCH")
-    assert "verified: false" in out
-    code, out, err = run(capsys, "compute", "Z12", "--no-timing")
-    assert code == 0 and "verified: false" in out and not err
-    for argv in [("witness", "Z12"), ("compute", "Z12", "--witness")]:  # a printed witness is checked
-        code, out, err = run(capsys, *argv, "--no-timing")
-        assert code == 3 and err.startswith("ERROR:MISMATCH"), argv
-        assert "verified: false" in out, argv
+    # --check only adds the oracle rung: the witness is checked either way
+    for argv in [("compute", "Z12", "--check"), ("compute", "Z12"),
+                 ("witness", "Z12"), ("compute", "Z12", "--witness")]:
+        assert run(capsys, *argv, "--no-timing") == WITNESS_MISMATCH, argv
 
 
 @pytest.mark.parametrize("flag", ["--json", "--no-timing"])
 def test_compare_exits_3_when_the_reduction_witness_fails(capsys, failing_witness, flag):
-    code, out, err = run(capsys, "compare", "Z12", flag)
-    assert (code, out, err) == (3, "", "ERROR:MISMATCH witness check failed for Z12\n")
+    assert run(capsys, "compare", "Z12", flag) == WITNESS_MISMATCH
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--family", "cyclic", "--range", "12..12"),
+    ("classify", "Z12"),
+], ids="_".join)
+def test_table_and_classify_exit_3_when_the_witness_fails(capsys, failing_witness, argv):
+    assert run(capsys, *argv) == WITNESS_MISMATCH
 
 
 def test_compare_exits_3_when_the_oracle_cover_does_not_resolve(capsys, monkeypatch):

@@ -24,10 +24,10 @@ from powersdim import (CORPUS_SPECS, DiameterTooLarge, Disconnected, EmptyFamily
                        sdim_oracle, sdim_via_reduction, sigma_of,
                        strong_resolving_graph)
 
-from helpers import (brute_is_strong_resolving, brute_sdim, brute_strong_resolving_graph, cone,
-                     is_clique, pairwise_distinct_closed_neighborhoods,
-                     random_cycle_with_chords, random_diameter2_graph, random_graph,
-                     with_closed_twins)
+from helpers import (brute_is_strong_resolving, brute_sdim, brute_strong_resolving_graph,
+                     clique_with_a_non_edge, cone, is_clique,
+                     pairwise_distinct_closed_neighborhoods, random_cycle_with_chords,
+                     random_diameter2_graph, random_graph, with_closed_twins)
 
 
 def complete_graph(n):
@@ -217,6 +217,17 @@ def test_reduction_equals_oracle_on_random_diameter2_graphs():
         red = sdim_via_reduction(g)
         assert red.value == sdim_oracle(g).value
         assert red.verified
+
+
+def test_a_reduction_witness_that_fails_the_check_raises(monkeypatch):
+    # same value as the ladder's other rungs, so only the witness check can object
+    monkeypatch.setattr(sdim_module, "max_clique", clique_with_a_non_edge(sdim_module.max_clique))
+    g = build_group("Z12")
+    message = "Diameter2Reduction witness of 9 vertices is not a strong resolving set"
+    for compute in [lambda: sdim_via_reduction(power_graph(g)), lambda: sdim_group(g),
+                    lambda: sdim_group(g, oracle_cap=12)]:
+        with pytest.raises(InternalInconsistency, match=f"^{message}$"):
+            compute()
 
 
 def test_prop_complement_clique_iff_srs_small():
