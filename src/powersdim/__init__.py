@@ -4,7 +4,7 @@ Builds finite groups from parametric families or files, constructs their
 power graphs, and computes the strong metric dimension by several mutually
 cross-checking methods (family closed forms, the group-theoretic clique
 dispatch on the twin-reduced graph, and a generic vertex-cover oracle),
-emitting verified minimum strong-resolving-set witnesses.
+emitting minimum strong-resolving-set witnesses checked against the definition.
 """
 
 __version__ = "0.1.0"

@@ -5,7 +5,8 @@ Group targets use the spec grammar (Z12, D12, Q8, E2^3, Ab[2,6], S4, A5,
 Z3xQ8, cayley:<path>, perm:<path>); the oracle command also accepts
 edgelist:<path> (edge-list JSON) and graph6:<path> graph files.
 
-Errors go to stderr with greppable prefixes: ERROR:PARSE (exit 2),
+Errors go to stderr, one line each, with greppable prefixes:
+ERROR:PARSE (exit 2: a bad argument, spec or input file),
 ERROR:MISMATCH (exit 3: methods disagree, or a witness fails the definitional check),
 ERROR:CAP (exit 2: an oracle or permutation closure cap, or out of memory).
 
@@ -45,38 +46,27 @@ EXIT_MISMATCH = 3
 
 
 def _err(prefix: str, message: str) -> None:
-    print(f"ERROR:{prefix} {message}", file=sys.stderr)
+    # one line, whatever line breaks the message quotes from its input
+    print(f"ERROR:{prefix} " + message.replace("\n", r"\n"), file=sys.stderr)
 
 
-def _result_dict(group_name: str, order: int, res: SdimResult,
-                 include_witness: bool) -> dict:
-    witness = sorted(res.witness) if (include_witness and res.witness is not None) else None
-    return {
+def _print_result(group_name: str, order: int, res: SdimResult, args, ms: float) -> None:
+    result = {
         "group": group_name,
         "order": order,
         "sdim": res.value,
         "omega_reduced": res.omega_reduced,
         "method": res.method.value,
         "closed_form": res.closed_form.value if res.closed_form else None,
-        "witness": witness,
-        "verified": res.verified,
+        "witness": sorted(res.witness) if args.witness else None,
     }
-
-
-def _print_result(group_name: str, order: int, res: SdimResult, args, ms: float) -> None:
-    include_witness = getattr(args, "witness", False)
-    result = _result_dict(group_name, order, res, include_witness)
     if args.json:
         print(json.dumps(result))
         return
-    if not include_witness:
+    if not args.witness:
         del result["witness"]
     for key, value in result.items():
-        if value is None:
-            value = "-"
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        print(f"{key}: {value}")
+        print(f"{key}: {'-' if value is None else value}")
     if not args.no_timing:
         print(f"time_ms: {ms:.1f}")
 
@@ -238,6 +228,15 @@ def cmd_export(args) -> int:
 # Argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Ends bad arguments at one ERROR:PARSE line, exit 2, not a usage block;
+    add_subparsers builds each subcommand's parser with this class too."""
+
+    def error(self, message: str):
+        _err("PARSE", f"{self.prog}: {message}")
+        self.exit(EXIT_PARSE)
+
+
 def _add_common(p: argparse.ArgumentParser, *, oracle_cap: bool = False) -> None:
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--no-timing", action="store_true",
@@ -248,7 +247,7 @@ def _add_common(p: argparse.ArgumentParser, *, oracle_cap: bool = False) -> None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="powersdim",
         description="Exact strong metric dimension of power graphs of finite groups.",
     )
@@ -281,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("witness", help="print a verified minimum witness set")
+    p = sub.add_parser("witness", help="print a checked minimum witness set")
     p.add_argument("spec")
     _add_common(p)
     p.set_defaults(func=cmd_compute, witness=True, check=False)  # compute --witness
@@ -304,8 +303,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "oracle_cap", 0) < 0:
+            parser.error(f"argument --oracle-cap: {args.oracle_cap} is below 0")
     except SystemExit as exc:
-        # argparse exits 2 on bad flags, 0 on --help/--version
+        # 2 after _Parser.error's ERROR:PARSE line, 0 on --help/--version
         return int(exc.code or 0)
     try:
         return args.func(args)

@@ -62,8 +62,6 @@ class SdimResult(NamedTuple):
     omega_reduced: int | None = None
     closed_form: Method | None = None
     witness: list[int] | None = None
-    # true on every returned result: a witness failing the check raises instead
-    verified: bool = False
     # (method, value, milliseconds) for each step sdim_group ran, in order
     rows: Sequence[tuple[Method, int, float]] = ()
 
@@ -98,7 +96,6 @@ def sdim_oracle(graph: Graph, *, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SdimRe
         value=len(cover),
         method=Method.GENERIC_ORACLE,
         witness=cover,
-        verified=True,
     )
 
 
@@ -119,7 +116,6 @@ def sdim_via_reduction(graph: Graph) -> SdimResult:
         method=Method.DIAMETER2_REDUCTION,
         omega_reduced=cq.size,
         witness=witness,
-        verified=True,
     )
 
 
@@ -204,7 +200,6 @@ def sdim_group(g: gr.Group, *, oracle_cap: int = 0) -> SdimResult:
         omega_reduced=omega,
         closed_form=cf[0] if cf else None,
         witness=red.witness,
-        verified=red.verified,
         rows=rows,
     )
 

@@ -2,21 +2,26 @@
 process entry."""
 
 import gc
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import powersdim
 import powersdim.cli as cli_module
 import powersdim.groups as groups_module
 import powersdim.sdim as sdim_module
-from powersdim import CORPUS_SPECS, build_group, \
-    element_orders, from_edge_list, graph6_decode, maximal_cyclic_subgroups, power_graph, \
-    sigma_of, to_edge_list
+from powersdim import CORPUS_SPECS, InvalidSpec, build_group, \
+    element_orders, from_edge_list, graph6_decode, is_strong_resolving_set, \
+    maximal_cyclic_subgroups, parse_spec, power_graph, sigma_of, spec_order, to_edge_list
 from powersdim.cli import main
 
 from helpers import clique_with_a_non_edge, ref_cyclic_table, write_cayley_file
@@ -42,7 +47,6 @@ def test_compute_z12_json(capsys):
     assert payload["method"] == "ClosedFormCyclic"
     assert payload["closed_form"] == "ClosedFormCyclic"
     assert payload["witness"] is None
-    assert payload["verified"] is True
 
 
 def test_compute_q8_witness_check(capsys):
@@ -51,7 +55,7 @@ def test_compute_q8_witness_check(capsys):
     payload = json.loads(out)
     assert payload["sdim"] == 6
     assert len(payload["witness"]) == 6
-    assert payload["verified"] is True
+    assert is_strong_resolving_set(power_graph(build_group("Q8")), payload["witness"])
 
 
 def test_compute_d12_plain(capsys):
@@ -115,7 +119,7 @@ def test_compute_check_on_a_cayley_file_above_128_elements(capsys, tmp_path):
     code, out, err = run(capsys, "compute", f"cayley:{path}", "--check", "--json")
     assert code == 0 and not err
     payload = json.loads(out)
-    assert payload["order"] == 130 and payload["verified"] is True
+    assert payload["order"] == 130
 
 
 def test_compute_perm_file_with_a_huge_point_label(capsys, tmp_path):
@@ -392,7 +396,7 @@ def test_witness_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert len(payload["witness"]) == payload["sdim"] == 9
-    assert payload["verified"] is True
+    assert is_strong_resolving_set(power_graph(build_group("Z12")), payload["witness"])
 
 
 def test_witness_text_has_the_keys_of_compute(capsys):
@@ -400,7 +404,8 @@ def test_witness_text_has_the_keys_of_compute(capsys):
     assert code == 0 and not err
     code, computed, err = run(capsys, "compute", "D12", "--witness", "--no-timing")
     assert out == computed
-    assert "witness: [2, 4, 5, 6, 7, 8, 9, 10, 11]\n" in out and "verified: true\n" in out
+    assert "witness: [2, 4, 5, 6, 7, 8, 9, 10, 11]\n" in out
+    assert is_strong_resolving_set(power_graph(build_group("D12")), [2, 4, 5, 6, 7, 8, 9, 10, 11])
     code, out, err = run(capsys, "witness", "D12")
     assert out.splitlines()[-1].startswith("time_ms: ")
 
@@ -478,6 +483,103 @@ def test_running_out_of_memory_is_a_cap_error_without_a_traceback(capsys, monkey
     monkeypatch.setattr(groups_module, "_cyclic_table", too_large)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"ERROR:CAP out of memory: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# result keys
+
+
+RESULT_KEYS = ["group", "order", "sdim", "omega_reduced", "method", "closed_form", "witness"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "Z12"], ["compute", "Z12", "--witness"], ["witness", "Z12"],
+    ["oracle", "Z12"], ["oracle", "Z12", "--witness"],
+], ids=" ".join)
+def test_result_output_has_exactly_these_keys(capsys, argv):
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "") and list(json.loads(out)) == RESULT_KEYS
+    # text prints the witness only when asked for, then the time unless --no-timing
+    witness = argv[0] == "witness" or "--witness" in argv
+    text_keys = RESULT_KEYS if witness else RESULT_KEYS[:-1]
+    for flags, keys in [((), [*text_keys, "time_ms"]), (("--no-timing",), text_keys)]:
+        code, out, err = run(capsys, *argv, *flags)
+        assert (code, err) == (0, "")
+        assert [line.split(": ", 1)[0] for line in out.splitlines()] == keys
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+
+
+BAD_ARGUMENTS = {
+    "": "powersdim: the following arguments are required: command",
+    "compute": "powersdim compute: the following arguments are required: spec",
+    "compute Z12 --bogus": "powersdim: unrecognized arguments: --bogus",
+    "table --family foo --range 1..2":
+        "powersdim table: argument --family: invalid choice: 'foo' "
+        "(choose from 'cyclic', 'dihedral', 'elementary', 'quaternion')",
+    "compute Z12 --oracle-cap x":
+        "powersdim compute: argument --oracle-cap: invalid int value: 'x'",
+    "compute Z12 --check --oracle-cap -1": "powersdim: argument --oracle-cap: -1 is below 0",
+    "oracle Z12 --oracle-cap -5": "powersdim: argument --oracle-cap: -5 is below 0",
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_ARGUMENTS))
+def test_a_bad_argument_is_one_parse_error_line(capsys, argv):
+    assert run(capsys, *argv.split()) == (2, "", f"ERROR:PARSE {BAD_ARGUMENTS[argv]}\n")
+
+
+def test_an_oracle_cap_of_zero_is_valid(capsys):
+    code, out, err = run(capsys, "compute", "Z12", "--check", "--oracle-cap", "0", "--json")
+    assert (code, err, json.loads(out)["sdim"]) == (0, "", 9)
+    assert run(capsys, "oracle", "Z12", "--oracle-cap", "0") == (
+        2, "", "ERROR:CAP oracle cap is 0 vertices, graph has 12\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["compute", "--help"], ["--version"]],
+                         ids=" ".join)
+def test_help_and_version_exit_0_on_stdout(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith(("usage: powersdim", "powersdim 0."))
+
+
+MISSING = Path(__file__).parent / "data" / "missing"
+FUZZ_TOKENS = [
+    "--json", "--no-timing", "--witness", "--check", "--oracle-cap", "--family", "--range",
+    "--csv", "--format", "--reduced", "--bogus", "--version", "-h", "--",
+    "Z12", "Q8", "S4", "Z2xS3", "Z", "Q7", "E4^2", "Ab[0]", "S99", "",
+    "cyclic", "dihedral", "quaternion", "elementary", "foo", "1..4", "3..2", "1..",
+    "dot", "graph6", "json", "0", "-1", "10", "x",
+    *(f"{kind}:{MISSING}" for kind in ["cayley", "perm", "graph6", "edgelist"]),
+]
+
+
+def _builds_a_large_table(token: str) -> bool:
+    """Whether token is a spec of order above 130 or a range ending above 30."""
+    lo, dots, hi = token.partition("..")
+    if dots:
+        return hi.strip().isdigit() and int(hi) > 30
+    try:
+        order = spec_order(parse_spec(token))
+    except (InvalidSpec, ValueError):
+        return False
+    return order is not None and order > 130
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["compute", "oracle", "compare", "table", "witness", "classify",
+                        "export"]),
+       st.lists(st.one_of(st.sampled_from(FUZZ_TOKENS), st.text(max_size=6)), max_size=6))
+def test_any_argv_exits_0_2_or_3_with_one_error_line(command, tokens):
+    assume(not any(map(_builds_a_large_table, tokens)))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, *tokens])
+    assert code in (0, 2, 3)
+    if code:
+        assert re.fullmatch(r"ERROR:[A-Z]+ [^\n]*\n", err.getvalue()), err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 tests/data/digests.json maps each input in DIGEST_SPECS to the digest of a
 canonical JSON dump (dump()) of: the sdim_group result with the oracle up
-to DEFAULT_ORACLE_CAP (value, method, omega, closed form, witness,
-verified, and each row's method and value without its time), the
+to DEFAULT_ORACLE_CAP (value, method, omega, closed form, witness, and
+each row's method and value without its time), the
 multiplication table, the MaximalCyclicFamily, chain_analysis, alpha_p and
 clique_witness_alpha_p for every prime divisor, and classify_n_minus_2.
 A change that alters any of these for an input fails the test for that
@@ -80,7 +80,6 @@ def dump(spec: str) -> str:
             "omega_reduced": res.omega_reduced,
             "closed_form": res.closed_form.value if res.closed_form else None,
             "witness": res.witness,
-            "verified": res.verified,
             "rows": [[m.value, v] for m, v, _ in res.rows],
         },
         "family": {

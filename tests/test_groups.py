@@ -660,7 +660,7 @@ def test_a_monoid_with_a_row_that_lacks_the_identity_is_not_a_latin_square():
         Group(table)
 
 
-def test_cayley_file_above_128_elements_is_verified_and_accepted(tmp_path):
+def test_cayley_file_above_128_elements_is_validated_and_accepted(tmp_path):
     path = tmp_path / "z130.txt"
     write_cayley_file(path, ref_cyclic_table(130))
     g = build_group(f"cayley:{path}")

@@ -160,10 +160,11 @@ def test_srg_matches_definition_on_corpus_power_graphs():
 
 
 def test_oracle_complete_graph():
-    res = sdim_oracle(complete_graph(7))
+    k7 = complete_graph(7)
+    res = sdim_oracle(k7)
     assert res.value == 6
     assert res.method is Method.GENERIC_ORACLE
-    assert res.verified and len(res.witness) == 6
+    assert is_strong_resolving_set(k7, res.witness) and len(res.witness) == 6
 
 
 def test_oracle_power_graphs():
@@ -190,9 +191,10 @@ def test_oracle_cap():
 
 
 def test_reduction_klein_group():
-    res = sdim_via_reduction(power_graph(build_group("E2^2")))
+    graph = power_graph(build_group("E2^2"))
+    res = sdim_via_reduction(graph)
     assert res.value == 2 and res.omega_reduced == 2
-    assert res.verified and len(res.witness) == 2
+    assert is_strong_resolving_set(graph, res.witness) and len(res.witness) == 2
 
 
 def test_reduction_complete_graph():
@@ -216,7 +218,7 @@ def test_reduction_equals_oracle_on_random_diameter2_graphs():
         g = random_diameter2_graph(rng, rng.randint(1, 12))
         red = sdim_via_reduction(g)
         assert red.value == sdim_oracle(g).value
-        assert red.verified
+        assert is_strong_resolving_set(g, red.witness)
 
 
 def test_a_reduction_witness_that_fails_the_check_raises(monkeypatch):
@@ -290,7 +292,8 @@ def test_sdim_group_methods_and_values():
     for spec, value, method in cases:
         res = sdim_group(build_group(spec))
         assert (res.value, res.method) == (value, method), spec
-        assert res.verified and len(res.witness) == value
+        assert is_strong_resolving_set(power_graph(build_group(spec)), res.witness)
+        assert len(res.witness) == value
         assert res.value == build_group(spec).n - res.omega_reduced
 
 
@@ -338,7 +341,8 @@ def test_a_relabelled_bare_table_gives_the_same_answer(spec):
     assert bare.identity == perm[e] and (g.n == 1 or bare.identity != e)
     want, got = sdim_group(g), sdim_group(bare)
     assert (got.value, got.omega_reduced) == (want.value, want.omega_reduced)
-    assert got.verified and len(got.witness) == got.value
+    assert is_strong_resolving_set(power_graph(bare), got.witness)
+    assert len(got.witness) == got.value
 
 
 def test_sdim_group_rows_follow_the_ladder_and_the_oracle_cap():
@@ -405,7 +409,7 @@ def test_diameter_and_the_oracle_sweep_a_chords_graph_once(monkeypatch):
     sweeps = count_sweeps(monkeypatch)
     g = random_cycle_with_chords(random.Random(40), 40, 3 / 40)
     assert diameter(g) >= 3 and sweeps[0] == 1
-    assert sdim_oracle(g).verified and sweeps[0] == 1
+    assert is_strong_resolving_set(g, sdim_oracle(g).witness) and sweeps[0] == 1
 
 
 @pytest.mark.parametrize("spec", ["S4", "Z12"])
@@ -422,7 +426,7 @@ def test_oracle_computes_distances_once_off_diameter_two(monkeypatch):
     sweeps = count_sweeps(monkeypatch)
     cycle = from_edge_list({"n": 7, "edges": [[i, (i + 1) % 7] for i in range(7)]})
     res = sdim_oracle(cycle)
-    assert (res.value, res.verified, sweeps[0]) == (4, True, 1)
+    assert (res.value, sweeps[0]) == (4, 1) and is_strong_resolving_set(cycle, res.witness)
     assert diameter(cycle) == 3 and sweeps[0] == 1
 
 
@@ -432,7 +436,7 @@ def test_diameter_before_the_oracle_sweeps_once(monkeypatch):
     cycle = from_edge_list({"n": 7, "edges": [[i, (i + 1) % 7] for i in range(7)]})
     assert diameter(cycle) == 3 and sweeps[0] == 1
     res = sdim_oracle(cycle)
-    assert (res.value, res.verified, sweeps[0]) == (4, True, 1)
+    assert (res.value, sweeps[0]) == (4, 1) and is_strong_resolving_set(cycle, res.witness)
 
 
 def test_a_finished_computation_frees_its_graphs_without_the_cyclic_collector():
