@@ -57,7 +57,6 @@ def _print_result(group_name: str, order: int, res: SdimResult, args, ms: float)
         "sdim": res.value,
         "omega_reduced": res.omega_reduced,
         "method": res.method.value,
-        "closed_form": res.closed_form.value if res.closed_form else None,
         "witness": sorted(res.witness) if args.witness else None,
     }
     if args.json:
@@ -185,8 +184,7 @@ def cmd_classify(args) -> int:
     res = sdim_group(g)
     hit, label = classify_n_minus_2(g)
     if hit != (res.value == g.n - 2):
-        _err("MISMATCH", f"classification disagrees with sdim for {name}")
-        return EXIT_MISMATCH
+        raise InternalInconsistency(f"classification disagrees with sdim for {name}")
     if args.json:
         print(json.dumps({"group": name, "order": g.n, "sdim": res.value,
                           "n_minus_2": hit, "class": label}))

@@ -57,10 +57,15 @@ class Method(str, enum.Enum):
 
 
 class SdimResult(NamedTuple):
+    """An sdim value and the method credited with it.
+
+    sdim_group credits the closed form when one applies and GroupTheorem
+    otherwise; Z1 is credited to Diameter2Reduction, although its rows hold
+    a ClosedFormCyclic row.  sdim_via_reduction and sdim_oracle credit
+    themselves."""
     value: int
     method: Method
     omega_reduced: int | None = None
-    closed_form: Method | None = None
     witness: list[int] | None = None
     # (method, value, milliseconds) for each step sdim_group ran, in order
     rows: Sequence[tuple[Method, int, float]] = ()
@@ -194,14 +199,8 @@ def sdim_group(g: gr.Group, *, oracle_cap: int = 0) -> SdimResult:
             f"{method.value} gives {value}" for method, value, _ in rows))
     if g.n == 1:  # sigma_1 = 1 is a convention only; credit the one vertex to the reduction
         return red._replace(rows=rows)
-    return SdimResult(
-        value=red.value,
-        method=cf[0] if cf else Method.GROUP_THEOREM,
-        omega_reduced=omega,
-        closed_form=cf[0] if cf else None,
-        witness=red.witness,
-        rows=rows,
-    )
+    # the check above makes the theorem's omega equal red.omega_reduced
+    return red._replace(method=cf[0] if cf else Method.GROUP_THEOREM, rows=rows)
 
 
 # ---------------------------------------------------------------------------

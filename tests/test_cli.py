@@ -45,7 +45,6 @@ def test_compute_z12_json(capsys):
     assert payload["order"] == 12
     assert payload["omega_reduced"] == 3
     assert payload["method"] == "ClosedFormCyclic"
-    assert payload["closed_form"] == "ClosedFormCyclic"
     assert payload["witness"] is None
 
 
@@ -433,6 +432,12 @@ def test_classify_text(capsys, spec, text):
     assert run(capsys, "classify", spec) == (0, text, "")
 
 
+def test_classify_exits_3_when_the_class_disagrees_with_sdim(capsys, monkeypatch):
+    monkeypatch.setattr(cli_module, "classify_n_minus_2", lambda g: (True, "x"))
+    assert run(capsys, "classify", "Z12") == \
+        (3, "", "ERROR:MISMATCH classification disagrees with sdim for Z12\n")
+
+
 # ---------------------------------------------------------------------------
 # export
 
@@ -489,7 +494,7 @@ def test_running_out_of_memory_is_a_cap_error_without_a_traceback(capsys, monkey
 # result keys
 
 
-RESULT_KEYS = ["group", "order", "sdim", "omega_reduced", "method", "closed_form", "witness"]
+RESULT_KEYS = ["group", "order", "sdim", "omega_reduced", "method", "witness"]
 
 
 @pytest.mark.parametrize("argv", [

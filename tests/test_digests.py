@@ -2,10 +2,10 @@
 
 tests/data/digests.json maps each input in DIGEST_SPECS to the digest of a
 canonical JSON dump (dump()) of: the sdim_group result with the oracle up
-to DEFAULT_ORACLE_CAP (value, method, omega, closed form, witness, and
-each row's method and value without its time), the
-multiplication table, the MaximalCyclicFamily, chain_analysis, alpha_p and
-clique_witness_alpha_p for every prime divisor, and classify_n_minus_2.
+to DEFAULT_ORACLE_CAP (value, method, omega, witness, and each row's
+method and value without its time), the multiplication table, the
+MaximalCyclicFamily, chain_analysis, alpha_p and clique_witness_alpha_p
+for every prime divisor, and classify_n_minus_2.
 A change that alters any of these for an input fails the test for that
 input.  To rewrite the file after an intended output change, run:
 
@@ -78,7 +78,6 @@ def dump(spec: str) -> str:
             "value": res.value,
             "method": res.method.value,
             "omega_reduced": res.omega_reduced,
-            "closed_form": res.closed_form.value if res.closed_form else None,
             "witness": res.witness,
             "rows": [[m.value, v] for m, v, _ in res.rows],
         },

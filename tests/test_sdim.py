@@ -300,14 +300,21 @@ def test_sdim_group_methods_and_values():
 def test_sdim_group_trivial_group():
     res = sdim_group(build_group("Z1"))
     assert res.value == 0 and res.witness == []
+    assert res.method is Method.DIAMETER2_REDUCTION
 
 
-def test_closed_form_tag_matches_closed_form_field():
-    for spec in ["Z8", "D12", "Q8", "E2^3", "Ab[2,4]", "Ab[2,6]"]:
-        res = sdim_group(build_group(spec))
-        assert res.closed_form is res.method
-    res = sdim_group(build_group("S4"))
-    assert res.closed_form is None and res.method is Method.GROUP_THEOREM
+def test_method_names_the_closed_form():
+    cases = [
+        ("Z8", Method.CLOSED_FORM_CYCLIC_PRIME_POWER),
+        ("D12", Method.CLOSED_FORM_DIHEDRAL),
+        ("Q8", Method.CLOSED_FORM_QUATERNION),
+        ("E2^3", Method.CLOSED_FORM_ELEMENTARY_ABELIAN),
+        ("Ab[2,4]", Method.CLOSED_FORM_P_GROUP),
+        ("Ab[2,6]", Method.CLOSED_FORM_ABELIAN),
+    ]
+    for spec, method in cases:
+        assert sdim_group(build_group(spec)).method is method, spec
+    assert sdim_group(build_group("S4")).method is Method.GROUP_THEOREM
 
 
 def test_cayley_file_input_dispatches_structurally(tmp_path):
