@@ -82,19 +82,25 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        """Graph on n vertices with the (u, v) edges given; duplicates collapse."""
+        """Graph on n vertices with the (u, v) edges given; duplicates collapse.
+        An endpoint is a Python or numpy integer or bool; a float is refused."""
         if n < 0:
             raise ValueError("vertex count must be >= 0")
-        cells = []  # flat indices of both orientations of every edge
+        cells = []  # flat index u * n + v of every edge as given
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
-            cells.append(u * n + v)
-            cells.append(v * n + u)
+            c = u * n + v  # an integer exactly when both endpoints are
+            if type(c) is not int and not isinstance(c, np.integer):
+                raise ValueError(f"edge ({u},{v}) has a non-integer endpoint")
+            cells.append(c)
+        uv = np.array(cells, np.intp)
+        u, v = np.divmod(uv, n)
         m = np.zeros(n * n, bool)
-        m[np.array(cells, np.intp)] = True  # one scatter; faster than indexing by the list
+        m[uv] = True  # scatters, faster than indexing by the list
+        m[v * n + u] = True  # the other orientation: one array pass, not an append per edge
         return cls(m.reshape(n, n))
 
     def edge_count(self) -> int:
@@ -444,12 +450,13 @@ def graph6_decode(text: str) -> Graph:
 
 
 def to_dot(graph: Graph, labels: list[str] | None = None) -> str:
-    """Undirected DOT text; optional per-vertex labels."""
+    """Undirected DOT text; optional per-vertex labels, quoted with each
+    backslash and double quote escaped."""
     if labels is not None and len(labels) != graph.n:
         raise ValueError("need one label per vertex")
     lines = ["graph {"]
     for v in range(graph.n):
-        label = labels[v] if labels is not None else str(v)
+        label = str(v if labels is None else labels[v]).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {v} [label="{label}"];')
     for u, v in graph.edges():
         lines.append(f"  {u} -- {v};")

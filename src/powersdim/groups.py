@@ -33,8 +33,7 @@ __all__ = [
     "element_orders", "maximal_cyclic_subgroups", "chain_analysis", "alpha_p",
     "sigma", "sigma_of", "factorize", "is_cp_group", "is_cyclic_group",
     "is_abelian_group",
-    "InvalidSpec", "NotAGroup", "ClosureTooLarge", "NotAPrimeDivisor",
-    "InternalInconsistency",
+    "InvalidSpec", "NotAGroup", "ClosureTooLarge", "InternalInconsistency",
 ]
 
 DEFAULT_CLOSURE_CAP = 5040  # permutation-closure guard (S_7 sized)
@@ -50,10 +49,6 @@ class NotAGroup(ValueError):
 
 class ClosureTooLarge(ValueError):
     """Permutation closure exceeded the configured element cap."""
-
-
-class NotAPrimeDivisor(ValueError):
-    """The given number is not a prime divisor of the group order."""
 
 
 class InternalInconsistency(RuntimeError):
@@ -899,16 +894,17 @@ def _exact_log(base: int, value: int) -> int:
 
 @_cached
 def chain_analysis(g: Group, p: int) -> tuple[ChainAnalysis, ...]:
-    """One analysis per maximal cyclic p-subgroup, in family order; empty if
-    there are none.  Computed from masks and popcounts alone and cached on
-    the group per prime p.
+    """One analysis per maximal cyclic p-subgroup, in family order; () if
+    there are none, as for a prime p that does not divide the group order.
+    ValueError if p is not prime.  Computed from masks and popcounts alone
+    and cached on the group per prime p.
 
     An intersection of M_i with a maximal cyclic subgroup O is a subgroup
     of the cyclic p-group M_i, and those form a chain, so the largest
     |M_i & O| over the O of non-p-power order is |M_i & U|, U the union of
     those O."""
-    if not is_prime(p) or g.n % p != 0:
-        raise NotAPrimeDivisor(f"{p} is not a prime divisor of the group order {g.n}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     fam = maximal_cyclic_subgroups(g)
     mp_masks = fam.by_prime.get(p, ())
     others = [m for q, subs in fam.by_prime.items() if q != p for m in subs] + list(fam.mixed)
@@ -930,11 +926,8 @@ def chain_analysis(g: Group, p: int) -> tuple[ChainAnalysis, ...]:
 
 
 def alpha_p(g: Group, p: int) -> int:
-    """max over the p-chains of s_i - s_i' + lambda_i + 2; 0 with no p-chains."""
-    try:
-        analyses = chain_analysis(g, p)  # checks p once per group, on a cache miss
-    except NotAPrimeDivisor:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime") from None
-        return 0
-    return max((c.s_i - c.s_prime + c.lambda_exp + 2 for c in analyses), default=0)
+    """max over the p-chains of s_i - s_i' + lambda_i + 2; 0 with no p-chains,
+    as for a prime p that does not divide the group order.  ValueError if p
+    is not prime (chain_analysis checks it once per group and prime)."""
+    return max((c.s_i - c.s_prime + c.lambda_exp + 2 for c in chain_analysis(g, p)),
+               default=0)

@@ -24,8 +24,7 @@ from .graphs import (Graph, diameter, is_strong_resolving_set, power_graph, redu
 __all__ = [
     "Method", "SdimResult", "sdim_oracle", "sdim_via_reduction", "omega_reduced_group",
     "sdim_group", "clique_witness_cyclic", "clique_witness_alpha_p", "classify_n_minus_2",
-    "DiameterTooLarge", "OracleCapExceeded", "EmptyFamily",
-    "DEFAULT_ORACLE_CAP",
+    "DiameterTooLarge", "OracleCapExceeded", "DEFAULT_ORACLE_CAP",
 ]
 
 DEFAULT_ORACLE_CAP = 200
@@ -37,10 +36,6 @@ class DiameterTooLarge(ValueError):
 
 class OracleCapExceeded(ValueError):
     """The generic oracle refuses graphs above its configured size cap."""
-
-
-class EmptyFamily(ValueError):
-    """No maximal cyclic subgroup of p-power order exists."""
 
 
 class Method(str, enum.Enum):
@@ -236,14 +231,12 @@ def clique_witness_cyclic(n: int) -> tuple[list[int], list[int]]:
 def clique_witness_alpha_p(g: gr.Group, p: int) -> list[int]:
     """Clique of size alpha_p in the power graph with pairwise distinct
     closed neighborhoods: chain generators from position s' up, plus one
-    element of each order p^0..p^lambda inside the s'-th chain subgroup."""
-    if not gr.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if g.n % p != 0:
-        raise EmptyFamily(f"no maximal cyclic {p}-subgroups in a group of order {g.n}")
+    element of each order p^0..p^lambda inside the s'-th chain subgroup.
+    [] (the empty clique, alpha_p = 0) with no p-chains, as for a prime p
+    that does not divide the group order; ValueError if p is not prime."""
     analyses = gr.chain_analysis(g, p)
     if not analyses:
-        raise EmptyFamily(f"no maximal cyclic subgroup of {p}-power order")
+        return []
     best = max(analyses, key=lambda a: a.s_i - a.s_prime + a.lambda_exp + 2)
     orders = gr.element_orders(g)
 
@@ -255,10 +248,9 @@ def clique_witness_alpha_p(g: gr.Group, p: int) -> list[int]:
         sub = best.chain[best.s_prime - 1]
         witness += [smallest_of_order(sub, p ** j) for j in range(best.lambda_exp + 1)]
     result = sorted(set(witness))
-    expected = best.s_i - best.s_prime + best.lambda_exp + 2
-    if len(result) != expected:
+    if len(result) != gr.alpha_p(g, p):
         raise InternalInconsistency(
-            f"witness has {len(result)} elements, expected alpha contribution {expected}")
+            f"witness has {len(result)} elements, expected alpha_p = {gr.alpha_p(g, p)}")
     return result
 
 

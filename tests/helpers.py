@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from powersdim import (ChainAnalysis, CliqueResult, Graph, MaximalCyclicFamily,
-                       NotAPrimeDivisor, bfs_distances, factorize)
+                       bfs_distances, factorize)
 from powersdim.graphs import bit_matrix, bit_rows, bits
 from powersdim.groups import cyclic_masks, element_orders, is_prime
 
@@ -494,8 +494,8 @@ def _ref_exact_log(base: int, value: int) -> int:
 
 
 def ref_chain_analysis(g, p: int, fam: MaximalCyclicFamily) -> tuple[ChainAnalysis, ...]:
-    if not is_prime(p) or g.n % p != 0:
-        raise NotAPrimeDivisor(f"{p} is not a prime divisor of the group order {g.n}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     mp = fam.by_prime.get(p, ())
     if not mp:
         return ()
@@ -534,10 +534,6 @@ def ref_chain_analysis(g, p: int, fam: MaximalCyclicFamily) -> tuple[ChainAnalys
 
 
 def ref_alpha_p(g, p: int, fam: MaximalCyclicFamily) -> int:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if g.n % p != 0:
-        return 0
     analyses = ref_chain_analysis(g, p, fam)
     if not analyses:
         return 0

@@ -22,7 +22,6 @@ from powersdim import (CORPUS_SPECS, DEFAULT_ORACLE_CAP, alpha_p, build_group,
                        chain_analysis, classify_n_minus_2, clique_witness_alpha_p,
                        element_orders, factorize, maximal_cyclic_subgroups, sdim_group)
 from powersdim.groups import bits
-from powersdim.sdim import EmptyFamily
 
 DATA = Path(__file__).parent / "data"
 DIGESTS = DATA / "digests.json"
@@ -54,13 +53,6 @@ def _chain_analysis(orders, a) -> list:
             a.s_prime, a.f_i]
 
 
-def _witness_alpha_p(g, p: int):
-    try:
-        return clique_witness_alpha_p(g, p)
-    except EmptyFamily:
-        return None
-
-
 def dump(spec: str) -> str:
     """Canonical JSON of every checked output for one group spec."""
     if spec.startswith("perm:"):
@@ -89,7 +81,7 @@ def dump(spec: str) -> str:
         },
         "primes": {str(p): {
             "alpha_p": alpha_p(g, p),
-            "clique_witness_alpha_p": _witness_alpha_p(g, p),
+            "clique_witness_alpha_p": clique_witness_alpha_p(g, p),
             "chain_analysis": [_chain_analysis(orders, a) for a in chain_analysis(g, p)],
         } for p in primes},
         "classify_n_minus_2": list(classify_n_minus_2(g)),

@@ -60,6 +60,14 @@ def test_graph_edges_and_complement():
     assert complement(comp) == g
 
 
+def test_from_edges_takes_numpy_integers_and_bools():
+    want = Graph.from_edges(4, [(0, 1), (1, 3)])
+    assert Graph.from_edges(4, [(np.int64(0), np.uint8(1)), (np.int32(1), 3)]) == want
+    assert Graph.from_edges(4, [(False, True), (True, 3)]) == want
+    assert Graph.from_edges(4, [(np.False_, np.True_), (np.True_, 3)]) == want
+    assert Graph.from_edges(4, np.array([[0, 1], [1, 3]])) == want
+
+
 # ---------------------------------------------------------------------------
 # Bit-matrix layout (rows of several bytes, and sizes at byte boundaries)
 
@@ -81,9 +89,14 @@ def test_bit_matrix_round_trips_and_matches_the_bits(n, p, seed):
     (lambda: graph_of_rows([0] * 64 + [1 << 64]), "loop at vertex 64"),
     (lambda: Graph.from_edges(65, [(0, 65)]), "edge (0,65) out of range for n=65"),
     (lambda: Graph.from_edges(65, [(-1, 0)]), "edge (-1,0) out of range for n=65"),
+    (lambda: Graph.from_edges(3, [(0.1, 1)]), "edge (0.1,1) has a non-integer endpoint"),
+    (lambda: Graph.from_edges(5, [(2.2, 4.0)]), "edge (2.2,4.0) has a non-integer endpoint"),
+    (lambda: Graph.from_edges(3, [(0, 1), (0, np.float64(2.0))]),
+     "edge (0,2.0) has a non-integer endpoint"),
     # the diagonal is checked before symmetry
     (lambda: graph_of_rows([1 << 64] + [0] * 63 + [1 << 64]), "loop at vertex 64"),
-], ids=["asymmetric-high-byte", "loop", "bit-n", "negative", "loop-before-asymmetry"])
+], ids=["asymmetric-high-byte", "loop", "bit-n", "negative", "float", "floats",
+        "numpy-float", "loop-before-asymmetry"])
 def test_graph_rejections_keep_their_messages(build, message):
     with pytest.raises(ValueError) as exc:
         build()
@@ -591,3 +604,8 @@ def test_dot_output():
     assert "  0 -- 1;" in text and "  0 -- 2;" in text
     with pytest.raises(ValueError):
         to_dot(star(2), labels=["just-one"])
+    # backslashes, then double quotes, are escaped
+    text = to_dot(star(2), labels=['a"b', "c\\", '\\"'])
+    assert '  0 [label="a\\"b"];' in text
+    assert '  1 [label="c\\\\"];' in text
+    assert '  2 [label="\\\\\\""];' in text

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from powersdim import (CORPUS_SPECS, Abelian, Alternating, CayleyFile, ClosureTooLarge,
                        Cyclic, Dihedral, DirectProduct, ElementaryAbelian, GeneralizedQuaternion,
-                       GroupSpec, InvalidSpec, NotAGroup, NotAPrimeDivisor, PermFile, Symmetric,
-                       alpha_p, build_group, chain_analysis,
+                       GroupSpec, InvalidSpec, NotAGroup, PermFile, Symmetric,
+                       alpha_p, build_group, chain_analysis, clique_witness_alpha_p,
                        element_orders, factorize, is_cp_group,
                        is_cyclic_group, maximal_cyclic_subgroups, parse_spec, power_graph,
                        sdim_group, sigma, sigma_of, spec_order, spec_string)
@@ -477,12 +477,17 @@ def test_chain_analysis_empty_family():
     assert chain_analysis(build_group("Z12"), 2) == ()
 
 
-def test_chain_analysis_rejects_non_divisor():
+def test_chain_data_answers_every_prime_and_refuses_a_non_prime():
     g = build_group("Z12")
-    with pytest.raises(NotAPrimeDivisor):
-        chain_analysis(g, 5)
-    with pytest.raises(NotAPrimeDivisor):
-        chain_analysis(g, 4)
+    for p in [5, 7, 9973]:  # primes that do not divide 12: no p-chains
+        assert chain_analysis(g, p) == ()
+        assert alpha_p(g, p) == 0
+        assert clique_witness_alpha_p(g, p) == []
+    for f in [chain_analysis, alpha_p, clique_witness_alpha_p]:
+        for p in [4, 12, 1, 0, -3]:
+            with pytest.raises(ValueError) as exc:
+                f(g, p)
+            assert type(exc.value) is ValueError and str(exc.value) == f"{p} is not prime"
 
 
 def test_chains_are_totally_ordered_and_end_at_mi():

@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 
 import powersdim.graphs as graphs_module
 import powersdim.sdim as sdim_module
-from powersdim import (CORPUS_SPECS, DiameterTooLarge, Disconnected, EmptyFamily, Graph,
+from powersdim import (CORPUS_SPECS, DiameterTooLarge, Disconnected, Graph,
                        Group, InternalInconsistency, Method, OracleCapExceeded, alpha_p,
                        build_group, classify_n_minus_2, clique_witness_alpha_p,
                        clique_witness_cyclic, diameter, element_orders, factorize,
                        from_edge_list, is_cp_group, is_strong_resolving_set,
-                       maximal_cyclic_subgroups, parse_spec, spec_order,
+                       parse_spec, spec_order,
                        omega_reduced_group, power_graph, reduced_graph, sdim_group,
                        sdim_oracle, sdim_via_reduction, sigma_of,
                        strong_resolving_graph)
@@ -497,20 +497,16 @@ def test_clique_witness_alpha_p_examples():
     w = clique_witness_alpha_p(build_group("A4"), 3)
     assert len(w) == 2 and 0 in w  # includes the identity because lambda = 0
     assert len(clique_witness_alpha_p(build_group("E3^2"), 3)) == 2
-    with pytest.raises(EmptyFamily):
-        clique_witness_alpha_p(build_group("Z12"), 2)
-    with pytest.raises(EmptyFamily):
-        clique_witness_alpha_p(build_group("Q8"), 3)
+    assert clique_witness_alpha_p(build_group("Z12"), 2) == []  # no maximal cyclic 2-subgroup
+    assert clique_witness_alpha_p(build_group("Q8"), 3) == []  # 3 does not divide 8
 
 
 def test_clique_witness_alpha_p_properties():
-    for spec in ["Q8", "Q16", "A4", "S4", "D8", "D12", "Ab[2,8]", "Ab[4,4]", "A5"]:
+    # Z12 and Q12 have primes without p-chains: their witness is the empty clique
+    for spec in ["Q8", "Q16", "A4", "S4", "D8", "D12", "Ab[2,8]", "Ab[4,4]", "A5", "Z12", "Q12"]:
         grp = build_group(spec)
         g = power_graph(grp)
-        fam = maximal_cyclic_subgroups(grp)
         for p, _ in factorize(grp.n).factors:
-            if not fam.by_prime.get(p):
-                continue
             witness = clique_witness_alpha_p(grp, p)
             assert len(witness) == alpha_p(grp, p)
             assert is_clique(g, witness)
