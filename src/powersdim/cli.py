@@ -27,7 +27,8 @@ import time
 from . import __version__
 from .graphs import (Disconnected, from_edge_list, graph6_decode, graph6_encode,
                      power_graph, reduced_graph, to_dot, to_edge_list)
-from .groups import (InvalidSpec, NotAGroup, ClosureTooLarge, build_group,
+from .groups import (Cyclic, Dihedral, ElementaryAbelian, GeneralizedQuaternion,
+                     InvalidSpec, NotAGroup, ClosureTooLarge, build_group,
                      element_orders, parse_spec, spec_order, spec_string)
 from .sdim import (DEFAULT_ORACLE_CAP, InternalInconsistency, OracleCapExceeded,
                    SdimResult, check_oracle_cap, classify_n_minus_2, sdim_group,
@@ -139,29 +140,24 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-_FAMILY_BUILDERS = {
-    # family -> (spec for parameter value, minimum parameter)
-    "cyclic": (lambda k: f"Z{k}", 1),
-    "dihedral": (lambda k: f"D{2 * k}", 3),
-    "quaternion": (lambda k: f"Q{4 * k}", 2),
-    "elementary": (lambda k: f"E2^{k}", 1),
+_FAMILY_BUILDERS = {  # family -> its spec at a parameter, which checks the parameter
+    "cyclic": Cyclic,
+    "dihedral": lambda k: Dihedral(2 * k),
+    "quaternion": lambda k: GeneralizedQuaternion(4 * k),
+    "elementary": lambda k: ElementaryAbelian(2, k),
 }
 
 
 def cmd_table(args) -> int:
     try:
-        lo_s, hi_s = args.range.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = map(int, args.range.split("..", 1))
     except ValueError:
         raise InvalidSpec(f"bad range {args.range!r}, expected lo..hi") from None
     if lo > hi:
         raise InvalidSpec(f"empty range {args.range!r}")
-    make_spec, minimum = _FAMILY_BUILDERS[args.family]
-    if lo < minimum:
-        raise InvalidSpec(f"family {args.family} needs parameter >= {minimum}")
     rows = []
     for k in range(lo, hi + 1):
-        g = build_group(make_spec(k))
+        g = build_group(_FAMILY_BUILDERS[args.family](k))
         res = sdim_group(g)
         rows.append((k, g.n, res.value, res.omega_reduced, res.method.value))
     if args.json:

@@ -148,8 +148,7 @@ def bfs_distances(graph: Graph, source: int) -> list:
     its row into the set reached by the next layer.  Unused in the package,
     it stays as the sweep's reference: perfbench's tracer counts it by name."""
     n = graph.n
-    if not 0 <= source < n:
-        raise ValueError(f"vertex {source} out of range")
+    source = _vertex(graph, source)
     rows = graph.rows
     dist: list = [math.inf] * n
     dist[source] = 0
@@ -328,12 +327,13 @@ def reduced_graph(graph: Graph) -> ReducedGraph:
 # Strong resolution: the definitional check and the strong resolving graph
 
 
-def _normalize_vertex_set(graph: Graph, vertices) -> list[int]:
-    out = sorted(set(vertices))
-    for v in out:
-        if not 0 <= v < graph.n:
-            raise ValueError(f"vertex {v} out of range")
-    return out
+def _vertex(graph: Graph, v) -> int:
+    """v as an int: a Python or numpy integer or bool, as from_edges asks, in 0..n-1."""
+    if not isinstance(v, (int, np.integer, np.bool_)):
+        raise ValueError(f"vertex {v!r} is not an integer")
+    if not 0 <= v < graph.n:
+        raise ValueError(f"vertex {v} out of range")
+    return int(v)
 
 
 def is_strong_resolving_set(graph: Graph, candidate) -> bool:
@@ -343,7 +343,8 @@ def is_strong_resolving_set(graph: Graph, candidate) -> bool:
     A pair with an endpoint in the set is resolved by that endpoint, so only
     the pairs inside R = V minus the set are tested.  The n x |R| distances
     to R are read once as Python ints, so the sums cannot wrap in a dtype."""
-    members = _normalize_vertex_set(graph, candidate)
+    members = sorted({v if type(v) is int and 0 <= v < graph.n else _vertex(graph, v)
+                      for v in candidate})  # _vertex refuses or converts the rest
     rest = sorted(set(range(graph.n)).difference(members))
     to_rest = _distances_to(graph, rest).tolist()  # to_rest[x][i] = d(x, rest[i])
     from_members = [to_rest[w] for w in members]

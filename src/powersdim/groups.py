@@ -117,19 +117,20 @@ def sigma_of(n: int) -> int:
 _MAX_ORDER = math.isqrt(sys.maxsize)
 
 
-def _check_order(order: int | str) -> None:
+def _check_order(order: int | str | None) -> None:
     """Refuse a spec whose order is above _MAX_ORDER; an order too large to
-    compute comes as its text."""
-    if isinstance(order, str) or order > _MAX_ORDER:
+    compute comes as its text, and a file spec's, not yet known, as None."""
+    if isinstance(order, str) or order is not None and order > _MAX_ORDER:
         raise InvalidSpec(f"order {order} exceeds {_MAX_ORDER} (the largest n"
                           " whose n x n table numpy can index)")
 
 
 class GroupSpec:
     """Base of the spec classes: a frozen record over the fields a subclass
-    annotates, given by position or keyword, then checked by the subclass's
-    __post_init__.  Two specs are equal only when of one class, so Cyclic(6)
-    is not Symmetric(6), as a NamedTuple's tuple equality would make it."""
+    annotates, given by position or keyword, then checked, InvalidSpec on
+    failure: by its __post_init__, by a family's _ATOMS row, so that a spec
+    is what the grammar writes, and by _check_order.  Two specs are equal
+    only when of one class: Cyclic(6) is not Symmetric(6), unlike NamedTuples."""
 
     __match_args__: tuple[str, ...] = ()  # the field names, in order
 
@@ -144,6 +145,11 @@ class GroupSpec:
                             f" {', '.join(names)}, each given once")
         self.__dict__.update(values)  # __setattr__ refuses every assignment
         self.__post_init__()
+        if atom := _ATOMS.get(type(self)):
+            m = atom.pattern.fullmatch(atom.render(self))
+            if not m or tuple(map(atom.read, m.groups())) != self._values():
+                raise InvalidSpec(f"{self!r} is not a spec the grammar writes")
+        _check_order(spec_order(self))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -173,7 +179,6 @@ class Cyclic(GroupSpec):
     def __post_init__(self):
         if self.n < 1:
             raise InvalidSpec("cyclic order must be >= 1")
-        _check_order(self.n)
 
 
 class Dihedral(GroupSpec):
@@ -182,7 +187,6 @@ class Dihedral(GroupSpec):
     def __post_init__(self):
         if self.order < 6 or self.order % 2:
             raise InvalidSpec("dihedral order must be even and >= 6")
-        _check_order(self.order)
 
 
 class GeneralizedQuaternion(GroupSpec):
@@ -191,7 +195,6 @@ class GeneralizedQuaternion(GroupSpec):
     def __post_init__(self):
         if self.order < 8 or self.order % 4:
             raise InvalidSpec("quaternion order must be a multiple of 4 and >= 8")
-        _check_order(self.order)
 
 
 class ElementaryAbelian(GroupSpec):
@@ -203,8 +206,8 @@ class ElementaryAbelian(GroupSpec):
             raise InvalidSpec(f"{self.p} is not prime")
         if self.k < 1:
             raise InvalidSpec("exponent must be >= 1")
-        too_large = self.p > _MAX_ORDER or self.k >= 32  # p >= 2: p^k is not computed
-        _check_order(f"{self.p}^{self.k}" if too_large else self.p ** self.k)
+        if self.p > _MAX_ORDER or self.k >= 32:  # p >= 2: too large, so p^k is not computed
+            _check_order(f"{self.p}^{self.k}")
 
 
 class Abelian(GroupSpec):
@@ -216,7 +219,6 @@ class Abelian(GroupSpec):
             raise InvalidSpec("invariant factors must be >= 2")
         if any(ds[i + 1] % ds[i] for i in range(len(ds) - 1)):
             raise InvalidSpec("invariant factors must form a divisibility chain")
-        _check_order(math.prod(ds))
 
 
 class Symmetric(GroupSpec):
@@ -236,30 +238,30 @@ class Alternating(GroupSpec):
 
 
 class DirectProduct(GroupSpec):
+    """A product as parse_spec writes it: a tuple of two or more family specs."""
+
     parts: tuple[GroupSpec, ...]
 
     def __post_init__(self):
-        if not self.parts:
-            raise InvalidSpec("direct product needs at least one factor")
-        order = spec_order(self)
-        if order is not None:
-            _check_order(order)
+        parts = self.parts
+        if type(parts) is not tuple or len(parts) < 2 or any(type(p) not in _ATOMS for p in parts):
+            raise InvalidSpec("direct product factors must be a tuple of two or more family specs")
 
 
 class CayleyFile(GroupSpec):
     path: str
 
     def __post_init__(self):
-        if not self.path:
-            raise InvalidSpec("cayley: needs a file path")
+        if type(self.path) is not str or not self.path or self.path[-1].isspace():
+            raise InvalidSpec("cayley: needs a file path, a str with no whitespace at its end")
 
 
 class PermFile(GroupSpec):
     path: str
 
     def __post_init__(self):
-        if not self.path:
-            raise InvalidSpec("perm: needs a file path")
+        if type(self.path) is not str or not self.path or self.path[-1].isspace():
+            raise InvalidSpec("perm: needs a file path, a str with no whitespace at its end")
 
 
 def spec_string(spec: GroupSpec) -> str:
@@ -277,13 +279,12 @@ def spec_string(spec: GroupSpec) -> str:
 
 def spec_order(spec: GroupSpec) -> int | None:
     """Order of the group a spec describes, from its parameters alone, so a
-    caller can bound it before any table is built; None for file specs,
-    whose order is known only once the file is read."""
+    caller can bound it before any table is built; None for file specs
+    alone, whose order is known only once the file is read."""
     if type(spec) in _ATOMS:
         return _ATOMS[type(spec)].order(spec)
     if isinstance(spec, DirectProduct):
-        orders = [spec_order(p) for p in spec.parts]
-        return None if None in orders else math.prod(orders)
+        return math.prod(_ATOMS[type(p)].order(p) for p in spec.parts)
     if isinstance(spec, (CayleyFile, PermFile)):
         return None
     raise TypeError(f"not a GroupSpec: {spec!r}")
@@ -294,7 +295,8 @@ def parse_spec(text: str) -> GroupSpec:
     Ab[d1,d2,...], S<n>, A<n>, x-joined products, cayley:<path>, perm:<path>.
 
     File specs consume the rest of the string, so paths cannot appear as
-    product factors.
+    product factors; nor can a product.  parse_spec(spec_string(s)) == s
+    for every spec s, since a spec is what this grammar writes.
     """
     t = text.strip()
     if not t:
@@ -727,8 +729,7 @@ def build_group(spec: GroupSpec | str) -> Group:
     if type(spec) in _ATOMS:
         return _ATOMS[type(spec)].build(spec)
     if isinstance(spec, DirectProduct):
-        factors = [build_group(p) for p in spec.parts]
-        return Group(_product_table([f.array for f in factors]), spec)
+        return Group(_product_table([build_group(p).array for p in spec.parts]), spec)
     if isinstance(spec, CayleyFile):
         g = Group(_parse_cayley_file(spec.path), spec)
         if g.identity != 0:

@@ -380,7 +380,7 @@ def test_table_bad_range(capsys):
         ("cyclic", "abc", "bad range 'abc', expected lo..hi"),
         ("cyclic", "3..2", "empty range '3..2'"),
         ("cyclic", "12..2", "empty range '12..2'"),
-        ("dihedral", "2..4", "family dihedral needs parameter >= 3"),
+        ("dihedral", "2..4", "dihedral order must be even and >= 6"),
     ]:
         code, out, err = run(capsys, "table", "--family", family, "--range", bounds)
         assert (code, out, err) == (2, "", f"ERROR:PARSE {message}\n")

@@ -197,6 +197,28 @@ def test_bfs_unreachable_marker():
     assert bfs_distances(g, 2) == [math.inf, math.inf, 0]
 
 
+def test_vertex_arguments_are_integers_as_edge_endpoints_are():
+    g = power_graph(build_group("Z6"))
+    for call, message in [
+        (lambda: is_strong_resolving_set(g, [1.0, 2]), "vertex 1.0 is not an integer"),
+        (lambda: is_strong_resolving_set(g, [1.5]), "vertex 1.5 is not an integer"),
+        (lambda: is_strong_resolving_set(g, [1, np.float64(2.0)]),
+         f"vertex {np.float64(2.0)!r} is not an integer"),  # the repr differs by numpy version
+        (lambda: is_strong_resolving_set(g, ["1"]), "vertex '1' is not an integer"),
+        (lambda: bfs_distances(g, 1.0), "vertex 1.0 is not an integer"),
+        (lambda: bfs_distances(g, 6), "vertex 6 out of range"),
+        (lambda: is_strong_resolving_set(g, [0, -1]), "vertex -1 out of range"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    # Python and numpy integers and bools pass, as in Graph.from_edges
+    for s in [np.int64(1), np.uint8(1), True, np.True_]:
+        assert bfs_distances(g, s) == bfs_distances(g, 1)
+    assert is_strong_resolving_set(g, [np.int64(0), np.False_, True, np.uint8(2), 3, 4])
+    assert not is_strong_resolving_set(g, [True])
+
+
 def test_diameter():
     assert diameter(complete_graph(5)) == 1
     assert diameter(path_graph(4)) == 3

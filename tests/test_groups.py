@@ -116,12 +116,31 @@ def test_parse_product():
     (ElementaryAbelian, (99999999999999999989, 1)), (ElementaryAbelian, (3, 99999999999)),
     (ElementaryAbelian, (2, 99999999999)), (ElementaryAbelian, (2, 32)),
     (DirectProduct, ((Cyclic(2),) * 33,)),
+    # fields the grammar cannot write: ZTrue would build Z1, Z6.0 fail in Group()
+    (Cyclic, (True,)), (Cyclic, (6.0,)), (Cyclic, (np.float64(6),)), (Dihedral, (8.0,)),
+    (GeneralizedQuaternion, (8.0,)), (Symmetric, (3.0,)), (ElementaryAbelian, (2.0, 3)),
+    (ElementaryAbelian, (2, 1.5)), (Abelian, ((2, 4.0),)), (Abelian, ([2, 4],)),
+    # products the grammar cannot write: a file factor (cayley:a.txtxZ2 is one
+    # path), a nested product, one factor; and paths parse_spec would strip
+    (DirectProduct, ((CayleyFile("a.txt"), Cyclic(2)),)),
+    (DirectProduct, ((Cyclic(2), PermFile("p.txt")),)),
+    (DirectProduct, ((DirectProduct((Cyclic(2), Cyclic(3))), Cyclic(5)),)),
+    (DirectProduct, ((Cyclic(2),),)), (DirectProduct, ([Cyclic(2), Cyclic(3)],)),
+    (CayleyFile, ("a.txt ",)), (PermFile, ("p.txt\n",)), (CayleyFile, (Path("a.txt"),)),
 ])
 def test_spec_objects_check_their_own_fields(cls, args):
     with pytest.raises(InvalidSpec):
         cls(*args)
     with pytest.raises(InvalidSpec):
         cls(**dict(zip(cls.__match_args__, args)))
+
+
+def test_a_family_spec_keeps_numpy_integer_fields_that_read_back_as_themselves():
+    assert Cyclic(np.int64(6)) == Cyclic(6) and hash(Cyclic(np.int64(6))) == hash(Cyclic(6))
+    assert Abelian((np.uint8(2), 4)) == Abelian((2, 4))
+    assert spec_string(ElementaryAbelian(np.int32(3), np.int64(2))) == "E3^2"
+    with pytest.raises(InvalidSpec, match=r"^Cyclic\(n=True\) is not a spec the grammar writes$"):
+        Cyclic(True)
 
 
 SPECS = [Cyclic(6), Symmetric(6), Alternating(6), Dihedral(8), GeneralizedQuaternion(8),
@@ -203,7 +222,8 @@ def test_spec_order_is_the_built_order_on_the_corpus():
 def test_spec_order_of_file_specs_is_unknown():
     assert spec_order(CayleyFile("t.txt")) is None
     assert spec_order(PermFile("p.txt")) is None
-    assert spec_order(DirectProduct((Cyclic(2), PermFile("p.txt")))) is None
+    with pytest.raises(InvalidSpec, match="two or more family specs"):
+        DirectProduct((Cyclic(2), PermFile("p.txt")))  # so a product's order is always known
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +600,41 @@ def test_random_specs_build_valid_groups(spec):
     assert all(g.n % element_orders(g)[x] == 0 for x in range(g.n))
     fam = maximal_cyclic_subgroups(g)
     assert set().union(*(set(bits(m)) for m in fam.all)) == set(range(g.n))
+
+
+# a path as parse_spec reads it back: the spec string is stripped, so not
+# one that ends in whitespace
+file_paths = st.text(min_size=1).filter(lambda t: not t[-1].isspace())
+
+
+@st.composite
+def written_specs(draw):
+    """An atom of group_specs(), a product of two or three, or a file spec."""
+    kind = draw(st.sampled_from(["atom", "product", "cayley", "perm"]))
+    if kind == "atom":
+        return draw(group_specs())
+    if kind == "product":
+        return DirectProduct(tuple(draw(st.lists(group_specs(), min_size=2, max_size=3))))
+    return (CayleyFile if kind == "cayley" else PermFile)(draw(file_paths))
+
+
+@given(written_specs(), group_specs())
+@settings(max_examples=150, deadline=None)
+def test_parse_spec_reads_back_every_spec_and_a_product_is_of_atoms_alone(spec, atom):
+    assert parse_spec(spec_string(spec)) == spec
+    order = spec_order(spec)
+    assert (order is None) is isinstance(spec, (CayleyFile, PermFile))
+    if order is not None and order <= 200:
+        assert build_group(spec).n == order
+    # the grammar writes no one-factor product, and no product holding a file
+    # or a product
+    is_atom = type(spec) in groups_module._ATOMS
+    for parts in [(spec,), (atom, spec), (spec, atom)]:
+        if is_atom and len(parts) == 2:
+            assert parse_spec(spec_string(DirectProduct(parts))) == DirectProduct(parts)
+        else:
+            with pytest.raises(InvalidSpec, match="two or more family specs"):
+                DirectProduct(parts)
 
 
 # ---------------------------------------------------------------------------

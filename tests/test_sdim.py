@@ -186,6 +186,44 @@ def test_oracle_cap():
         sdim_oracle(Graph.from_edges(3, []))
 
 
+def ilp_sdim(graph: Graph) -> int:
+    """sdim straight from the definition, as a set cover solved by an ILP
+    (Sebő & Tannier, Math. Oper. Res. 29, 2004): one binary column per
+    vertex w, one row per pair {u, v}, entry 1 when w resolves the pair
+    strongly.  It reads neither the strong resolving graph nor the clique
+    search, and takes its distances from scipy, not from the package."""
+    pytest.importorskip("scipy", minversion="1.9")
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse.csgraph import shortest_path
+
+    n = graph.n
+    d = shortest_path(graph.matrix, unweighted=True)  # d[w, x], exact in float64
+    u, v = np.triu_indices(n, 1)
+    duv = d[u, v][:, None]
+    cover = (d[:, u].T == d[:, v].T + duv) | (d[:, v].T == d[:, u].T + duv)  # [pair, w]
+    res = milp(np.ones(n), constraints=LinearConstraint(cover.astype(float), lb=1),
+               integrality=np.ones(n), bounds=Bounds(0, 1))
+    assert res.success, res.message
+    chosen = np.flatnonzero(res.x > 0.5).tolist()
+    assert brute_is_strong_resolving(graph, chosen)
+    return len(chosen)
+
+
+# n <= 12: each solve took about 15 ms of solver set-up on a 2-vCPU VM, and
+# importing scipy 0.5 s, so these add about 0.8 s in all
+@pytest.mark.parametrize("spec", [s for s in CORPUS_SPECS if spec_order(parse_spec(s)) <= 12])
+def test_the_definitional_ilp_agrees_with_the_ladder_and_the_oracle_on_groups(spec):
+    g = build_group(spec)
+    assert ilp_sdim(power_graph(g)) == sdim_group(g).value == sdim_oracle(power_graph(g)).value
+
+
+@pytest.mark.parametrize("n, p, seed", [(14, 0.1, 5), (20, 0.08, 11)])
+def test_the_definitional_ilp_agrees_with_the_oracle_off_diameter_two(n, p, seed):
+    graph = random_cycle_with_chords(random.Random(seed), n, p)
+    assert diameter(graph) > 2  # so no universal vertex
+    assert ilp_sdim(graph) == sdim_oracle(graph).value
+
+
 # ---------------------------------------------------------------------------
 # Reduction
 
