@@ -343,8 +343,7 @@ def is_strong_resolving_set(graph: Graph, candidate) -> bool:
     A pair with an endpoint in the set is resolved by that endpoint, so only
     the pairs inside R = V minus the set are tested.  The n x |R| distances
     to R are read once as Python ints, so the sums cannot wrap in a dtype."""
-    members = sorted({v if type(v) is int and 0 <= v < graph.n else _vertex(graph, v)
-                      for v in candidate})  # _vertex refuses or converts the rest
+    members = sorted({_vertex(graph, v) for v in candidate})
     rest = sorted(set(range(graph.n)).difference(members))
     to_rest = _distances_to(graph, rest).tolist()  # to_rest[x][i] = d(x, rest[i])
     from_members = [to_rest[w] for w in members]

@@ -147,8 +147,10 @@ class GroupSpec:
         self.__post_init__()
         if atom := _ATOMS.get(type(self)):
             m = atom.pattern.fullmatch(atom.render(self))
-            if not m or tuple(map(atom.read, m.groups())) != self._values():
+            read = m and tuple(map(atom.read, m.groups()))
+            if read != self._values():
                 raise InvalidSpec(f"{self!r} is not a spec the grammar writes")
+            self.__dict__.update(zip(names, read))  # Python ints: orders cannot wrap
         _check_order(spec_order(self))
 
     def _values(self) -> tuple:

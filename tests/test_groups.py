@@ -116,6 +116,9 @@ def test_parse_product():
     (ElementaryAbelian, (99999999999999999989, 1)), (ElementaryAbelian, (3, 99999999999)),
     (ElementaryAbelian, (2, 99999999999)), (ElementaryAbelian, (2, 32)),
     (DirectProduct, ((Cyclic(2),) * 33,)),
+    # numpy fields whose order would wrap in int64 (to 0, or below 0)
+    (DirectProduct, ((Cyclic(np.int64(2**31)), Cyclic(np.int64(2**31)), Cyclic(4)),)),
+    (Abelian, ((np.int64(2**32), np.int64(2**32)),)), (ElementaryAbelian, (np.int64(17), np.int64(16))),
     # fields the grammar cannot write: ZTrue would build Z1, Z6.0 fail in Group()
     (Cyclic, (True,)), (Cyclic, (6.0,)), (Cyclic, (np.float64(6),)), (Dihedral, (8.0,)),
     (GeneralizedQuaternion, (8.0,)), (Symmetric, (3.0,)), (ElementaryAbelian, (2.0, 3)),
@@ -135,10 +138,12 @@ def test_spec_objects_check_their_own_fields(cls, args):
         cls(**dict(zip(cls.__match_args__, args)))
 
 
-def test_a_family_spec_keeps_numpy_integer_fields_that_read_back_as_themselves():
+def test_a_family_spec_stores_numpy_integer_fields_as_the_ints_they_read_back_as():
     assert Cyclic(np.int64(6)) == Cyclic(6) and hash(Cyclic(np.int64(6))) == hash(Cyclic(6))
     assert Abelian((np.uint8(2), 4)) == Abelian((2, 4))
     assert spec_string(ElementaryAbelian(np.int32(3), np.int64(2))) == "E3^2"
+    assert type(Cyclic(np.int64(6)).n) is int  # stored as read back, so orders cannot wrap
+    assert all(type(d) is int for d in Abelian((np.uint8(2), 4)).invariant_factors)
     with pytest.raises(InvalidSpec, match=r"^Cyclic\(n=True\) is not a spec the grammar writes$"):
         Cyclic(True)
 
