@@ -269,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="tabulate a parametric family")
     p.add_argument("--family", required=True, choices=sorted(_FAMILY_BUILDERS))
-    p.add_argument("--range", required=True, metavar="LO..HI")
+    p.add_argument("--range", required=True, metavar="LO..HI",
+                   help="parameters LO to HI; a negative LO is written --range=-1..3")
     p.add_argument("--csv", action="store_true", help="CSV output")
     _add_common(p)
     p.set_defaults(func=cmd_table)

@@ -144,13 +144,16 @@ class GroupSpec:
             raise TypeError(f"{type(self).__name__}() takes the fields"
                             f" {', '.join(names)}, each given once")
         self.__dict__.update(values)  # __setattr__ refuses every assignment
-        self.__post_init__()
-        if atom := _ATOMS.get(type(self)):
-            m = atom.pattern.fullmatch(atom.render(self))
-            read = m and tuple(map(atom.read, m.groups()))
-            if read != self._values():
-                raise InvalidSpec(f"{self!r} is not a spec the grammar writes")
-            self.__dict__.update(zip(names, read))  # Python ints: orders cannot wrap
+        try:
+            self.__post_init__()
+            if atom := _ATOMS.get(type(self)):
+                m = atom.pattern.fullmatch(atom.render(self))
+                read = m and tuple(map(atom.read, m.groups()))
+                if read != self._values():
+                    raise TypeError
+                self.__dict__.update(zip(names, read))  # Python ints: orders cannot wrap
+        except (TypeError, LookupError):  # also a field no check can read, as Cyclic("6")
+            raise InvalidSpec(f"{self!r} is not a spec the grammar writes") from None
         _check_order(spec_order(self))
 
     def _values(self) -> tuple:
@@ -512,16 +515,18 @@ def _quaternion_table(order: int) -> np.ndarray:
     return (s[:, None] ^ s) * two + ((1 - 2 * s) * a[:, None] + a + s[:, None] * s * n) % two
 
 
-def _product_table(tables) -> np.ndarray:
-    """Row-major direct product of the given multiplication tables, one
+def _product_table(factors) -> tuple[np.ndarray, list[int]]:
+    """Row-major direct product of the given (table, generators) pairs, one
     factor t of order m at a time by mixed radix: (A, a) has index A*m + a,
-    and (A, a)(B, b) = out[A, B]*m + t[a, b], broadcast over (A, a, B, b)."""
-    out = np.zeros((1, 1), dtype=np.intp)
-    for t in tables:
-        t = np.asarray(t)
+    and (A, a)(B, b) = out[A, B]*m + t[a, b], broadcast over (A, a, B, b).
+    A factor's identity is 0, so its generator a is a times the product of
+    the later factors' orders; returns the table and those generators."""
+    out, gens = np.zeros((1, 1), dtype=np.intp), []
+    for t, factor_gens in factors:
         m = len(t)
         out = (out[:, None, :, None] * m + t[None, :, None, :]).reshape(len(out) * m, -1)
-    return out
+        gens = [a * m for a in gens] + list(factor_gens)
+    return out, gens
 
 
 def _perm_table(gens: list[tuple[int, ...]],
@@ -666,7 +671,7 @@ def _parse_perm_file(path: str) -> list[tuple[int, ...]]:
     return gens
 
 
-def _symmetric_or_alternating(spec: Symmetric | Alternating) -> Group:
+def _symmetric_or_alternating(spec: Symmetric | Alternating) -> tuple[np.ndarray, list[int]]:
     """S_k on the permutations of 0..k-1 in lexicographic order, or A_k on
     the even ones, closed from the k-cycle and (0 1) for S_k (k >= 2), and
     for A_k (k >= 3) from (0 1 2) and the cycle on 0..k-1 (odd k) or on
@@ -678,8 +683,7 @@ def _symmetric_or_alternating(spec: Symmetric | Alternating) -> Group:
         lo = k % 2 ^ 1  # the long cycle is even: length k for odd k, k - 1 for even k
         gens = [(1, 2, 0) + tuple(range(3, k)), tuple(range(lo)) + tuple(range(lo + 1, k)) + (lo,)]
         gens = gens if k >= 3 else []
-    table, gens = _perm_table(gens, lexicographic=True)
-    return Group(table, spec, generators=gens)
+    return _perm_table(gens, lexicographic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -687,11 +691,14 @@ def _symmetric_or_alternating(spec: Symmetric | Alternating) -> Group:
 
 
 class _Atom(NamedTuple):
+    """A family's row: its grammar, its order, and its builder, which gives
+    its table, identity 0, and the generators it knows, () for none."""
+
     pattern: re.Pattern  # a spec's text, one group per field
     read: Callable[[str], object]  # matched group -> field
     render: Callable[[GroupSpec], str]
     order: Callable[[GroupSpec], int]  # from the fields alone
-    build: Callable[[GroupSpec], Group]
+    build: Callable[[GroupSpec], tuple]  # (table, generators)
 
 
 # One row per family.  parse_spec, spec_string, spec_order and build_group
@@ -699,21 +706,21 @@ class _Atom(NamedTuple):
 _ATOMS = {
     Cyclic: _Atom(
         re.compile(r"Z(\d+)"), int, lambda s: f"Z{s.n}", lambda s: s.n,
-        lambda s: Group(_cyclic_table(s.n), s)),
+        lambda s: (_cyclic_table(s.n), ())),
     Abelian: _Atom(
         re.compile(r"Ab\[(\d+(?:,\d+)*)\]"), lambda t: tuple(int(d) for d in t.split(",")),
         lambda s: "Ab[" + ",".join(str(d) for d in s.invariant_factors) + "]",
         lambda s: math.prod(s.invariant_factors),
-        lambda s: Group(_product_table([_cyclic_table(d) for d in s.invariant_factors]), s)),
+        lambda s: _product_table([(_cyclic_table(d), ()) for d in s.invariant_factors])),
     Dihedral: _Atom(
         re.compile(r"D(\d+)"), int, lambda s: f"D{s.order}", lambda s: s.order,
-        lambda s: Group(_dihedral_table(s.order), s)),
+        lambda s: (_dihedral_table(s.order), ())),
     GeneralizedQuaternion: _Atom(
         re.compile(r"Q(\d+)"), int, lambda s: f"Q{s.order}", lambda s: s.order,
-        lambda s: Group(_quaternion_table(s.order), s)),
+        lambda s: (_quaternion_table(s.order), ())),
     ElementaryAbelian: _Atom(
         re.compile(r"E(\d+)\^(\d+)"), int, lambda s: f"E{s.p}^{s.k}", lambda s: s.p ** s.k,
-        lambda s: Group(_product_table([_cyclic_table(s.p)] * s.k), s)),
+        lambda s: _product_table([(_cyclic_table(s.p), ())] * s.k)),
     Symmetric: _Atom(
         re.compile(r"S(\d+)"), int, lambda s: f"S{s.n}", lambda s: math.factorial(s.n),
         _symmetric_or_alternating),
@@ -724,23 +731,26 @@ _ATOMS = {
 
 
 def build_group(spec: GroupSpec | str) -> Group:
-    """Construct the group described by a spec object or spec string.  Every
-    table, built-in or from a file of any order, gets Group()'s full check."""
+    """Construct the group described by a spec object or spec string, the
+    one place a Group is made: from a table and the generators its builder
+    knows, a product's folded from its factors' rows.  Every table, built-in
+    or from a file of any order, gets Group()'s full check."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
     if type(spec) in _ATOMS:
-        return _ATOMS[type(spec)].build(spec)
-    if isinstance(spec, DirectProduct):
-        return Group(_product_table([build_group(p).array for p in spec.parts]), spec)
-    if isinstance(spec, CayleyFile):
-        g = Group(_parse_cayley_file(spec.path), spec)
-        if g.identity != 0:
-            raise NotAGroup(f"Cayley file {spec.path!r}: element 0 must be the identity")
-        return g
-    if isinstance(spec, PermFile):
+        table, gens = _ATOMS[type(spec)].build(spec)
+    elif isinstance(spec, DirectProduct):
+        table, gens = _product_table([_ATOMS[type(p)].build(p) for p in spec.parts])
+    elif isinstance(spec, CayleyFile):
+        table, gens = _parse_cayley_file(spec.path), ()
+    elif isinstance(spec, PermFile):
         table, gens = _perm_table(_parse_perm_file(spec.path))
-        return Group(table, spec, generators=gens)
-    raise InvalidSpec(f"unsupported spec: {spec!r}")
+    else:
+        raise InvalidSpec(f"unsupported spec: {spec!r}")
+    g = Group(table, spec, generators=gens)
+    if isinstance(spec, CayleyFile) and g.identity != 0:
+        raise NotAGroup(f"Cayley file {spec.path!r}: element 0 must be the identity")
+    return g
 
 
 # ---------------------------------------------------------------------------

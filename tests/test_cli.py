@@ -386,6 +386,12 @@ def test_table_bad_range(capsys):
         assert (code, out, err) == (2, "", f"ERROR:PARSE {message}\n")
 
 
+def test_table_takes_a_negative_lower_bound_after_an_equals_sign(capsys):
+    # argparse reads "--range -1..3" as an option with no value
+    code, out, err = run(capsys, "table", "--family", "cyclic", "--range=-1..3")
+    assert (code, out, err) == (2, "", "ERROR:PARSE cyclic order must be >= 1\n")
+
+
 # ---------------------------------------------------------------------------
 # witness / classify
 

@@ -148,6 +148,20 @@ def test_a_family_spec_stores_numpy_integer_fields_as_the_ints_they_read_back_as
         Cyclic(True)
 
 
+@pytest.mark.parametrize("make, message", [
+    pytest.param(make, f"{text} is not a spec the grammar writes", id=text) for make, text in [
+        (lambda: Cyclic("6"), "Cyclic(n='6')"), (lambda: Dihedral(None), "Dihedral(order=None)"),
+        (lambda: Abelian(("2", "4")), "Abelian(invariant_factors=('2', '4'))"),
+        (lambda: Abelian(5), "Abelian(invariant_factors=5)"),
+        (lambda: ElementaryAbelian("2", 3), "ElementaryAbelian(p='2', k=3)"),
+        (lambda: Symmetric("5"), "Symmetric(n='5')"), (lambda: Cyclic(6.0), "Cyclic(n=6.0)"),
+        (lambda: Abelian({2: 0, 4: 0}), "Abelian(invariant_factors={2: 0, 4: 0})"),
+    ]] + [pytest.param(lambda: Cyclic(-1), "cyclic order must be >= 1", id="Cyclic(n=-1)")])
+def test_a_field_that_a_check_cannot_compare_is_not_a_spec_the_grammar_writes(make, message):
+    with pytest.raises(InvalidSpec, match=rf"^{re.escape(message)}$"):
+        make()
+
+
 SPECS = [Cyclic(6), Symmetric(6), Alternating(6), Dihedral(8), GeneralizedQuaternion(8),
          ElementaryAbelian(2, 3), Abelian((2, 4)), DirectProduct((Cyclic(2), Dihedral(8))),
          CayleyFile("t.txt"), PermFile("p.txt")]
@@ -786,6 +800,39 @@ def test_cyclic_dihedral_and_quaternion_tables_match_the_loop_builders():
 ])
 def test_product_tables_match_the_loop_builder(spec, factors):
     assert build_group(spec).table == ref_product_table(factors())
+
+
+def spy_group_inits(monkeypatch) -> list:
+    """Record the generators of every Group() made from here on."""
+    calls, init = [], Group.__init__
+
+    def spy(self, table, spec=None, *, generators=()):
+        calls.append(list(generators))
+        init(self, table, spec, generators=generators)
+
+    monkeypatch.setattr(Group, "__init__", spy)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["Z12", "Ab[2,4]", "D8", "S4", "Z3xQ8", "S3xS3", "perm", "cayley"])
+def test_build_group_constructs_one_group(monkeypatch, tmp_path, spec):
+    if spec == "cayley":
+        write_cayley_file(tmp_path / "s3.txt", brute_perm_table(lex_perms(3)))
+        spec = f"cayley:{tmp_path / 's3.txt'}"
+    elif spec == "perm":
+        spec = f"perm:{DATA / 's5.txt'}"
+    calls = spy_group_inits(monkeypatch)
+    build_group(spec)
+    assert len(calls) == 1, calls  # a product builds no Group for a factor
+
+
+def test_a_product_starts_lights_test_from_its_factors_generators(monkeypatch):
+    calls = spy_group_inits(monkeypatch)
+    build_group("S3")
+    s3 = calls.pop()
+    assert len(s3) == 2
+    build_group("S3xS3")  # the first factor's generator a is the element (a, e) = a*6
+    assert calls == [[a * 6 for a in s3] + s3]
 
 
 # ---------------------------------------------------------------------------
