@@ -93,7 +93,7 @@ def _load_graph_target(target: str, oracle_cap: int):
         check_oracle_cap(order, oracle_cap)
     g = build_group(spec)
     check_oracle_cap(g.n, oracle_cap)  # file specs: the order is known only now
-    return spec_string(g.spec), power_graph(g)
+    return spec_string(spec), power_graph(g)
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +101,8 @@ def _load_graph_target(target: str, oracle_cap: int):
 
 
 def cmd_compute(args) -> int:
-    g = build_group(args.spec)
-    name = spec_string(g.spec)
+    spec = parse_spec(args.spec)
+    g, name = build_group(spec), spec_string(spec)
     t0 = time.perf_counter()
     res = sdim_group(g, oracle_cap=args.oracle_cap if args.check else 0)
     _print_result(name, g.n, res, args, (time.perf_counter() - t0) * 1000.0)
@@ -118,8 +118,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    g = build_group(args.spec)
-    name = spec_string(g.spec)
+    spec = parse_spec(args.spec)
+    g, name = build_group(spec), spec_string(spec)
     res = sdim_group(g, oracle_cap=args.oracle_cap)  # raises on any disagreement
     if args.json:
         payload = {
@@ -175,8 +175,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    g = build_group(args.spec)
-    name = spec_string(g.spec)
+    spec = parse_spec(args.spec)
+    g, name = build_group(spec), spec_string(spec)
     res = sdim_group(g)
     hit, label = classify_n_minus_2(g)
     if hit != (res.value == g.n - 2):

@@ -359,19 +359,21 @@ class Group:
     The table (rows or an array) is checked for a two-sided identity,
     associativity and the identity in every row, NotAGroup on failure, and
     kept as one read-only numpy array, array[a, b] = a*b, of the narrowest
-    unsigned dtype that holds 0..n-1; an array already of that dtype is
-    kept rather than copied.  Everything derived reads that array; table
-    (lists of ints) is built on first read.  generators, optional element
-    indices in 0..n-1, are where the associativity check starts: any
-    indices give the same verdict, and a small generating set the fastest
-    check.  Instances are immutable after construction and safe
-    for concurrent reads; derived data (element orders, cyclic subgroups as
-    int masks, the chain data, the power graph) is cached lazily by _cached.
+    unsigned dtype that holds 0..n-1, np.min_scalar_type(n - 1); an array
+    already of that dtype is kept rather than copied.  A group is its
+    table: it holds no spec, and everything derived, the closed forms'
+    families included, reads that array; table (lists of ints) is built on
+    first read.  generators, optional element indices in 0..n-1, are where
+    the associativity check starts: any indices give the same verdict, and
+    a small generating set the fastest check.  Instances are immutable
+    after construction and safe for concurrent reads; derived data (element
+    orders, cyclic subgroups as int masks, the chain data, the power graph)
+    is cached lazily by _cached.
     """
 
-    __slots__ = ("n", "array", "identity", "spec", "_cache")
+    __slots__ = ("n", "array", "identity", "_cache")
 
-    def __init__(self, table, spec: GroupSpec | None = None, *, generators=()):
+    def __init__(self, table, *, generators=()):
         try:
             t = np.asarray(table)
         except ValueError:  # ragged rows
@@ -382,7 +384,6 @@ class Group:
         if not all(0 <= a < n for a in generators):
             raise ValueError(f"generators must be element indices 0..{n - 1}")
         self.n = n
-        self.spec = spec
         self.array, self.identity = _validate_table(t, generators)
         self._cache: dict = {}  # filled by _cached
 
@@ -393,8 +394,7 @@ class Group:
         return self.array.tolist()
 
     def __repr__(self):
-        name = spec_string(self.spec) if self.spec is not None else "table"
-        return f"<Group {name} order={self.n}>"
+        return f"<Group order={self.n}>"
 
 
 _BLOCK_ENTRIES = 1 << 18  # entries of an n x n pass taken at once, so temporaries stay in cache
@@ -409,8 +409,9 @@ def _validate_table(t: np.ndarray, generators=()) -> tuple[np.ndarray, int]:
     test, then that every row holds e.
 
     Returns the table narrowed to the smallest unsigned dtype that holds
-    0..n-1, made read-only, and the identity index.  An entry outside int64
-    makes t an object (or float) array, refused as out of range.
+    0..n-1, np.min_scalar_type(n - 1), made read-only, and the identity
+    index.  An entry outside int64 makes t an object (or float) array,
+    refused as out of range.
 
     Light's test: the a with (x*a)*y == x*(a*y) for all x, y are closed
     under the product, so checking the generators that _spanning_tree
@@ -425,7 +426,7 @@ def _validate_table(t: np.ndarray, generators=()) -> tuple[np.ndarray, int]:
     n = len(t)
     if t.dtype.kind not in "iu" or t.min() < 0 or t.max() >= n:
         raise NotAGroup("table entries must be element indices 0..n-1")
-    t = t.astype(np.min_scalar_type(n), copy=False)  # narrow entries: cheaper gathers
+    t = t.astype(np.min_scalar_type(n - 1), copy=False)  # narrow entries: cheaper gathers
     ar = np.arange(n)
     step = _block_rows(n)
 
@@ -520,11 +521,22 @@ def _product_table(factors) -> tuple[np.ndarray, list[int]]:
     factor t of order m at a time by mixed radix: (A, a) has index A*m + a,
     and (A, a)(B, b) = out[A, B]*m + t[a, b], broadcast over (A, a, B, b).
     A factor's identity is 0, so its generator a is a times the product of
-    the later factors' orders; returns the table and those generators."""
-    out, gens = np.zeros((1, 1), dtype=np.intp), []
+    the later factors' orders; returns the table and those generators.
+
+    The fold runs in the table's own dtype, np.min_scalar_type(n - 1) for
+    the product's order n, so the one n x n array it makes is the table,
+    which Group() then keeps as it is.  Every intermediate entry is below
+    n: with k the order of the factors folded so far, A*m + a is below
+    k*m <= n.  m is cast to that dtype too; it wraps only when m = n, where
+    out is [[0]], so the product is 0 either way."""
+    dt = np.min_scalar_type(math.prod(len(t) for t, _ in factors) - 1)
+    out, gens = np.zeros((1, 1), dtype=dt), []
     for t, factor_gens in factors:
-        m = len(t)
-        out = (out[:, None, :, None] * m + t[None, :, None, :]).reshape(len(out) * m, -1)
+        k, m = len(out), len(t)
+        layer = np.multiply(out[:, None, :, None], np.intp(m), out=np.empty((k, m, k, m), dt),
+                            dtype=dt, casting="unsafe")
+        layer += t.astype(dt)[None, :, None, :]
+        out = layer.reshape(k * m, -1)
         gens = [a * m for a in gens] + list(factor_gens)
     return out, gens
 
@@ -584,7 +596,7 @@ def _perm_table(gens: list[tuple[int, ...]],
     rows = np.empty((m, n), dtype=np.intp)
     for row, r in zip(s, rows):
         r[label] = label[[index[b] for b in keys(row[perms])]]
-    table = np.empty((n, n), dtype=np.min_scalar_type(n))
+    table = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
     at = label.tolist()
     table[at[0]] = np.arange(n)
     for h, q in enumerate(edges, 1):
@@ -747,7 +759,7 @@ def build_group(spec: GroupSpec | str) -> Group:
         table, gens = _perm_table(_parse_perm_file(spec.path))
     else:
         raise InvalidSpec(f"unsupported spec: {spec!r}")
-    g = Group(table, spec, generators=gens)
+    g = Group(table, generators=gens)
     if isinstance(spec, CayleyFile) and g.identity != 0:
         raise NotAGroup(f"Cayley file {spec.path!r}: element 0 must be the identity")
     return g

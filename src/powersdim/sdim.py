@@ -139,25 +139,39 @@ def omega_reduced_group(g: gr.Group) -> int:
 
 
 def _closed_form(g: gr.Group) -> tuple[Method, int] | None:
-    """Family formula applying to this group, if any.
+    """Family formula applying to this group, if any, tried in the order
+    cyclic, dihedral, generalized quaternion, p-group (elementary abelian
+    first), abelian.  Each family is recognized from the table alone, so a
+    group gets the same rows however it was built or numbered.
 
-    Cyclic, elementary abelian, p-group, and abelian cases are detected
-    structurally (so Cayley-file inputs dispatch too); dihedral and
-    generalized quaternion dispatch on the construction spec.
+    Dihedral and generalized quaternion are read from the element orders,
+    with [P] = 1 if P holds, else 0.  Let n = 2m with m >= 3 and x of order
+    m.  Then <x> has index 2, and the m elements outside it are the y x^k.
+    <x> holds [m even] involutions and 2 [4 | m] elements of order 4, so
+    the group has m + [m even] involutions iff every y outside <x> is one,
+    and m + 2 [4 | m] elements of order 4 iff every such y has order 4.  In
+    the first case y^2 = e; in the second y^2, of order 2, lies in <x>, so
+    m is even and y^2 = x^(m/2), the one involution of <x>.  Either way y x
+    lies outside <x> too, so (y x)^2 = y^2, that is y x y^-1 = x^-1: the
+    presentation <x, y | x^m, y^2, y x y^-1 = x^-1> of the dihedral group
+    of order n, or <x, y | x^m, y^2 = x^(m/2), y x y^-1 = x^-1> of the
+    generalized quaternion (dicyclic) one.  Any x of order m will do.
     """
-    n = g.n
+    n, orders = g.n, gr.element_orders(g)
     if gr.is_cyclic_group(g):
         if len(gr.factorize(n).factors) == 1:
             return Method.CLOSED_FORM_CYCLIC_PRIME_POWER, n - 1
         return Method.CLOSED_FORM_CYCLIC, n - gr.sigma_of(n)
-    if isinstance(g.spec, gr.Dihedral):
-        return Method.CLOSED_FORM_DIHEDRAL, n - (gr.sigma_of(n // 2) + 1)
-    if isinstance(g.spec, gr.GeneralizedQuaternion):
-        return Method.CLOSED_FORM_QUATERNION, n - (gr.sigma_of(n // 2) + 1)
+    m = n // 2
+    if n % 2 == 0 and m >= 3 and m in orders:
+        if orders.count(2) == m + (m % 2 == 0):
+            return Method.CLOSED_FORM_DIHEDRAL, n - (gr.sigma_of(m) + 1)
+        if orders.count(4) == m + 2 * (m % 4 == 0):
+            return Method.CLOSED_FORM_QUATERNION, n - (gr.sigma_of(m) + 1)
     fac = gr.factorize(n)
     if len(fac.factors) == 1:
         p = fac.factors[0][0]
-        if all(k in (1, p) for k in gr.element_orders(g)):
+        if all(k in (1, p) for k in orders):
             return Method.CLOSED_FORM_ELEMENTARY_ABELIAN, n - 2
         s_max = max(c.s_i for c in gr.chain_analysis(g, p))
         return Method.CLOSED_FORM_P_GROUP, n - s_max

@@ -250,6 +250,18 @@ def ref_quaternion_table(order: int) -> list[list[int]]:
     return t
 
 
+def ref_metacyclic_table(m: int, r: int, s: int) -> list[list[int]]:
+    # <x, y | x^m, y^2 = x^s, y x y^-1 = x^r> with r^2 = 1 and r s = s mod m,
+    # so x^i y = y x^(i r); x^i at 0..m-1, y x^i at m..2m-1.  r = -1 gives
+    # the dihedral group (s = 0) or the generalized quaternion one (s = m/2)
+    t = [[0] * (2 * m) for _ in range(2 * m)]
+    for a, b in itertools.product((0, 1), repeat=2):
+        for i in range(m):
+            for j in range(m):
+                t[a * m + i][b * m + j] = (a ^ b) * m + (i * r ** b + j + s * (a & b)) % m
+    return t
+
+
 def ref_product_table(tables: list[list[list[int]]]) -> list[list[int]]:
     """Row-major direct product of the given multiplication tables."""
     sizes = [len(t) for t in tables]

@@ -42,6 +42,16 @@ def test_the_table_is_one_read_only_array_with_list_views():
         Group(g.array, generators=[24])
 
 
+@pytest.mark.parametrize("spec, dtype", [
+    ("E2^8", np.uint8), ("Z256", np.uint8), ("perm", np.uint8), ("Z257", np.uint16),
+    ("Z1", np.uint8)])
+def test_the_table_dtype_is_the_narrowest_that_holds_0_to_n_minus_1(tmp_path, spec, dtype):
+    if spec == "perm":  # a 256-cycle: the closure's own table
+        (tmp_path / "c256.txt").write_text("(" + " ".join(map(str, range(1, 257))) + ")\n")
+        spec = f"perm:{tmp_path / 'c256.txt'}"
+    assert build_group(spec).array.dtype == dtype
+
+
 def test_checks_and_abelian_test_with_one_row_per_block(monkeypatch):
     specs = ["Z12", "S4", "Ab[2,6]", "Z3xQ8", f"perm:{Path(__file__).parent / 'data' / 's5.txt'}"]
     tables = {spec: build_group(spec).table for spec in specs}

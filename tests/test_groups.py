@@ -806,9 +806,9 @@ def spy_group_inits(monkeypatch) -> list:
     """Record the generators of every Group() made from here on."""
     calls, init = [], Group.__init__
 
-    def spy(self, table, spec=None, *, generators=()):
+    def spy(self, table, *, generators=()):
         calls.append(list(generators))
-        init(self, table, spec, generators=generators)
+        init(self, table, generators=generators)
 
     monkeypatch.setattr(Group, "__init__", spy)
     return calls
@@ -833,6 +833,32 @@ def test_a_product_starts_lights_test_from_its_factors_generators(monkeypatch):
     assert len(s3) == 2
     build_group("S3xS3")  # the first factor's generator a is the element (a, e) = a*6
     assert calls == [[a * 6 for a in s3] + s3]
+
+
+def test_a_product_folds_in_its_tables_dtype_within_twice_its_bytes():
+    factors = [groups_module._ATOMS[Alternating].build(Alternating(5))] * 2
+    tracemalloc.start()
+    try:
+        table, _ = groups_module._product_table(factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.uint16
+    # 2 bytes an entry: an intp fold holds 8, as much as four such tables
+    assert peak < 2 * table.size * 2, (peak, table.size)
+
+
+@pytest.mark.parametrize("factors", [["E2^8"], ["Z1", "Z256"], ["Z256"], ["Z3", "Q8"],
+                                     ["Ab[2,4]", "E3^2", "D6"], ["S4", "S4"]])
+def test_group_keeps_a_folded_table_as_it_is(factors):
+    # ["Z256"] is Ab[256]'s one factor, and ["Z1", "Z256"] folds Z256 after
+    # Z1: the factor's order m is n itself, which the table's dtype cannot hold
+    table, gens = groups_module._product_table(
+        [groups_module._ATOMS[type(p)].build(p) for p in map(parse_spec, factors)])
+    assert table.dtype == np.min_scalar_type(len(table) - 1)
+    g = Group(table, generators=gens)
+    assert g.array is table  # adopted, not copied
+    assert g.table == build_group("x".join(factors)).table
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from powersdim import (CORPUS_SPECS, DiameterTooLarge, Disconnected, Graph,
 from helpers import (brute_is_strong_resolving, brute_sdim, brute_strong_resolving_graph,
                      clique_with_a_non_edge, cone, is_clique,
                      pairwise_distinct_closed_neighborhoods, random_cycle_with_chords,
-                     random_diameter2_graph, random_graph, with_closed_twins)
+                     random_diameter2_graph, random_graph, ref_metacyclic_table,
+                     with_closed_twins, write_cayley_file)
 
 
 def complete_graph(n):
@@ -370,10 +372,10 @@ RELABELLED_SPECS = [*CORPUS_SPECS, "S6", "A6", "Z720", "D200", "Q64", "E2^8", "Z
                     "Ab[2,4,8]", "S3xS3", "Z1"]
 
 
-@pytest.mark.parametrize("spec", RELABELLED_SPECS)
-def test_a_relabelled_bare_table_gives_the_same_answer(spec):
-    # element x becomes perm[x], the identity included, and the table is
-    # loaded with no spec: the power graph's universal vertex is then not 0
+def relabelled(spec: str) -> tuple[Group, Group]:
+    """The group of spec and a bare table of it in which element x becomes
+    perm[x] for a permutation seeded by spec that moves the identity, so
+    that the power graph's universal vertex is not where it was."""
     g = build_group(spec)
     rng = random.Random(spec)
     perm = rng.sample(range(g.n), g.n)
@@ -384,10 +386,62 @@ def test_a_relabelled_bare_table_gives_the_same_answer(spec):
     inv = np.argsort(p)
     bare = Group(p[g.array[inv][:, inv]])  # bare[perm[a], perm[b]] = perm[a * b]
     assert bare.identity == perm[e] and (g.n == 1 or bare.identity != e)
+    return g, bare
+
+
+def rung_values(res) -> list[tuple[Method, int]]:
+    return [(method, value) for method, value, _ in res.rows]
+
+
+@pytest.mark.parametrize("spec", RELABELLED_SPECS)
+def test_a_relabelled_bare_table_gives_the_same_answer(spec):
+    g, bare = relabelled(spec)
     want, got = sdim_group(g), sdim_group(bare)
     assert (got.value, got.omega_reduced) == (want.value, want.omega_reduced)
+    assert rung_values(got) == rung_values(want)  # each rung, its method and its value
     assert is_strong_resolving_set(power_graph(bare), got.witness)
     assert len(got.witness) == got.value
+
+
+DQ = {Method.CLOSED_FORM_DIHEDRAL, Method.CLOSED_FORM_QUATERNION}
+
+
+def closed_form_rows(g: Group) -> set[Method]:
+    return {method for method, _ in rung_values(sdim_group(g))} & DQ
+
+
+def test_dihedral_and_quaternion_rows_follow_the_group_not_its_spec(tmp_path):
+    # semidihedral SD16 and SD32, modular M16 and M32 and Z8 x Z2 have an
+    # element of order n/2 too, but neither presentation
+    for name, m, r in [("sd16", 8, 3), ("m16", 8, 5), ("sd32", 16, 7), ("m32", 16, 9),
+                       ("z8xz2", 8, 1)]:
+        write_cayley_file(tmp_path / f"{name}.txt", ref_metacyclic_table(m, r, 0))
+        g = build_group(f"cayley:{tmp_path / name}.txt")
+        assert closed_form_rows(g) == set(), name
+        assert sdim_group(g).method is Method.CLOSED_FORM_P_GROUP, name
+    for spec in ["Z2xZ6", "E2^2", "A4", "Z3xQ8"]:
+        assert closed_form_rows(build_group(spec)) == set(), spec
+    d16 = f"perm:{Path(__file__).parent / 'data' / 'd16.txt'}"
+    for spec in ["S3", "Z2xS3", "Z2xD10", "Z2xD6xZ1", d16]:  # D6, D12, D20, D12 and D16
+        assert sdim_group(build_group(spec)).method is Method.CLOSED_FORM_DIHEDRAL, spec
+    _, q16 = relabelled("Q16")
+    assert sdim_group(q16).method is Method.CLOSED_FORM_QUATERNION
+
+
+def test_every_cyclic_extension_by_z2_gets_the_d_or_q_row_of_its_presentation():
+    # x of order m, y^2 = x^s, y x y^-1 = x^r: the group is dihedral iff
+    # r = -1 and s = 0, and generalized quaternion iff r = -1 and s = m/2
+    groups = 0
+    for m in range(3, 17):
+        for r in (r for r in range(1, m) if r * r % m == 1):
+            for s in (s for s in range(m) if r * s % m == s):
+                g = Group(ref_metacyclic_table(m, r, s))
+                want = set()
+                if r == m - 1:
+                    want = {Method.CLOSED_FORM_DIHEDRAL if s == 0 else Method.CLOSED_FORM_QUATERNION}
+                assert closed_form_rows(g) == want, (m, r, s)
+                groups += 1
+    assert groups == 188
 
 
 def test_sdim_group_rows_follow_the_ladder_and_the_oracle_cap():
