@@ -110,7 +110,7 @@ def sigma_of(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Group specifications.  Each spec checks its own fields on construction
 # (InvalidSpec), so parse_spec, build_group and direct callers share one check.
-# Each family's grammar, order and builder are its row of _ATOMS, below.
+# Each spec kind's grammar, order and builder are its row of _ROWS, below.
 
 # the largest order n whose n x n table numpy can index (3037000499 on 64-bit
 # builds): numpy's intp is ssize_t-sized, so read without importing numpy
@@ -271,28 +271,14 @@ class PermFile(GroupSpec):
 
 def spec_string(spec: GroupSpec) -> str:
     """Canonical spec-grammar rendering, re-parseable by parse_spec."""
-    if isinstance(spec, DirectProduct):
-        return "x".join(spec_string(p) for p in spec.parts)
-    if isinstance(spec, CayleyFile):
-        return f"cayley:{spec.path}"
-    if isinstance(spec, PermFile):
-        return f"perm:{spec.path}"
-    if type(spec) not in _ATOMS:
-        raise TypeError(f"not a GroupSpec: {spec!r}")
-    return _ATOMS[type(spec)].render(spec)
+    return _row(spec).render(spec)
 
 
 def spec_order(spec: GroupSpec) -> int | None:
     """Order of the group a spec describes, from its parameters alone, so a
     caller can bound it before any table is built; None for file specs
     alone, whose order is known only once the file is read."""
-    if type(spec) in _ATOMS:
-        return _ATOMS[type(spec)].order(spec)
-    if isinstance(spec, DirectProduct):
-        return math.prod(_ATOMS[type(p)].order(p) for p in spec.parts)
-    if isinstance(spec, (CayleyFile, PermFile)):
-        return None
-    raise TypeError(f"not a GroupSpec: {spec!r}")
+    return _row(spec).order(spec)
 
 
 def parse_spec(text: str) -> GroupSpec:
@@ -494,8 +480,9 @@ def _spanning_tree(n: int, identity: int, column, gens=()) -> None:
 # Table builders
 
 
+# Z, D and Q compute in the narrowest dtype holding +-2 * order: every intermediate lies within it
 def _cyclic_table(n: int) -> np.ndarray:
-    ar = np.arange(n)
+    ar = np.arange(n, dtype=np.min_scalar_type(2 * n))
     return (ar[:, None] + ar) % n
 
 
@@ -503,7 +490,7 @@ def _dihedral_table(order: int) -> np.ndarray:
     # rotations a^i at 0..n-1, reflections a^i b at n..2n-1:
     # (a^i b^s)(a^j b^t) = a^(i + (-1)^s j) b^(s xor t)
     n = order // 2
-    s, i = np.divmod(np.arange(order), n)
+    s, i = np.divmod(np.arange(order, dtype=np.min_scalar_type(-2 * order)), n)
     return (s[:, None] ^ s) * n + (i[:, None] + (1 - 2 * s[:, None]) * i) % n
 
 
@@ -512,7 +499,7 @@ def _quaternion_table(order: int) -> np.ndarray:
     # (y^s x^a)(y^t x^b) = y^(s xor t) x^((-1)^t a + b + s t n)
     n = order // 4
     two = 2 * n
-    s, a = np.divmod(np.arange(order), two)
+    s, a = np.divmod(np.arange(order, dtype=np.min_scalar_type(-2 * order)), two)
     return (s[:, None] ^ s) * two + ((1 - 2 * s) * a[:, None] + a + s[:, None] * s * n) % two
 
 
@@ -703,13 +690,13 @@ def _symmetric_or_alternating(spec: Symmetric | Alternating) -> tuple[np.ndarray
 
 
 class _Atom(NamedTuple):
-    """A family's row: its grammar, its order, and its builder, which gives
-    its table, identity 0, and the generators it knows, () for none."""
+    """A spec kind's row: its grammar, a family's alone, its order, and its builder,
+    which gives its table, identity 0, and the generators it knows, () for none."""
 
-    pattern: re.Pattern  # a spec's text, one group per field
-    read: Callable[[str], object]  # matched group -> field
+    pattern: re.Pattern | None  # a spec's text, one group per field
+    read: Callable[[str], object] | None  # matched group -> field
     render: Callable[[GroupSpec], str]
-    order: Callable[[GroupSpec], int]  # from the fields alone
+    order: Callable[[GroupSpec], int | None]  # from the fields alone
     build: Callable[[GroupSpec], tuple]  # (table, generators)
 
 
@@ -741,6 +728,26 @@ _ATOMS = {
         _symmetric_or_alternating),
 }
 
+# The families' rows, and beside them those of the kinds written from family specs or a path.
+_ROWS = _ATOMS | {
+    DirectProduct: _Atom(
+        None, None, lambda s: "x".join(map(spec_string, s.parts)),
+        lambda s: math.prod(map(spec_order, s.parts)),
+        lambda s: _product_table([_ATOMS[type(p)].build(p) for p in s.parts])),
+    CayleyFile: _Atom(
+        None, None, lambda s: f"cayley:{s.path}", lambda s: None,
+        lambda s: (_parse_cayley_file(s.path), ())),
+    PermFile: _Atom(
+        None, None, lambda s: f"perm:{s.path}", lambda s: None,
+        lambda s: _perm_table(_parse_perm_file(s.path))),
+}
+
+
+def _row(spec: GroupSpec) -> _Atom:
+    if type(spec) not in _ROWS:
+        raise TypeError(f"not a GroupSpec: {spec!r}")
+    return _ROWS[type(spec)]
+
 
 def build_group(spec: GroupSpec | str) -> Group:
     """Construct the group described by a spec object or spec string, the
@@ -749,16 +756,7 @@ def build_group(spec: GroupSpec | str) -> Group:
     or from a file of any order, gets Group()'s full check."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    if type(spec) in _ATOMS:
-        table, gens = _ATOMS[type(spec)].build(spec)
-    elif isinstance(spec, DirectProduct):
-        table, gens = _product_table([_ATOMS[type(p)].build(p) for p in spec.parts])
-    elif isinstance(spec, CayleyFile):
-        table, gens = _parse_cayley_file(spec.path), ()
-    elif isinstance(spec, PermFile):
-        table, gens = _perm_table(_parse_perm_file(spec.path))
-    else:
-        raise InvalidSpec(f"unsupported spec: {spec!r}")
+    table, gens = _row(spec).build(spec)
     g = Group(table, generators=gens)
     if isinstance(spec, CayleyFile) and g.identity != 0:
         raise NotAGroup(f"Cayley file {spec.path!r}: element 0 must be the identity")

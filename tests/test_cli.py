@@ -90,6 +90,7 @@ ENOENT = "[Errno 2] No such file or directory: {path!r}"
     ("perm", NO_FILE, "cannot read perm file {path!r}: " + ENOENT),
     ("perm", "(1 2) (3 4) x\n", "{path}:1: not disjoint-cycle notation: '(1 2) (3 4) x'"),
     ("perm", "(1 2)\n(1 a)\n", "{path}:2: bad point in '(1 a)'"),
+    ("perm", "(0 1)\n", "{path}:1: points must be >= 1 in '(0 1)'"),
     ("perm", "\n  \n", "perm file {path!r} has no permutations"),
     ("edgelist", '{"n": 2, "edges": {"0": 1}}', '"edges" must be an array of [u, v] pairs'),
     ("graph6", "!\n", "bad graph6 size byte '!'"),
@@ -223,6 +224,19 @@ def test_compare_z30(capsys):
     assert "GenericOracle" in out
     assert out.count("27") == 4
     assert "agreement: ok" in out
+
+
+def test_compare_times_each_row_unless_told_not_to(capsys):
+    _, untimed, _ = run(capsys, "compare", "Z6", "--no-timing")
+    code, out, err = run(capsys, "compare", "Z6")
+    assert code == 0 and not err
+    timed, untimed = out.splitlines(), untimed.splitlines()
+    assert len(timed) == len(untimed) > 2
+    assert (timed[0], timed[-1]) == (untimed[0], untimed[-1]) == ("group: Z6  order: 6",
+                                                                   "agreement: ok")
+    for line, row in zip(timed[1:-1], untimed[1:-1]):
+        method, value = row.split()
+        assert re.fullmatch(rf"{method:<28} {value:>6}  \d+\.\dms", line), line
 
 
 def test_compare_a4(capsys):

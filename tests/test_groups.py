@@ -55,6 +55,8 @@ def test_factorize_small():
     assert factorize(30).factors == ((2, 1), (3, 1), (5, 1))
     assert factorize(1).factors == ()
     assert factorize(97).factors == ((97, 1),)
+    with pytest.raises(ValueError, match="^cannot factorize 0$"):
+        factorize(0)
 
 
 @given(st.integers(min_value=1, max_value=5000))
@@ -187,10 +189,14 @@ def test_specs_are_frozen_values_equal_only_within_their_class():
     match SPECS[7]:
         case DirectProduct((Cyclic(n), Dihedral(order))):
             assert (n, order) == (2, 8)
-    for not_a_spec in ("Z6", (6,), None):
+    for not_a_spec in ("Z6", (6,), None, 5):
         assert not isinstance(not_a_spec, GroupSpec)
-        with pytest.raises(TypeError, match="not a GroupSpec"):
-            spec_string(not_a_spec)
+        for read in (spec_string, spec_order, build_group):
+            if read is build_group and isinstance(not_a_spec, str):
+                continue  # build_group parses a str as the spec's text
+            message = f"not a GroupSpec: {not_a_spec!r}"
+            with pytest.raises(TypeError, match=rf"^{re.escape(message)}$"):
+                read(not_a_spec)
 
 
 @pytest.mark.parametrize("make", [
@@ -730,6 +736,12 @@ def test_group_verdicts_and_messages_match_the_definitions(case):
         assert str(caught.value) == expected
 
 
+@pytest.mark.parametrize("table", [[[0, 1], [1]], [[0, 1]]], ids=["ragged", "1x2"])
+def test_a_table_that_is_not_square_is_not_a_group(table):
+    with pytest.raises(NotAGroup, match="^multiplication table must be square and nonempty$"):
+        Group(table)
+
+
 def test_a_monoid_with_a_row_that_lacks_the_identity_is_not_a_latin_square():
     # associative with the two-sided identity 0, so the identity and Light's
     # test pass: only the check that every row holds the identity refuses it
@@ -789,6 +801,20 @@ def test_cyclic_dihedral_and_quaternion_tables_match_the_loop_builders():
         assert build_group(f"D{order}").table == ref_dihedral_table(order), order
     for order in range(8, 201, 4):
         assert build_group(f"Q{order}").table == ref_quaternion_table(order), order
+
+
+@pytest.mark.parametrize("spec", ["Z2000", "D2000", "Q2000"])
+def test_a_family_row_builds_within_five_times_its_tables_bytes(spec):
+    spec = parse_spec(spec)
+    tracemalloc.start()
+    try:
+        table, _ = groups_module._ATOMS[type(spec)].build(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    final = table.size * np.min_scalar_type(len(table) - 1).itemsize
+    # an intp build holds 8 (Z) or 12 (D, Q) times the final table
+    assert peak < 5 * final, (peak, final)
 
 
 @pytest.mark.parametrize("spec, factors", [
