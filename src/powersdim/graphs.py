@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from ._numpy import np
-from .groups import Group, _cached, bits, cyclic_masks
+from .groups import Group, _block_rows, _cached, _is_symmetric, bits, cyclic_masks
 
 __all__ = [
     "Graph", "ReducedGraph", "power_graph", "bfs_distances", "diameter", "reduced_graph",
@@ -49,7 +49,7 @@ class Graph:
 
     Graph(m) keeps m, a square bool array, made read-only rather than
     copied: the one stored adjacency.  The one check runs here: no loop on
-    the diagonal, then symmetry, as one comparison with its transpose.
+    the diagonal, then symmetry by _is_symmetric, with no whole-matrix copy.
     Graph.from_edges builds the matrix from an edge list.  Row v of rows,
     the neighbour bitmask of v, is derived from the matrix when first read,
     for callers outside the package: only bfs_distances reads it here.
@@ -67,7 +67,7 @@ class Graph:
         loops = np.flatnonzero(m.diagonal())
         if len(loops):
             raise ValueError(f"loop at vertex {loops[0]}")
-        if m.tobytes() != m.T.tobytes():  # m == m.T, compared as raw bytes
+        if not _is_symmetric(m):
             raise ValueError("adjacency is not symmetric")
         m.flags.writeable = False
         self.n = len(m)
@@ -127,12 +127,12 @@ class Graph:
 @_cached
 def power_graph(g: Group) -> Graph:
     """Vertices are the group elements; x ~ y iff x != y and one generates
-    a cyclic subgroup containing the other.  With C the cyclic masks
-    unpacked by bit_matrix, C[x, y] true iff y is in <x>, the adjacency is
-    C | C.T without the diagonal.  C is not kept; the graph is cached on
-    the group."""
-    c = bit_matrix(cyclic_masks(g), g.n)
-    m = c | c.T
+    a cyclic subgroup containing the other.  With C[x, y] true iff y is in
+    <x>, the cyclic masks unpacked by bit_matrix, the adjacency is C | C.T
+    without the diagonal: C.T is ORed into that one array, a block at a time."""
+    m = bit_matrix(cyclic_masks(g), g.n)
+    for b in _block_rows(g.n, g.n):
+        m[b] |= m[:, b].T  # OR is idempotent; numpy buffers the overlapping diagonal block
     np.fill_diagonal(m, False)
     return Graph(m)
 

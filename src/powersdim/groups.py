@@ -383,11 +383,18 @@ class Group:
         return f"<Group order={self.n}>"
 
 
-_BLOCK_ENTRIES = 1 << 18  # entries of an n x n pass taken at once, so temporaries stay in cache
+_BLOCK_ENTRIES = 1 << 18  # entries of a pass taken at once, so temporaries stay in cache
 
 
-def _block_rows(n: int) -> int:
-    return max(1, _BLOCK_ENTRIES // n)
+def _block_rows(rows: int, width: int) -> list[slice]:
+    """Row slices of a pass over rows rows of width entries, _BLOCK_ENTRIES to a slice."""
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _is_symmetric(t: np.ndarray) -> bool:
+    """t == t.T as raw bytes, each _block_rows block against its columns transposed."""
+    return all(t[b].tobytes() == t[:, b].T.tobytes() for b in _block_rows(len(t), len(t)))
 
 
 def _validate_table(t: np.ndarray, generators=()) -> tuple[np.ndarray, int]:
@@ -414,12 +421,11 @@ def _validate_table(t: np.ndarray, generators=()) -> tuple[np.ndarray, int]:
         raise NotAGroup("table entries must be element indices 0..n-1")
     t = t.astype(np.min_scalar_type(n - 1), copy=False)  # narrow entries: cheaper gathers
     ar = np.arange(n)
-    step = _block_rows(n)
 
     def column(a: int) -> list[int]:
         col, row = t[:, a], t[a]
-        for lo in range(0, n, step):
-            if t[col[lo:lo + step]].tobytes() != t[lo:lo + step].take(row, axis=1).tobytes():
+        for b in _block_rows(n, n):
+            if t[col[b]].tobytes() != t[b].take(row, axis=1).tobytes():
                 raise NotAGroup("table is not associative")
         return col.tolist()
 
@@ -430,7 +436,7 @@ def _validate_table(t: np.ndarray, generators=()) -> tuple[np.ndarray, int]:
         if not ((t[identity] == ar).all() and (t[:, identity] == ar).all()):
             raise NotAGroup("table has no two-sided identity")
         _spanning_tree(n, identity, column, generators)
-        if not all((t[lo:lo + step] == identity).any(1).all() for lo in range(0, n, step)):
+        if not all((t[b] == identity).any(1).all() for b in _block_rows(n, n)):
             raise NotAGroup("table is not a Latin square")
     except NotAGroup:
         if not ((np.sort(t, 1) == ar).all() and (np.sort(t, 0) == ar[:, None]).all()):
@@ -540,10 +546,10 @@ def _perm_table(gens: list[tuple[int, ...]],
     fixed point k appended, so that even the degree-0 identity has a key,
     and one dict maps each row's raw bytes to its index, the elements
     numbered in first-discovery order.  The rows are multiplied by every
-    generator in that order, in one numpy product per _block_rows of them,
-    so that many generators on many points still take bounded memory, and
-    each new h = g.s is a tree edge.  Since (g.s).b = g.(s.b), row h of the
-    table is row g gathered by row s, which lists s.b for every b.  With
+    generator in that order, one numpy product per _block_rows slice, so
+    that many generators on many points take bounded memory, and each new
+    h = g.s is a tree edge.  Since (g.s).b = g.(s.b), row h of the table is
+    row g gathered by row s, which lists s.b for every b.  With
     lexicographic, the elements are numbered in the lexicographic order of
     their rows instead, through the edges and the generators' rows.  Raises
     ClosureTooLarge when the group has more than DEFAULT_CLOSURE_CAP elements.
@@ -557,14 +563,13 @@ def _perm_table(gens: list[tuple[int, ...]],
     def keys(rows: np.ndarray) -> list[bytes]:
         return rows.view(key).ravel().tolist()  # each row's raw bytes
 
-    m = len(s)
+    m, first = len(s), 0  # first: the index of block[0]
     blocks = [np.arange(k + 1, dtype=s.dtype)[None]]
     index = dict.fromkeys(keys(blocks[0]), 0)
     edges = []  # edges[h - 1] = g*m + j for the tree edge h = g.gens[j]
-    step, first = _block_rows(s.size or 1), 0  # first: the index of block[0]
     for block in blocks:  # also yields the blocks appended below
-        for lo in range(0, len(block), step):
-            products = block[lo:lo + step].take(s, axis=1).reshape(-1, k + 1)  # row g*m + j: g.gens[j]
+        for part in _block_rows(len(block), s.size):  # a row: len(gens) * (k + 1) entries
+            products = block[part].take(s, axis=1).reshape(-1, k + 1)  # row g*m + j: g.gens[j]
             new = []
             for r, b in enumerate(keys(products)):
                 if b not in index:
@@ -575,7 +580,7 @@ def _perm_table(gens: list[tuple[int, ...]],
                     new.append(r)
             if new:
                 blocks.append(products[new])
-                edges += [(first + lo) * m + r for r in new]
+                edges += [(first + part.start) * m + r for r in new]
         first += len(block)
     perms = np.concatenate(blocks)
     n = len(perms)
@@ -800,15 +805,12 @@ def cyclic_masks(g: Group) -> list[int]:
 
 
 def is_cyclic_group(g: Group) -> bool:
-    return g.n in element_orders(g) if g.n > 1 else True
+    return g.n in element_orders(g)
 
 
 def is_abelian_group(g: Group) -> bool:
-    """array == array.T, compared a block of rows at a time, so that the
-    first block with a pair that does not commute ends the scan."""
-    t = g.array
-    step = _block_rows(g.n)
-    return all(np.array_equal(t[lo:lo + step], t[:, lo:lo + step].T) for lo in range(0, g.n, step))
+    """array == array.T, by _is_symmetric: a block with a pair that does not commute ends it."""
+    return _is_symmetric(g.array)
 
 
 def group_exponent(g: Group) -> int:

@@ -84,6 +84,14 @@ def test_bit_matrix_round_trips_and_matches_the_bits(n, p, seed):
     assert bit_rows(m) == rows
 
 
+def one_cell_flipped(n: int, u: int, v: int) -> np.ndarray:
+    """A random symmetric loopless n x n bool matrix with cell (u, v) flipped."""
+    m = np.triu(np.random.default_rng(n).random((n, n)) < 0.3, 1)
+    m |= m.T
+    m[u, v] ^= True
+    return m
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: graph_of_rows([1 << 64] + [0] * 64), "adjacency is not symmetric"),  # one-way (0, 64)
     (lambda: graph_of_rows([0] * 64 + [1 << 64]), "loop at vertex 64"),
@@ -95,8 +103,10 @@ def test_bit_matrix_round_trips_and_matches_the_bits(n, p, seed):
      "edge (0,2.0) has a non-integer endpoint"),
     # the diagonal is checked before symmetry
     (lambda: graph_of_rows([1 << 64] + [0] * 63 + [1 << 64]), "loop at vertex 64"),
+    # at n = 600 a block of the symmetry check is rows 0-435: rows 500 and 590 lie in the second
+    (lambda: Graph(one_cell_flipped(600, 500, 590)), "adjacency is not symmetric"),
 ], ids=["asymmetric-high-byte", "loop", "bit-n", "negative", "float", "floats",
-        "numpy-float", "loop-before-asymmetry"])
+        "numpy-float", "loop-before-asymmetry", "asymmetric-past-the-first-block"])
 def test_graph_rejections_keep_their_messages(build, message):
     with pytest.raises(ValueError) as exc:
         build()

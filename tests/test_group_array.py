@@ -4,6 +4,7 @@ the closure's spanning tree, each against a reference that does not share
 its code path."""
 
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersdim import (CORPUS_SPECS, Group, NotAGroup, build_group, is_abelian_group,
+from powersdim import (CORPUS_SPECS, Graph, Group, NotAGroup, build_group, is_abelian_group,
                        omega_reduced_group, power_graph, sdim_via_reduction)
 from powersdim import groups as groups_module
+from powersdim.graphs import bit_matrix
 
 from helpers import (brute_perm_table, inverses, lex_perms, ref_close_permutations,
                      ref_cyclic_masks, ref_is_abelian)
@@ -60,11 +62,33 @@ def test_checks_and_abelian_test_with_one_row_per_block(monkeypatch):
         g = build_group(spec)
         assert g.table == tables[spec]
         assert is_abelian_group(g) is ref_is_abelian(g)
+        c = bit_matrix(groups_module.cyclic_masks(g), g.n)
+        expected = c | c.T
+        np.fill_diagonal(expected, False)
+        assert np.array_equal(power_graph(g).matrix, expected)
+        flipped = expected.copy()
+        flipped[-1, -2] ^= True  # off the diagonal, in the last two one-row blocks
+        with pytest.raises(ValueError, match="^adjacency is not symmetric$"):
+            Graph(flipped)
     rows_repeat = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 0, 0]]
     cols_repeat = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [0, 1, 2, 3]]
     for t in (rows_repeat, cols_repeat):
         with pytest.raises(NotAGroup, match="Latin square"):
             Group(t)
+
+
+def test_the_power_graph_of_a5xa5_holds_one_n_by_n_array():
+    g = build_group("A5xA5")
+    groups_module.cyclic_masks(g)
+    tracemalloc.start()
+    try:
+        power_graph(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the adjacency and the packed masks, about 1.13 n^2 bytes; a second
+    # n x n array (C | C.T beside C, or a symmetry check's byte copies) is 2 n^2 or more
+    assert peak < 1.5 * g.n ** 2, (peak, g.n ** 2)
 
 
 def test_a_row_latin_table_with_a_repeat_down_a_later_column_is_refused(monkeypatch):
