@@ -231,13 +231,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE)
 
 
-def _add_common(p: argparse.ArgumentParser, *, oracle_cap: bool = False) -> None:
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+def _add_common(p: argparse.ArgumentParser, *, oracle_cap: bool = False):
+    """Adds --json, --no-timing and, with oracle_cap, --oracle-cap; returns the
+    mutually exclusive group of output formats that holds --json."""
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--no-timing", action="store_true",
                    help="omit timings for byte-reproducible output")
     if oracle_cap:
         p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
                        metavar="N", help="vertex cap for the generic oracle")
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=sorted(_FAMILY_BUILDERS))
     p.add_argument("--range", required=True, metavar="LO..HI",
                    help="parameters LO to HI; a negative LO is written --range=-1..3")
-    p.add_argument("--csv", action="store_true", help="CSV output")
-    _add_common(p)
+    _add_common(p).add_argument("--csv", action="store_true", help="CSV output")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("witness", help="print a checked minimum witness set")

@@ -17,16 +17,9 @@ identities are equalities, not bounds.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .graphs import Graph, bit_rows
 
-__all__ = ["CliqueResult", "max_clique", "min_vertex_cover"]
-
-
-class CliqueResult(NamedTuple):
-    size: int
-    members: tuple[int, ...]  # sorted ascending
+__all__ = ["max_clique", "min_vertex_cover"]
 
 
 def _search(adj: list[int], nadj: list[int]) -> list[int]:
@@ -113,12 +106,12 @@ def _relabel(graph: Graph, descending: bool) -> tuple[list[int], list[int], list
     return order, rows, [full ^ row ^ 1 << v for v, row in enumerate(rows)]
 
 
-def max_clique(graph: Graph) -> CliqueResult:
-    """Exact maximum clique; deterministic for identical input bits.  The
-    search runs on the rows relabelled by descending degree, ties by index."""
+def max_clique(graph: Graph) -> tuple[int, ...]:
+    """Exact maximum clique, its members ascending; deterministic for identical
+    input bits.  The search runs on the rows relabelled by descending degree,
+    ties by index."""
     order, adj, nadj = _relabel(graph, descending=True)
-    best = _search(adj, nadj)
-    return CliqueResult(len(best), tuple(sorted(order[v] for v in best)))
+    return tuple(sorted(order[v] for v in _search(adj, nadj)))
 
 
 def min_vertex_cover(graph: Graph) -> list[int]:

@@ -28,10 +28,10 @@ from ._numpy import np
 __all__ = [
     "Group", "GroupSpec", "Cyclic", "Dihedral", "GeneralizedQuaternion",
     "ElementaryAbelian", "Abelian", "Symmetric", "Alternating", "DirectProduct",
-    "CayleyFile", "PermFile", "PrimeFactorization", "MaximalCyclicFamily",
+    "CayleyFile", "PermFile", "MaximalCyclicFamily",
     "ChainAnalysis", "build_group", "parse_spec", "spec_string", "spec_order",
     "element_orders", "maximal_cyclic_subgroups", "chain_analysis", "alpha_p",
-    "sigma", "sigma_of", "factorize", "is_cp_group", "is_cyclic_group",
+    "sigma_of", "factorize", "is_cp_group", "is_cyclic_group",
     "is_abelian_group",
     "InvalidSpec", "NotAGroup", "ClosureTooLarge", "InternalInconsistency",
 ]
@@ -61,15 +61,9 @@ class InternalInconsistency(RuntimeError):
 # Arithmetic helpers
 
 
-class PrimeFactorization(NamedTuple):
-    """n = prod p_i^{r_i} with primes ascending and all r_i >= 1."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-
-def factorize(n: int) -> PrimeFactorization:
-    """Trial-division factorization; ample for desk-scale group orders."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """n = prod p^r as its pairs (p, r), primes ascending and every r >= 1, by
+    trial division; ample for desk-scale group orders."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     factors = []
@@ -84,27 +78,22 @@ def factorize(n: int) -> PrimeFactorization:
         p += 1 if p == 2 else 2
     if m > 1:
         factors.append((m, 1))
-    return PrimeFactorization(n, tuple(factors))
+    return tuple(factors)
 
 
 def is_prime(p: int) -> bool:
-    return p > 1 and factorize(p).factors == ((p, 1),)
+    return p > 1 and factorize(p) == ((p, 1),)
 
 
-def sigma(f: PrimeFactorization) -> int:
-    """1 for prime powers, else the sum of the exponents.
+def sigma_of(n: int) -> int:
+    """1 for prime powers, else the sum of the exponents of n.
 
     For n = 1 the defining case split does not apply; we return 1 by
     convention so that the single-vertex reduced graph (clique number 1)
     stays consistent.
     """
-    if len(f.factors) <= 1:
-        return 1
-    return sum(r for _, r in f.factors)
-
-
-def sigma_of(n: int) -> int:
-    return sigma(factorize(n))
+    factors = factorize(n)
+    return 1 if len(factors) <= 1 else sum(r for _, r in factors)
 
 
 # ---------------------------------------------------------------------------
@@ -758,13 +747,14 @@ def build_group(spec: GroupSpec | str) -> Group:
     """Construct the group described by a spec object or spec string, the
     one place a Group is made: from a table and the generators its builder
     knows, a product's folded from its factors' rows.  Every table, built-in
-    or from a file of any order, gets Group()'s full check."""
+    or from a file of any order, gets Group()'s full check, and its identity
+    must be element 0."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
     table, gens = _row(spec).build(spec)
     g = Group(table, generators=gens)
-    if isinstance(spec, CayleyFile) and g.identity != 0:
-        raise NotAGroup(f"Cayley file {spec.path!r}: element 0 must be the identity")
+    if g.identity != 0:
+        raise NotAGroup(f"{spec_string(spec)}: element 0 must be the identity")
     return g
 
 
@@ -820,7 +810,7 @@ def group_exponent(g: Group) -> int:
 
 def is_cp_group(g: Group) -> bool:
     """True when every element order is 1 or a prime power."""
-    return all(len(factorize(k).factors) <= 1 for k in set(element_orders(g)))
+    return all(len(factorize(k)) <= 1 for k in set(element_orders(g)))
 
 
 def bits(mask: int):
@@ -867,7 +857,7 @@ def maximal_cyclic_subgroups(g: Group) -> MaximalCyclicFamily:
                 subs.append(m)
             larger |= m
     subs.sort(key=lambda m: (m.bit_count(), tuple(bits(m))))
-    factors = {k: factorize(k).factors for k in by_order}
+    factors = {k: factorize(k) for k in by_order}
     by_prime: dict[int, list[int]] = {}
     mixed = []
     for m in subs:

@@ -108,13 +108,13 @@ def sdim_via_reduction(graph: Graph) -> SdimResult:
         raise DiameterTooLarge(f"reduction requires diameter <= 2, got {d}")
     red = reduced_graph(graph)
     cq = max_clique(red.quotient)
-    keep = {red.representatives[c] for c in cq.members}
+    keep = {red.representatives[c] for c in cq}
     witness = [v for v in range(graph.n) if v not in keep]
     _check_witness(graph, witness, Method.DIAMETER2_REDUCTION, "witness")
     return SdimResult(
-        value=graph.n - cq.size,
+        value=graph.n - len(cq),
         method=Method.DIAMETER2_REDUCTION,
-        omega_reduced=cq.size,
+        omega_reduced=len(cq),
         witness=witness,
     )
 
@@ -130,7 +130,7 @@ def omega_reduced_group(g: gr.Group) -> int:
     subgroups otherwise."""
     if gr.is_cyclic_group(g):
         return gr.sigma_of(g.n)
-    primes = [p for p, _ in gr.factorize(g.n).factors]
+    primes = [p for p, _ in gr.factorize(g.n)]
     best = max(gr.alpha_p(g, p) for p in primes)
     if not gr.is_cp_group(g):
         fam = gr.maximal_cyclic_subgroups(g)
@@ -159,7 +159,7 @@ def _closed_form(g: gr.Group) -> tuple[Method, int] | None:
     """
     n, orders = g.n, gr.element_orders(g)
     if gr.is_cyclic_group(g):
-        if len(gr.factorize(n).factors) == 1:
+        if len(gr.factorize(n)) == 1:
             return Method.CLOSED_FORM_CYCLIC_PRIME_POWER, n - 1
         return Method.CLOSED_FORM_CYCLIC, n - gr.sigma_of(n)
     m = n // 2
@@ -169,8 +169,8 @@ def _closed_form(g: gr.Group) -> tuple[Method, int] | None:
         if orders.count(4) == m + 2 * (m % 4 == 0):
             return Method.CLOSED_FORM_QUATERNION, n - (gr.sigma_of(m) + 1)
     fac = gr.factorize(n)
-    if len(fac.factors) == 1:
-        p = fac.factors[0][0]
+    if len(fac) == 1:
+        p = fac[0][0]
         if all(k in (1, p) for k in orders):
             return Method.CLOSED_FORM_ELEMENTARY_ABELIAN, n - 2
         s_max = max(c.s_i for c in gr.chain_analysis(g, p))
@@ -229,12 +229,12 @@ def clique_witness_cyclic(n: int) -> tuple[list[int], list[int]]:
     if n < 2:
         raise ValueError("need n >= 2")
     fac = gr.factorize(n)
-    if len(fac.factors) == 1:
+    if len(fac) == 1:
         orders = [n]
     else:
         orders = []
         d = 1
-        for p, r in reversed(fac.factors):
+        for p, r in reversed(fac):
             for _ in range(r):
                 d *= p
                 orders.append(d)
@@ -279,10 +279,10 @@ def classify_n_minus_2(g: gr.Group) -> tuple[bool, str | None]:
     trivially."""
     fac = gr.factorize(g.n)
     if gr.is_cyclic_group(g):
-        if len(fac.factors) == 2 and all(r == 1 for _, r in fac.factors):
+        if len(fac) == 2 and all(r == 1 for _, r in fac):
             return True, "cyclic-of-order-pq"
         return False, None
-    if len(fac.factors) == 1 and fac.factors[0][0] == 2 and g.n >= 8:
+    if len(fac) == 1 and fac[0][0] == 2 and g.n >= 8:
         involutions = sum(1 for k in gr.element_orders(g) if k == 2)
         if involutions == 1:  # noncyclic 2-group with a unique involution
             return True, "generalized-quaternion-2-group"

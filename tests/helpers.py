@@ -14,8 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from powersdim import (ChainAnalysis, CliqueResult, Graph, MaximalCyclicFamily,
-                       bfs_distances, factorize)
+from powersdim import ChainAnalysis, Graph, MaximalCyclicFamily, bfs_distances, factorize
 from powersdim.graphs import bit_matrix, bit_rows, bits
 from powersdim.groups import cyclic_masks, element_orders, is_prime
 
@@ -306,12 +305,12 @@ def clique_with_a_non_edge(real):
     """A stand-in for max_clique: real's size, so every value still agrees, but
     members that hold a non-adjacent pair, so the reduction's witness leaves
     out two mutually maximally distant classes and fails the check."""
-    def clique(graph: Graph) -> CliqueResult:
-        size = real(graph).size
+    def clique(graph: Graph) -> tuple[int, ...]:
+        size = len(real(graph))
         u, v = next((u, v) for u in range(graph.n) for v in range(u + 1, graph.n)
                     if not graph.matrix[u, v])
         rest = [w for w in range(graph.n) if w not in (u, v)][:size - 2]
-        return CliqueResult(size, (u, v, *rest))
+        return (u, v, *rest)
     return clique
 
 
@@ -368,13 +367,13 @@ def random_diameter2_graph(rng: Random, n: int, p: float = 0.4) -> Graph:
 
 # Reference clique search: max_clique as it was before the non-neighbour
 # masks and the unrecorded low color classes, kept to pin the search's
-# result (size and members) on every input.
+# result (its members) on every input.
 
 
-def ref_max_clique(graph: Graph) -> CliqueResult:
+def ref_max_clique(graph: Graph) -> tuple[int, ...]:
     n = graph.n
     if n == 0:
-        return CliqueResult(0, ())
+        return ()
     order = sorted(range(n), key=lambda v: (-int(graph.matrix[v].sum()), v))
     adj = bit_rows(bit_matrix(graph.rows, n).take(order, 0).take(order, 1))
 
@@ -424,13 +423,13 @@ def ref_max_clique(graph: Graph) -> CliqueResult:
         cand &= ~(1 << v)
         i -= 1
 
-    return CliqueResult(best_size, tuple(sorted(order[v] for v in best)))
+    return tuple(sorted(order[v] for v in best))
 
 
 def ref_min_vertex_cover(graph: Graph) -> list[int]:
     full = (1 << graph.n) - 1
     complement = graph_of_rows([full & ~row & ~(1 << v) for v, row in enumerate(graph.rows)])
-    independent = set(ref_max_clique(complement).members)
+    independent = set(ref_max_clique(complement))
     return [v for v in range(graph.n) if v not in independent]
 
 
@@ -467,8 +466,8 @@ def ref_maximal_cyclic_subgroups(g) -> MaximalCyclicFamily:
     mixed = []
     for s in subs:
         fac = factorize(s.order)
-        if len(fac.factors) == 1:
-            by_prime.setdefault(fac.factors[0][0], []).append(s)
+        if len(fac) == 1:
+            by_prime.setdefault(fac[0][0], []).append(s)
         else:
             mixed.append(s)
     return MaximalCyclicFamily(

@@ -389,6 +389,13 @@ def test_table_json_is_one_array_of_the_csv_rows(capsys):
                                     for row in json.loads(out)]
 
 
+def test_table_json_and_csv_are_one_or_the_other(capsys):
+    code, out, err = run(capsys, "table", "--family", "cyclic", "--range", "1..3",
+                         "--json", "--csv")
+    assert (code, out, err) == (
+        2, "", "ERROR:PARSE powersdim table: argument --csv: not allowed with argument --json\n")
+
+
 def test_table_bad_range(capsys):
     for family, bounds, message in [
         ("cyclic", "abc", "bad range 'abc', expected lo..hi"),

@@ -25,10 +25,10 @@ def cycle_graph(n):
 
 def test_max_clique_basics():
     assert max_clique(Graph.from_edges(0, [])) == max_clique(Graph.from_edges(0, []))
-    assert max_clique(Graph.from_edges(0, [])).size == 0
-    assert max_clique(Graph.from_edges(3, [])).size == 1          # no edges: a single vertex
-    assert max_clique(complete_graph(5)).size == 5
-    assert max_clique(cycle_graph(5)).size == 2    # triangle-free
+    assert max_clique(Graph.from_edges(0, [])) == ()
+    assert len(max_clique(Graph.from_edges(3, []))) == 1    # no edges: a single vertex
+    assert max_clique(complete_graph(5)) == (0, 1, 2, 3, 4)
+    assert len(max_clique(cycle_graph(5))) == 2    # triangle-free
 
 
 def test_max_clique_members_form_a_maximum_clique():
@@ -36,16 +36,15 @@ def test_max_clique_members_form_a_maximum_clique():
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 12))
         res = max_clique(g)
-        assert len(res.members) == res.size
-        assert is_clique(g, res.members)
-        assert res.size == brute_force_clique_number(g)
+        assert is_clique(g, res)
+        assert len(res) == brute_force_clique_number(g)
 
 
 def test_max_clique_reduced_power_graph_z12():
     red = reduced_graph(power_graph(build_group("Z12")))
     res = max_clique(red.quotient)
-    assert res.size == 3 == sigma_of(12)
-    assert res.size == brute_force_clique_number(red.quotient)
+    assert len(res) == 3 == sigma_of(12)
+    assert len(res) == brute_force_clique_number(red.quotient)
 
 
 def test_max_clique_determinism():
@@ -62,7 +61,7 @@ def test_max_clique_determinism():
 def test_max_clique_matches_brute_force(n, seed):
     rng = random.Random(seed)
     g = random_graph(rng, n)
-    assert max_clique(g).size == brute_force_clique_number(g)
+    assert len(max_clique(g)) == brute_force_clique_number(g)
 
 
 @given(st.integers(40, 80), st.sampled_from([0.0, 0.03, 0.06]), st.integers(0, 7),
@@ -76,9 +75,9 @@ def test_max_clique_on_multi_byte_rows(n, p, planted, seed):
     g = graph_of_rows([row | sum(1 << w for w in members if w != v) if v in members else row
                        for v, row in enumerate(g.rows)])
     res = max_clique(g)
-    assert res.size == forward_brute_force_clique_number(g)
-    assert list(res.members) == sorted(set(res.members)) and len(res.members) == res.size
-    assert is_clique(g, res.members)
+    assert len(res) == forward_brute_force_clique_number(g)
+    assert list(res) == sorted(set(res))
+    assert is_clique(g, res)
 
 
 def test_min_vertex_cover_examples():
@@ -95,7 +94,7 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     full = (1 << n) - 1
     k = graph_of_rows([full & ~(1 << v) for v in range(n)])
     res = max_clique(k)
-    assert res.size == n and res.members == tuple(range(n))
+    assert res == tuple(range(n))
     assert min_vertex_cover(complement(k)) == []
 
 
@@ -109,12 +108,12 @@ def test_cover_valid_and_complementary_to_mis(n, seed):
     for u, v in g.edges():
         assert u in in_cover or v in in_cover
     # |cover| + max independent set = n
-    mis = max_clique(complement(g)).size
+    mis = len(max_clique(complement(g)))
     assert len(cover) + mis == g.n
 
 
 # ---------------------------------------------------------------------------
-# The search is pinned: the same CliqueResult (size and members) and the same
+# The search is pinned: the same clique members and the same
 # cover as the reference search in helpers.py
 
 
@@ -162,7 +161,7 @@ def test_clique_number_equals_networkx_on_corpus_quotients():
     nx = pytest.importorskip("networkx")
     for spec in CORPUS_SPECS:
         quotient = reduced_graph(power_graph(build_group(spec))).quotient
-        assert max_clique(quotient).size == _networkx_clique_number(nx, quotient), spec
+        assert len(max_clique(quotient)) == _networkx_clique_number(nx, quotient), spec
 
 
 @pytest.mark.parametrize("n", range(20, 61, 4))
@@ -170,5 +169,5 @@ def test_cover_equals_networkx_on_srgs_of_cycles_with_chords(n):
     nx = pytest.importorskip("networkx")
     srg = strong_resolving_graph(random_cycle_with_chords(random.Random(n), n, 3 / n))
     omega = _networkx_clique_number(nx, complement(srg))
-    assert max_clique(complement(srg)).size == omega
+    assert len(max_clique(complement(srg))) == omega
     assert len(min_vertex_cover(srg)) == n - omega

@@ -61,7 +61,7 @@ def dump(spec: str) -> str:
     res = sdim_group(g, oracle_cap=DEFAULT_ORACLE_CAP)
     fam = maximal_cyclic_subgroups(g)
     orders = element_orders(g)
-    primes = [p for p, _ in factorize(g.n).factors]
+    primes = [p for p, _ in factorize(g.n)]
     out = {
         "n": g.n,
         "identity": g.identity,

@@ -60,7 +60,7 @@ def dump(name: str) -> str:
             "representatives": red.representatives,
             "class_of": red.class_of,
             "edges": _edges(red.quotient),
-            "clique": [clique.size, list(clique.members)],
+            "clique": [len(clique), list(clique)],
         },
     }
     return json.dumps(out, sort_keys=True, separators=(",", ":"))

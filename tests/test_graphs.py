@@ -478,7 +478,7 @@ def test_distinct_chain_generators_are_never_twins():
         grp = build_group(spec)
         red = reduced_graph(power_graph(grp))
         orders = element_orders(grp)
-        for p, _ in factorize(grp.n).factors:
+        for p, _ in factorize(grp.n):
             for a in chain_analysis(grp, p):
                 gens = [min(e for e in bits(m) if orders[e] == m.bit_count()) for m in a.chain]
                 classes = [red.class_of[x] for x in gens]

@@ -598,7 +598,7 @@ def test_clique_witness_alpha_p_properties():
     for spec in ["Q8", "Q16", "A4", "S4", "D8", "D12", "Ab[2,8]", "Ab[4,4]", "A5", "Z12", "Q12"]:
         grp = build_group(spec)
         g = power_graph(grp)
-        for p, _ in factorize(grp.n).factors:
+        for p, _ in factorize(grp.n):
             witness = clique_witness_alpha_p(grp, p)
             assert len(witness) == alpha_p(grp, p)
             assert is_clique(g, witness)
