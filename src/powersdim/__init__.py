@@ -9,7 +9,7 @@ emitting minimum strong-resolving-set witnesses checked against the definition.
 
 __version__ = "0.1.0"
 
-# Importing the package runs none of its five layers: each is put in
+# Importing the package runs none of its four layers: each is put in
 # sys.modules, and on the package, as a module whose source runs on the first
 # read of a name it does not hold.  Each layer lists its public names once,
 # in its own __all__, and once it has run they are bound here too, so that
@@ -20,7 +20,7 @@ import sys
 import types
 from importlib.util import find_spec, module_from_spec
 
-_LAYERS = ("groups", "graphs", "clique", "sdim", "corpus")
+_LAYERS = ("groups", "graphs", "clique", "sdim")
 _lock = _thread.RLock()  # held while a layer runs; other threads wait on it
 
 

@@ -886,15 +886,13 @@ class ChainAnalysis(NamedTuple):
     lambda_exp is the largest e with p^e the order of an intersection of
     M_i with a maximal cyclic subgroup of non-p-power order, or -1 when no
     such subgroup exists.  s_prime is the first chain position whose order
-    exceeds p^lambda_exp, and f_i the exponent with p^{f_i} = |M_i|.
+    exceeds p^lambda_exp.  The paper's s_i is len(chain), and its f_i the
+    exponent of chain[-1].bit_count() = |M_i| as a power of p.
     """
 
-    subgroup_index: int
     chain: tuple[int, ...]
-    s_i: int
     lambda_exp: int
     s_prime: int
-    f_i: int
 
 
 def _exact_log(base: int, value: int) -> int:
@@ -927,7 +925,7 @@ def chain_analysis(g: Group, p: int) -> tuple[ChainAnalysis, ...]:
     for m in others:
         union |= m
     out = []
-    for i, mi in enumerate(mp_masks):
+    for mi in mp_masks:
         inter = sorted({mi & mj for mj in mp_masks}, key=int.bit_count)
         for a, b in zip(inter, inter[1:]):
             if a & ~b:  # subgroups of a cyclic p-group are totally ordered
@@ -935,8 +933,7 @@ def chain_analysis(g: Group, p: int) -> tuple[ChainAnalysis, ...]:
         lambda_exp = _exact_log(p, (mi & union).bit_count()) if others else -1
         threshold = p ** lambda_exp if lambda_exp >= 0 else 0
         s_prime = next(u for u, c in enumerate(inter, 1) if c.bit_count() > threshold)
-        out.append(ChainAnalysis(i, tuple(inter), len(inter), lambda_exp, s_prime,
-                                 _exact_log(p, mi.bit_count())))
+        out.append(ChainAnalysis(tuple(inter), lambda_exp, s_prime))
     return tuple(out)
 
 
@@ -944,5 +941,5 @@ def alpha_p(g: Group, p: int) -> int:
     """max over the p-chains of s_i - s_i' + lambda_i + 2; 0 with no p-chains,
     as for a prime p that does not divide the group order.  ValueError if p
     is not prime (chain_analysis checks it once per group and prime)."""
-    return max((c.s_i - c.s_prime + c.lambda_exp + 2 for c in chain_analysis(g, p)),
+    return max((len(c.chain) - c.s_prime + c.lambda_exp + 2 for c in chain_analysis(g, p)),
                default=0)

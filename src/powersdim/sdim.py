@@ -5,7 +5,8 @@ family closed forms, the group-theoretic clique-number dispatch, the
 diameter-2 twin reduction, and a generic oracle (minimum vertex cover of
 the mutually-maximally-distant graph) that works on any connected graph.
 Also builds minimum strong-resolving-set witnesses (graphs holds their
-definitional check) and the constructive clique witnesses behind the formulas.
+definitional check) and the constructive clique witnesses behind the formulas,
+and lists the regression corpus, CORPUS_SPECS.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .graphs import (Graph, diameter, is_strong_resolving_set, power_graph, redu
 __all__ = [
     "Method", "SdimResult", "sdim_oracle", "sdim_via_reduction", "omega_reduced_group",
     "sdim_group", "clique_witness_cyclic", "clique_witness_alpha_p", "classify_n_minus_2",
-    "DiameterTooLarge", "OracleCapExceeded", "DEFAULT_ORACLE_CAP",
+    "DiameterTooLarge", "OracleCapExceeded", "DEFAULT_ORACLE_CAP", "CORPUS_SPECS",
 ]
 
 DEFAULT_ORACLE_CAP = 200
@@ -141,8 +142,9 @@ def omega_reduced_group(g: gr.Group) -> int:
 def _closed_form(g: gr.Group) -> tuple[Method, int] | None:
     """Family formula applying to this group, if any, tried in the order
     cyclic, dihedral, generalized quaternion, p-group (elementary abelian
-    first), abelian.  Each family is recognized from the table alone, so a
-    group gets the same rows however it was built or numbered.
+    first, which needs an abelian group of exponent p), abelian.  Each family
+    is recognized from the table alone, so a group gets the same rows
+    however it was built or numbered.
 
     Dihedral and generalized quaternion are read from the element orders,
     with [P] = 1 if P holds, else 0.  Let n = 2m with m >= 3 and x of order
@@ -157,9 +159,9 @@ def _closed_form(g: gr.Group) -> tuple[Method, int] | None:
     of order n, or <x, y | x^m, y^2 = x^(m/2), y x y^-1 = x^-1> of the
     generalized quaternion (dicyclic) one.  Any x of order m will do.
     """
-    n, orders = g.n, gr.element_orders(g)
+    n, orders, fac = g.n, gr.element_orders(g), gr.factorize(g.n)
     if gr.is_cyclic_group(g):
-        if len(gr.factorize(n)) == 1:
+        if len(fac) == 1:
             return Method.CLOSED_FORM_CYCLIC_PRIME_POWER, n - 1
         return Method.CLOSED_FORM_CYCLIC, n - gr.sigma_of(n)
     m = n // 2
@@ -168,12 +170,11 @@ def _closed_form(g: gr.Group) -> tuple[Method, int] | None:
             return Method.CLOSED_FORM_DIHEDRAL, n - (gr.sigma_of(m) + 1)
         if orders.count(4) == m + 2 * (m % 4 == 0):
             return Method.CLOSED_FORM_QUATERNION, n - (gr.sigma_of(m) + 1)
-    fac = gr.factorize(n)
     if len(fac) == 1:
         p = fac[0][0]
-        if all(k in (1, p) for k in orders):
+        if all(k in (1, p) for k in orders) and gr.is_abelian_group(g):
             return Method.CLOSED_FORM_ELEMENTARY_ABELIAN, n - 2
-        s_max = max(c.s_i for c in gr.chain_analysis(g, p))
+        s_max = max(len(c.chain) for c in gr.chain_analysis(g, p))
         return Method.CLOSED_FORM_P_GROUP, n - s_max
     if gr.is_abelian_group(g):
         d_k = gr.group_exponent(g)  # largest invariant factor
@@ -251,7 +252,7 @@ def clique_witness_alpha_p(g: gr.Group, p: int) -> list[int]:
     analyses = gr.chain_analysis(g, p)
     if not analyses:
         return []
-    best = max(analyses, key=lambda a: a.s_i - a.s_prime + a.lambda_exp + 2)
+    best = max(analyses, key=lambda a: len(a.chain) - a.s_prime + a.lambda_exp + 2)
     orders = gr.element_orders(g)
 
     def smallest_of_order(mask: int, k: int) -> int:
@@ -292,3 +293,24 @@ def classify_n_minus_2(g: gr.Group) -> tuple[bool, str | None]:
                for i in range(len(masks)) for j in range(i + 1, len(masks))):
             return True, "cp-group-trivial-intersections"
     return False, None
+
+
+# ---------------------------------------------------------------------------
+# Regression corpus: every method ladder must agree on all of these
+
+CORPUS_SPECS = [
+    # cyclic
+    "Z2", "Z3", "Z4", "Z6", "Z8", "Z12", "Z15", "Z16", "Z24", "Z30", "Z36", "Z60",
+    # dihedral (order 2n)
+    "D6", "D8", "D10", "D12", "D16", "D20", "D24", "D40",
+    # generalized quaternion (order 4n)
+    "Q8", "Q12", "Q16", "Q20", "Q24", "Q32", "Q48",
+    # elementary abelian
+    "E2^2", "E2^3", "E2^4", "E3^2", "E5^2",
+    # abelian by invariant factors
+    "Ab[2,4]", "Ab[2,8]", "Ab[4,4]", "Ab[3,9]", "Ab[2,6]", "Ab[2,12]", "Ab[2,2,6]",
+    # permutation groups
+    "S3", "S4", "S5", "A4", "A5",
+    # direct products
+    "Z3xQ8", "Z2xA4",
+]

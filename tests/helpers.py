@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from random import Random
 from typing import NamedTuple
 
@@ -212,6 +213,58 @@ def random_loop(rng: Random, n: int) -> list[list[int]]:
 
 def write_cayley_file(path, table) -> None:
     path.write_text(f"{len(table)}\n" + "".join(" ".join(map(str, row)) + "\n" for row in table))
+
+
+def heisenberg_table(p: int) -> list[list[int]]:
+    """The Heisenberg group mod p, (a, b, c)(a', b', c') = (a + a', b + b',
+    c + c' + a b') mod p, with (a, b, c) numbered a p^2 + b p + c: order p^3,
+    non-abelian and, for odd p, of exponent p."""
+    els = list(itertools.product(range(p), repeat=3))
+    return [[(a + x) % p * p * p + (b + y) % p * p + (c + z + a * y) % p for x, y, z in els]
+            for a, b, c in els]
+
+
+def write_linear_perm_file(path, name: str) -> None:
+    """Write the perm file of the linear group name, "SL(2,5)", "PGL(2,7)"
+    or "GL(3,2)": SL and GL on the nonzero vectors of F_p^d, PSL and PGL on
+    the points of the projective line (d = 2 only).  The generators are the
+    transvection I + E_12, the cyclic shift with determinant 1 ([[0, -1],
+    [1, 0]] for d = 2) and, for GL and PGL, diag(g, 1, ..., 1) for the
+    smallest primitive root g."""
+    proj, kind, d, p = re.fullmatch(r"(P?)(SL|GL)\((\d+),(\d+)\)", name).groups()
+    d, p = int(d), int(p)
+    shift = [[0] * d for _ in range(d)]
+    for i in range(d):
+        shift[(i + 1) % d][i] = 1
+    shift[0][d - 1] = (-1) ** (d - 1) % p
+    gens = [np.eye(d, dtype=int), np.array(shift)]
+    gens[0][0, 1] = 1
+    if kind == "GL":
+        g = next(g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+        gens.append(np.diag([g] + [1] * (d - 1)))
+
+    def point(v):
+        if proj:  # scale the last nonzero coordinate to 1
+            last = max(i for i in range(d) if v[i])
+            v = v * pow(int(v[last]), -1, p) % p
+        return tuple(int(x) for x in v)
+
+    points = sorted({point(np.array(v)) for v in itertools.product(range(p), repeat=d) if any(v)})
+    label = {v: i + 1 for i, v in enumerate(points)}
+    lines = []
+    for m in gens:
+        image = {label[v]: label[point(m @ np.array(v) % p)] for v in points}
+        cycles, seen = [], set()
+        for start in image:
+            if start in seen or image[start] == start:
+                continue
+            cycle = [start]
+            while image[cycle[-1]] != start:
+                cycle.append(image[cycle[-1]])
+            seen.update(cycle)
+            cycles.append("(" + " ".join(map(str, cycle)) + ")")
+        lines.append("".join(cycles) or "()")
+    path.write_text("\n".join(lines) + "\n")
 
 
 # Loop-built reference tables: the element numbering of the built-in
@@ -515,7 +568,7 @@ def ref_chain_analysis(g, p: int, fam: MaximalCyclicFamily) -> tuple[ChainAnalys
     mp_masks = [masks[s.generator] for s in mp]
     other_masks = [masks[s.generator] for s in fam.all if s.generator not in mp_gens]
     out = []
-    for i, mi_mask in enumerate(mp_masks):
+    for mi_mask in mp_masks:
         inter = sorted({mi_mask & mj for mj in mp_masks}, key=lambda m: m.bit_count())
         for a, b in zip(inter, inter[1:]):
             if a & ~b:
@@ -526,20 +579,15 @@ def ref_chain_analysis(g, p: int, fam: MaximalCyclicFamily) -> tuple[ChainAnalys
             lambda_exp = _ref_exact_log(p, lam_order)
         else:
             lambda_exp = -1
-        s_i = len(chain)
         if lambda_exp < 0:
             s_prime = 1
         else:
             threshold = p ** lambda_exp
             s_prime = next(u for u, c in enumerate(chain, 1) if c.order > threshold)
-        f_i = _ref_exact_log(p, chain[-1].order)
         out.append(ChainAnalysis(
-            subgroup_index=i,
             chain=tuple(sum(1 << e for e in s.elements) for s in chain),
-            s_i=s_i,
             lambda_exp=lambda_exp,
             s_prime=s_prime,
-            f_i=f_i,
         ))
     return tuple(out)
 
@@ -548,4 +596,4 @@ def ref_alpha_p(g, p: int, fam: MaximalCyclicFamily) -> int:
     analyses = ref_chain_analysis(g, p, fam)
     if not analyses:
         return 0
-    return max(a.s_i - a.s_prime + a.lambda_exp + 2 for a in analyses)
+    return max(len(a.chain) - a.s_prime + a.lambda_exp + 2 for a in analyses)

@@ -106,7 +106,7 @@ def test_criterion_06_noncyclic_p_groups():
     for spec in specs:
         g = build_group(spec)
         p = factorize(g.n)[0][0]
-        closed = g.n - max(a.s_i for a in chain_analysis(g, p))
+        closed = g.n - max(len(a.chain) for a in chain_analysis(g, p))
         reduction = sdim_via_reduction(power_graph(g)).value
         oracle = sdim_oracle(power_graph(g)).value
         if not closed == reduction == oracle:

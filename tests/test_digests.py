@@ -47,10 +47,12 @@ def _mask_sub(orders, m: int) -> list:
     return [min(e for e in elements if orders[e] == order), elements, order]
 
 
-def _chain_analysis(orders, a) -> list:
+def _chain_analysis(orders, p: int, i: int, a) -> list:
+    """The record as the digests hold it: its index i in chain_analysis(g, p),
+    its chain, len(chain), lambda_exp, s_prime and log_p |M_i|."""
     subs = [_mask_sub(orders, m) for m in a.chain]
-    return [a.subgroup_index, subs, [s[0] for s in subs], a.s_i, a.lambda_exp,
-            a.s_prime, a.f_i]
+    f_i = next(f for f in range(subs[-1][2]) if p ** f == subs[-1][2])
+    return [i, subs, [s[0] for s in subs], len(a.chain), a.lambda_exp, a.s_prime, f_i]
 
 
 def dump(spec: str) -> str:
@@ -82,7 +84,8 @@ def dump(spec: str) -> str:
         "primes": {str(p): {
             "alpha_p": alpha_p(g, p),
             "clique_witness_alpha_p": clique_witness_alpha_p(g, p),
-            "chain_analysis": [_chain_analysis(orders, a) for a in chain_analysis(g, p)],
+            "chain_analysis": [_chain_analysis(orders, p, i, a)
+                               for i, a in enumerate(chain_analysis(g, p))],
         } for p in primes},
         "classify_n_minus_2": list(classify_n_minus_2(g)),
     }

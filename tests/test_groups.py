@@ -501,12 +501,17 @@ def test_is_cp_group():
 # Chain analysis and alpha
 
 
+def _f(p: int, a) -> int:
+    """The paper's f_i: |M_i| = p^f_i, M_i the top of a's chain."""
+    return groups_module._exact_log(p, a.chain[-1].bit_count())
+
+
 def test_chain_analysis_q8():
     analyses = chain_analysis(build_group("Q8"), 2)
     assert len(analyses) == 3
     for a in analyses:
         assert [m.bit_count() for m in a.chain] == [2, 4]
-        assert (a.s_i, a.lambda_exp, a.s_prime, a.f_i) == (2, -1, 1, 2)
+        assert (len(a.chain), a.lambda_exp, a.s_prime, _f(2, a)) == (2, -1, 1, 2)
 
 
 def test_chain_analysis_a4():
@@ -515,8 +520,8 @@ def test_chain_analysis_a4():
         analyses = chain_analysis(g, p)
         assert len(analyses) == count
         for a in analyses:
-            assert [m.bit_count() for m in a.chain] == [1, p ** a.f_i]
-            assert (a.s_i, a.lambda_exp, a.s_prime) == (2, 0, 2)
+            assert [m.bit_count() for m in a.chain] == [1, p ** _f(p, a)]
+            assert (len(a.chain), a.lambda_exp, a.s_prime) == (2, 0, 2)
 
 
 def test_chain_analysis_empty_family():
@@ -540,15 +545,15 @@ def test_chains_are_totally_ordered_and_end_at_mi():
     for spec in ["Q8", "A4", "S4", "Ab[2,8]", "Ab[4,4]", "D16"]:
         g = build_group(spec)
         for p, _ in factorize(g.n):
-            for a in chain_analysis(g, p):
+            for index, a in enumerate(chain_analysis(g, p)):
                 orders = [m.bit_count() for m in a.chain]
                 assert orders == sorted(orders) and len(set(orders)) == len(orders)
                 sets = [set(bits(m)) for m in a.chain]
                 assert all(sets[i] < sets[i + 1] for i in range(len(sets) - 1))
                 # last entry is the maximal subgroup itself
                 mp = maximal_cyclic_subgroups(g).by_prime[p]
-                assert a.chain[-1] == mp[a.subgroup_index]
-                assert a.s_i <= a.f_i + 1
+                assert a.chain[-1] == mp[index]
+                assert len(a.chain) <= _f(p, a) + 1
 
 
 def test_the_ladder_caches_one_chain_analysis_per_prime():
@@ -578,8 +583,8 @@ def test_chain_bounds_hold_corpus_wide():
             analyses = chain_analysis(g, p)
             if not analyses:
                 continue
-            assert all(a.s_i <= a.f_i + 1 for a in analyses), (spec, p)
-            assert alpha_p(g, p) <= max(a.f_i for a in analyses) + 1, (spec, p)
+            assert all(len(a.chain) <= _f(p, a) + 1 for a in analyses), (spec, p)
+            assert alpha_p(g, p) <= max(_f(p, a) for a in analyses) + 1, (spec, p)
 
 
 def test_alpha_equals_max_s_for_noncyclic_p_groups():
@@ -587,8 +592,8 @@ def test_alpha_equals_max_s_for_noncyclic_p_groups():
         g = build_group(spec)
         p = factorize(g.n)[0][0]
         analyses = chain_analysis(g, p)
-        assert alpha_p(g, p) == max(a.s_i for a in analyses)
-        assert alpha_p(g, p) <= max(a.f_i for a in analyses) + 1
+        assert alpha_p(g, p) == max(len(a.chain) for a in analyses)
+        assert alpha_p(g, p) <= max(_f(p, a) for a in analyses) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ under the CLI with one OpenBLAS thread unless the caller chose a count."""
 import os
 import subprocess
 import sys
+from importlib.util import find_spec
 from pathlib import Path
 
 import pytest
@@ -58,13 +59,14 @@ def test_removed_names_stay_removed():
         assert name not in powersdim.__all__, name
         assert not hasattr(powersdim, name), name
         assert not any(hasattr(getattr(powersdim, layer), name)
-                       for layer in ("groups", "graphs", "clique", "sdim", "corpus")), name
+                       for layer in ("groups", "graphs", "clique", "sdim")), name
     owners = [(powersdim.Graph, ["has_edge", "degree", "closed_mask", "complement", "from_matrix"]),
               (powersdim.build_group("Z2"), ["inverse", "spec"]),
-              (powersdim.ChainAnalysis, ["chain_generators"])]
+              (powersdim.ChainAnalysis, ["chain_generators", "subgroup_index", "s_i", "f_i"])]
     for owner, names in owners:
         for name in names:
             assert not hasattr(owner, name), (owner, name)
+    assert find_spec("powersdim.corpus") is None  # CORPUS_SPECS lives in sdim
 
 
 @pytest.mark.parametrize("preset, threads", [(None, "1"), ("3", "3")])
@@ -87,7 +89,7 @@ def test_the_numpy_stand_in_keeps_each_name_it_serves():
 
 # run(): the layers whose source has run, read through vars(), which runs none
 RUN = ("import sys, powersdim\n"
-       "LAYERS = ('groups', 'graphs', 'clique', 'sdim', 'corpus')\n"
+       "LAYERS = ('groups', 'graphs', 'clique', 'sdim')\n"
        "def run():\n"
        "    return [n for n in LAYERS if '__all__' in vars(sys.modules['powersdim.' + n])]\n")
 
@@ -95,7 +97,7 @@ RUN = ("import sys, powersdim\n"
 def test_import_powersdim_registers_every_layer_and_runs_none():
     out = fresh(RUN + "print(*(getattr(powersdim, n) is sys.modules['powersdim.' + n]\n"
                       "        for n in LAYERS), run() == [])\n")
-    assert out.split() == ["True"] * 6
+    assert out.split() == ["True"] * 5
 
 
 def test_a_name_runs_only_the_layers_up_to_its_own_and_is_bound():
@@ -110,7 +112,24 @@ def test_a_name_runs_only_the_layers_up_to_its_own_and_is_bound():
 def test_a_missing_name_raises_and_a_dunder_probe_runs_nothing():
     out = fresh(RUN + "print(hasattr(powersdim, '__wrapped__'), len(run()))\n"
                       "print(hasattr(powersdim, 'no_such_name'), len(run()))\n")
-    assert out.split() == ["False", "0", "False", "5"]
+    assert out.split() == ["False", "0", "False", "4"]
+
+
+def test_a_layer_whose_source_raises_runs_again_on_the_next_read():
+    out = fresh(RUN + "layer = sys.modules['powersdim.clique']\n"
+                      "loader = layer.__spec__.loader\n"
+                      "def fail(module):\n"
+                      "    raise OSError('source unreadable')\n"
+                      "loader.exec_module = fail\n"
+                      "try:\n"
+                      "    powersdim.max_clique\n"
+                      "except OSError as exc:\n"
+                      "    print(repr(exc))\n"
+                      "print('__all__' in vars(layer), *run())\n"
+                      "del loader.exec_module\n"
+                      "print(powersdim.max_clique is layer.max_clique, *run())\n")
+    assert out.splitlines() == ["OSError('source unreadable')", "False groups graphs",
+                                "True groups graphs clique"]
 
 
 def test_the_cli_runs_its_layers_before_numpy():
@@ -133,7 +152,7 @@ import sys, threading
 sys.setswitchinterval(1e-6)
 import powersdim
 names = [("groups", "build_group"), ("graphs", "power_graph"), ("clique", "max_clique"),
-         ("sdim", "sdim_group"), ("corpus", "CORPUS_SPECS"), ("sdim", "SdimResult"),
+         ("sdim", "sdim_group"), ("sdim", "CORPUS_SPECS"), ("sdim", "SdimResult"),
          ("graphs", "Graph"), ("groups", "Group")]
 barrier = threading.Barrier(len(names), timeout=60)
 errors = []

@@ -15,21 +15,21 @@ from hypothesis import strategies as st
 
 import powersdim.graphs as graphs_module
 import powersdim.sdim as sdim_module
-from powersdim import (CORPUS_SPECS, DiameterTooLarge, Disconnected, Graph,
+from powersdim import (CORPUS_SPECS, DEFAULT_ORACLE_CAP, DiameterTooLarge, Disconnected, Graph,
                        Group, InternalInconsistency, Method, OracleCapExceeded, alpha_p,
                        build_group, classify_n_minus_2, clique_witness_alpha_p,
                        clique_witness_cyclic, diameter, element_orders, factorize,
-                       from_edge_list, is_cp_group, is_strong_resolving_set,
-                       parse_spec, spec_order,
+                       from_edge_list, is_abelian_group, is_cp_group, is_strong_resolving_set,
+                       maximal_cyclic_subgroups, parse_spec, spec_order,
                        omega_reduced_group, power_graph, reduced_graph, sdim_group,
                        sdim_oracle, sdim_via_reduction, sigma_of,
                        strong_resolving_graph)
 
 from helpers import (brute_is_strong_resolving, brute_sdim, brute_strong_resolving_graph,
-                     clique_with_a_non_edge, cone, is_clique,
+                     clique_with_a_non_edge, cone, heisenberg_table, is_clique,
                      pairwise_distinct_closed_neighborhoods, random_cycle_with_chords,
                      random_diameter2_graph, random_graph, ref_metacyclic_table,
-                     with_closed_twins, write_cayley_file)
+                     with_closed_twins, write_cayley_file, write_linear_perm_file)
 
 
 def complete_graph(n):
@@ -442,6 +442,57 @@ def test_every_cyclic_extension_by_z2_gets_the_d_or_q_row_of_its_presentation():
                 assert closed_form_rows(g) == want, (m, r, s)
                 groups += 1
     assert groups == 188
+
+
+@pytest.mark.parametrize("p, value", [(3, 25), (5, 123)])
+def test_a_non_abelian_group_of_exponent_p_gets_the_p_group_row(p, value):
+    # n - 2 holds for every group of exponent p; the elementary-abelian row
+    # names only the abelian ones
+    g = Group(heisenberg_table(p))
+    assert g.n == p ** 3 and set(element_orders(g)) == {1, p} and not is_abelian_group(g)
+    res = sdim_group(g, oracle_cap=DEFAULT_ORACLE_CAP)
+    assert res.method is Method.CLOSED_FORM_P_GROUP
+    assert rung_values(res) == [(Method.CLOSED_FORM_P_GROUP, value), (Method.GROUP_THEOREM, value),
+                                (Method.DIAMETER2_REDUCTION, value), (Method.GENERIC_ORACLE, value)]
+    assert sdim_group(build_group("E3^3")).method is Method.CLOSED_FORM_ELEMENTARY_ABELIAN
+
+
+# Linear groups over prime fields, as perm files: (order, sdim, mixed
+# maximal cyclic subgroups), and the built-in group each small one is
+LINEAR = {"SL(2,3)": (24, 21, True), "GL(2,3)": (48, 45, True), "SL(2,5)": (120, 117, True),
+          "PSL(2,7)": (168, 166, False), "GL(3,2)": (168, 166, False),
+          "SL(2,7)": (336, 333, True), "PGL(2,7)": (336, 333, True),
+          "GL(2,5)": (480, 475, True), "PSL(2,11)": (660, 657, True)}
+ISOMORPHIC = {"PSL(2,3)": "A4", "PGL(2,3)": "S4", "PSL(2,5)": "A5", "PGL(2,5)": "S5"}
+
+
+@pytest.fixture(scope="module")
+def linear(tmp_path_factory):
+    """name -> (group, its sdim_group result with the oracle up to its default cap)."""
+    out = {}
+    for name in [*LINEAR, *ISOMORPHIC]:
+        path = tmp_path_factory.mktemp("linear") / "gens.txt"
+        write_linear_perm_file(path, name)
+        g = build_group(f"perm:{path}")
+        out[name] = g, sdim_group(g, oracle_cap=DEFAULT_ORACLE_CAP)
+    return out
+
+
+def test_linear_groups_have_their_orders_and_values(linear):
+    for name, (order, value, mixed) in LINEAR.items():
+        g, res = linear[name]
+        assert (g.n, res.value) == (order, value), name
+        rungs = [Method.GROUP_THEOREM, Method.DIAMETER2_REDUCTION]
+        rungs += [Method.GENERIC_ORACLE] * (g.n <= DEFAULT_ORACLE_CAP)
+        assert rung_values(res) == [(m, value) for m in rungs], name
+        assert bool(maximal_cyclic_subgroups(g).mixed) == mixed, name
+
+
+def test_isomorphic_linear_and_built_in_groups_give_the_same_rows(linear):
+    pairs = [*((linear[a][1], sdim_group(build_group(b), oracle_cap=DEFAULT_ORACLE_CAP))
+               for a, b in ISOMORPHIC.items()), (linear["PSL(2,7)"][1], linear["GL(3,2)"][1])]
+    for a, b in pairs:
+        assert rung_values(a) == rung_values(b)
 
 
 def test_sdim_group_rows_follow_the_ladder_and_the_oracle_cap():
